@@ -6,7 +6,6 @@ its determinant and scalar curvature, classifies stability over grids, and
 verifies the tabulated closed-form expansions against the jet engine.
 """
 
-from .backend import BACKEND_NAME
 from .errors import (
     BadDomain,
     DanglingBranch,
@@ -57,7 +56,6 @@ from .models import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BACKEND_NAME",
     "BadDomain",
     "Branch",
     "BranchParams",

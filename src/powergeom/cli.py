@@ -10,8 +10,8 @@ scan file.
 Exit codes: 0 success, 1 domain or data error (message on stderr), 2 usage
 error. Angles may be given in degrees with ``--unit deg``; files always
 store radians. All randomized commands take ``--seed`` and rerun
-byte-identically; ``POWERGEOM_THREADS`` caps scan parallelism without
-changing any output.
+byte-identically. Scans evaluate their points on one thread in blocks of
+a fixed size, and their bytes do not depend on where the blocks split.
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ formulas below carry the combinatorial factors.
 
 All jets are immutable values and every operation is a pure function, so
 evaluation is safe from any number of threads.
+
+Slots may also hold equal-length ndarrays, one element per point:
+:func:`jet_linear`, :func:`jet_scale`, :func:`jet_mul` and
+:func:`jet_apply_univariate` are plain arithmetic and run elementwise with
+the same bits per element as on floats. ``powergeom.backend`` evaluates
+scans that way.
 """
 
 from __future__ import annotations
@@ -145,16 +151,33 @@ def jet_apply_univariate(g: UnivariateJet, u: Jet3) -> Jet3:
     )
 
 
+def reciprocal_derivatives(inv) -> UnivariateJet:
+    """Derivatives of ``x -> 1/x`` at the point where ``1/x`` equals ``inv``.
+
+    Plain arithmetic on ``inv``, so it applies to a float or elementwise
+    to an ndarray with the same bits per element.
+    """
+    inv2 = inv * inv
+    inv3 = inv2 * inv
+    inv4 = inv3 * inv
+    return (inv, -inv2, 2.0 * inv3, -6.0 * inv4)
+
+
+def tan_derivatives(t) -> UnivariateJet:
+    """Derivatives of ``tan`` at the point where it equals ``t``.
+
+    Like :func:`reciprocal_derivatives`, valid for floats and ndarrays.
+    """
+    sec2 = 1.0 + t * t
+    return (t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (sec2 + 2.0 * t * t))
+
+
 def jet_reciprocal(b: Jet3, guard: float = DIV_GUARD) -> Jet3:
     """Jet of ``1/b``; raises :class:`DivisionByNearZero` inside the guard."""
     if abs(b.f) <= guard:
         raise DivisionByNearZero(
             f"denominator value {b.f!r} within guard {guard!r}")
-    inv = 1.0 / b.f
-    inv2 = inv * inv
-    inv3 = inv2 * inv
-    inv4 = inv3 * inv
-    return jet_apply_univariate((inv, -inv2, 2.0 * inv3, -6.0 * inv4), b)
+    return jet_apply_univariate(reciprocal_derivatives(1.0 / b.f), b)
 
 
 def jet_div(a: Jet3, b: Jet3, guard: float = DIV_GUARD) -> Jet3:
@@ -164,10 +187,7 @@ def jet_div(a: Jet3, b: Jet3, guard: float = DIV_GUARD) -> Jet3:
 
 def jet_tan(u: Jet3) -> Jet3:
     """Tangent of a jet."""
-    t = math.tan(u.f)
-    sec2 = 1.0 + t * t
-    return jet_apply_univariate(
-        (t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (sec2 + 2.0 * t * t)), u)
+    return jet_apply_univariate(tan_derivatives(math.tan(u.f)), u)
 
 
 def jet_sin(u: Jet3) -> Jet3:

@@ -7,9 +7,10 @@ nan curvature instead of aborting. Sample i of an axis sits at
 reproduces the n-sample points bit for bit. Records are row-major with a1
 varying fastest.
 
-Row blocks may be evaluated on several threads (``POWERGEOM_THREADS``),
-but every point is independent and assembly is by index, so scan content
-never depends on the thread count.
+The jets of all points come from one column-wise kernel
+(:func:`powergeom.backend.batch_slots`) that works through fixed-size
+blocks of points. Each point's jet depends only on that point, so scan
+content never depends on where the blocks split.
 
 Transition location walks every grid line for determinant sign changes,
 refines each by bisection on the continuous determinant, and lists
@@ -93,10 +94,10 @@ def _geometry_columns(slots: np.ndarray) -> dict[str, np.ndarray]:
             "codes": codes.astype(np.int8)}
 
 
-def _evaluate_points(model: PowerModel, a1: np.ndarray, a2: np.ndarray,
-                     threads: int | None) -> dict[str, np.ndarray]:
-    slots = backend.batch_slots(model.kind.code, a1, a2, threads=threads)
-    slots = model.k * slots
+def _evaluate_points(model: PowerModel, a1: np.ndarray,
+                     a2: np.ndarray) -> dict[str, np.ndarray]:
+    slots = backend.batch_slots(model.kind.code, a1, a2)
+    slots *= model.k
     cols = _geometry_columns(slots)
     cols["a1"] = a1
     cols["a2"] = a2
@@ -151,8 +152,7 @@ def scan_grid(model: PowerModel,
               a1_bounds: Bounds = DEFAULT_BOUNDS,
               a2_bounds: Bounds | None = None,
               n: int = 64,
-              guard: float = DEFAULT_GUARD,
-              threads: int | None = None) -> GridScan:
+              guard: float = DEFAULT_GUARD) -> GridScan:
     """Scan an n-by-n grid; degenerate points carry nan curvature."""
     if n < 2:
         raise ValueError(f"need at least 2 samples per axis, got {n}")
@@ -160,11 +160,9 @@ def scan_grid(model: PowerModel,
         a2_bounds = a1_bounds
     a1_bounds = _check_bounds(a1_bounds, guard, "a1")
     a2_bounds = _check_bounds(a2_bounds, guard, "a2")
-    ax1 = axis_samples(a1_bounds, n)
-    ax2 = axis_samples(a2_bounds, n)
-    a1 = np.array([a for _ in range(n) for a in ax1], dtype=np.float64)
-    a2 = np.array([b for b in ax2 for _ in range(n)], dtype=np.float64)
-    cols = _evaluate_points(model, a1, a2, threads)
+    a1 = np.tile(np.array(axis_samples(a1_bounds, n), dtype=np.float64), n)
+    a2 = np.repeat(np.array(axis_samples(a2_bounds, n), dtype=np.float64), n)
+    cols = _evaluate_points(model, a1, a2)
     return GridScan(model=model, a1_bounds=a1_bounds, a2_bounds=a2_bounds,
                     n=n, guard=guard, columns=cols)
 
@@ -172,14 +170,13 @@ def scan_grid(model: PowerModel,
 def scan_diagonal(model: PowerModel,
                   bounds: Bounds = DEFAULT_BOUNDS,
                   n: int = 101,
-                  guard: float = DEFAULT_GUARD,
-                  threads: int | None = None) -> list[GeometryReport]:
+                  guard: float = DEFAULT_GUARD) -> list[GeometryReport]:
     """Reports along the equal-angle line a1 = a2 = a."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     bounds = _check_bounds(bounds, guard, "diagonal")
     a = np.array(axis_samples(bounds, n), dtype=np.float64)
-    cols = _evaluate_points(model, a, a, threads)
+    cols = _evaluate_points(model, a, a)
     return [_report_from_columns(cols, i) for i in range(n)]
 
 

@@ -6,13 +6,10 @@ print.
 """
 
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 
-from powergeom import geometry
+from powergeom import backend, geometry
 from powergeom.cli import main
 from powergeom.expressions import quantity, reconstruct_quantity, trig_poly_eval
 from powergeom.fdcheck import max_jet_deviation
@@ -176,7 +173,7 @@ def test_criterion_8_band_structure_and_scan_speed():
            f"{elapsed:.2f}s (< 5s)")
 
 
-def test_criterion_9_determinism(tmp_path, capsys):
+def test_criterion_9_determinism(tmp_path, capsys, monkeypatch):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):
@@ -191,21 +188,19 @@ def test_criterion_9_determinism(tmp_path, capsys):
                      "--seed", "9", "--out", str(out)]) == 0
     reports_identical = rep_a.read_bytes() == rep_b.read_bytes()
 
-    thread_bytes = []
-    for threads in ("1", "6"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, POWERGEOM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "powergeom.cli", "scan", "--model",
-             "complex", "--n", "40", "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        thread_bytes.append(out.read_bytes())
-    threads_independent = thread_bytes[0] == thread_bytes[1]
+    # 70x70 = 4900 points: two kernel blocks by default, one, or fifteen
+    block_bytes = []
+    for block in (backend.BLOCK, 70 * 70, 333):
+        monkeypatch.setattr(backend, "BLOCK", block)
+        out = tmp_path / f"block{block}.csv"
+        assert main(["scan", "--model", "complex", "--n", "70",
+                     "--out", str(out)]) == 0
+        block_bytes.append(out.read_bytes())
+    blocks_independent = len(set(block_bytes)) == 1
 
     capsys.readouterr()  # drop CLI chatter from the criterion line
-    passed = scans_identical and reports_identical and threads_independent
-    report(9, "byte-identical reruns and thread independence", passed,
+    passed = scans_identical and reports_identical and blocks_independent
+    report(9, "byte-identical reruns and block independence", passed,
            f"scan rerun identical={scans_identical}, report rerun "
            f"identical={reports_identical}, "
-           f"POWERGEOM_THREADS independent={threads_independent}")
+           f"kernel block split independent={blocks_independent}")

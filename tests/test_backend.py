@@ -1,88 +1,109 @@
-"""Backend dispatch: compiled and pure kernels must agree bit for bit."""
+"""Batch kernel: column-wise jets must equal the per-point jets bit for bit."""
 
-import random
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
-from powergeom import backend
+from powergeom import backend, jets
+from powergeom.errors import DivisionByNearZero
+from powergeom.jets import Jet3
+from powergeom.stability import DEFAULT_BOUNDS, axis_samples
 
-HAVE_COMPILED = backend._compiled is not None
-
-
-def random_points(seed, n, lo=-1.5, hi=1.5):
-    rng = random.Random(seed)
-    return [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-class TestCompiledAgainstPure:
-    def test_scalar_slots_bitwise_identical(self):
-        for code in (backend.KIND_REAL, backend.KIND_IMAGINARY,
-                     backend.KIND_COMPLEX):
-            for (a1, a2) in random_points(31 + code, 500):
-                compiled = backend._compiled.unit_slots(code, a1, a2)
-                pure = backend._unit_slots_py(code, a1, a2)
-                assert tuple(compiled) == tuple(pure)
-
-    def test_batch_matches_scalar(self):
-        pts = random_points(37, 300)
-        a1 = np.array([p[0] for p in pts])
-        a2 = np.array([p[1] for p in pts])
-        for code in range(3):
-            batch = backend.batch_slots(code, a1, a2, threads=1)
-            scalar = np.array([backend.unit_slots(code, x, y)
-                               for x, y in pts])
-            assert (batch == scalar).all()
-
-    def test_threaded_batch_identical(self):
-        pts = random_points(41, 999)
-        a1 = np.array([p[0] for p in pts])
-        a2 = np.array([p[1] for p in pts])
-        base = backend.batch_slots(1, a1, a2, threads=1)
-        for threads in (2, 3, 8):
-            assert (backend.batch_slots(1, a1, a2, threads=threads)
-                    == base).all()
+CODES = (backend.KIND_REAL, backend.KIND_IMAGINARY, backend.KIND_COMPLEX)
+BLOCK = backend.BLOCK
 
 
-class TestSelection:
-    def test_active_backend_is_reported(self):
-        assert backend.BACKEND_NAME in ("compiled", "python")
+def unit_rows(code, a1, a2):
+    rows = [backend.unit_slots(code, x, y)
+            for x, y in zip(a1.tolist(), a2.tolist())]
+    return np.array(rows, dtype=np.float64).reshape(-1, 10)
 
-    def test_python_backend_forced_in_subprocess(self):
-        code = (
-            "import os; os.environ['POWERGEOM_BACKEND']='python';"
-            "from powergeom import backend;"
-            "assert backend.BACKEND_NAME == 'python';"
-            "s = backend.unit_slots(0, 0.0, 0.0);"
-            "assert s.f11 == -2.0 and s.f12 == 2.0;"
-            "print('ok')"
-        )
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
 
-    def test_bad_backend_request_fails_loudly(self):
-        code = (
-            "import os; os.environ['POWERGEOM_BACKEND']='fortran';"
-            "import powergeom.backend"
-        )
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode != 0
-        assert "POWERGEOM_BACKEND" in proc.stderr
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
-    def test_thread_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("POWERGEOM_THREADS", raising=False)
-        assert backend.default_threads() == 1
-        monkeypatch.setenv("POWERGEOM_THREADS", "6")
-        assert backend.default_threads() == 6
-        monkeypatch.setenv("POWERGEOM_THREADS", "0")
-        assert backend.default_threads() == 1
 
+def random_points(seed, n, lo=-1.57, hi=1.57):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+
+
+@pytest.mark.parametrize("code", CODES)
+class TestBatchAgainstUnit:
+    def test_random_points(self, code):
+        a1, a2 = random_points(31 + code, 5000)
+        assert_same_bits(backend.batch_slots(code, a1, a2),
+                         unit_rows(code, a1, a2))
+
+    def test_default_grid_256(self, code):
+        axis = np.array(axis_samples(DEFAULT_BOUNDS, 256))
+        a1, a2 = np.tile(axis, 256), np.repeat(axis, 256)
+        assert_same_bits(backend.batch_slots(code, a1, a2),
+                         unit_rows(code, a1, a2))
+
+    def test_diagonal_4001(self, code):
+        a = np.array(axis_samples(DEFAULT_BOUNDS, 4001))
+        assert_same_bits(backend.batch_slots(code, a, a),
+                         unit_rows(code, a, a))
+
+
+class TestBlocks:
+    def test_slices_at_any_offset_give_the_same_bits(self):
+        n = 3 * BLOCK + 123
+        a1, a2 = random_points(41, n)
+        whole = backend.batch_slots(backend.KIND_COMPLEX, a1, a2)
+        for start, stop in ((0, 1), (1, BLOCK + 1), (BLOCK - 7, 2 * BLOCK + 5),
+                            (777, n - 333), (2 * BLOCK + 1, n), (n - 1, n)):
+            part = backend.batch_slots(backend.KIND_COMPLEX,
+                                       a1[start:stop], a2[start:stop])
+            assert_same_bits(part, whole[start:stop])
+
+    def test_empty_input(self):
+        out = backend.batch_slots(backend.KIND_REAL, np.zeros(0), np.zeros(0))
+        assert out.shape == (0, 10)
+
+
+class TestInputChecks:
     def test_batch_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):
             backend.batch_slots(0, np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            backend.batch_slots(0, np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_unknown_flow_code(self):
+        with pytest.raises(ValueError):
+            backend.unit_slots(3, 0.1, 0.2)
+        with pytest.raises(ValueError):
+            backend.batch_slots(3, np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [5, BLOCK + 17, 3 * BLOCK + 4],
+                             ids=["first-block", "middle-block", "last-block"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_angle_in_any_block(self, bad, index, axis):
+        coords = list(random_points(43, 3 * BLOCK + 5))
+        coords[axis][index] = bad
+        with pytest.raises(ValueError):
+            backend.batch_slots(backend.KIND_REAL, *coords)
+        point = [0.25, -0.5]
+        point[axis] = bad
+        with pytest.raises(ValueError):
+            backend.unit_slots(backend.KIND_REAL, *point)
+
+    def test_denominator_guard_matches_scalar(self):
+        guard = jets.DIV_GUARD
+        for near in (0.0, 0.5 * guard, -guard, guard):
+            with pytest.raises(DivisionByNearZero):
+                jets.jet_reciprocal(Jet3(near, *([0.5] * 9)))
+            column = np.array([1.5, near, -2.0])
+            with pytest.raises(DivisionByNearZero):
+                backend._reciprocal_column(
+                    Jet3(column, *([np.full(3, 0.5)] * 9)))
+        values = np.array([2.0 * guard, -3.0 * guard, 0.75, -4.0])
+        got = backend._reciprocal_column(
+            Jet3(values, *([np.full(4, 0.5)] * 9)))
+        for i, v in enumerate(values.tolist()):
+            want = jets.jet_reciprocal(Jet3(v, *([0.5] * 9)))
+            assert_same_bits(np.array([s[i] for s in got]), np.array(want))

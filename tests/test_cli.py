@@ -2,12 +2,11 @@
 
 import json
 import math
-import os
 import subprocess
-import sys
 
 import pytest
 
+from powergeom import backend
 from powergeom.cli import main
 from powergeom.scan_io import read_scan_csv
 
@@ -38,18 +37,17 @@ class TestScan:
                         "--out", str(out)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path):
+    def test_block_split_does_not_change_bytes(self, tmp_path, capsys,
+                                               monkeypatch):
         outs = []
-        for threads in ("1", "5"):
-            out = tmp_path / f"t{threads}.csv"
-            env = dict(os.environ, POWERGEOM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "powergeom.cli", "scan", "--model",
-                 "imaginary", "--n", "32", "--out", str(out)],
-                capture_output=True, text=True, env=env)
-            assert proc.returncode == 0, proc.stderr
+        # 96x96 = 9216 points spans three default blocks
+        for block in (backend.BLOCK, 1000, 96 * 96):
+            monkeypatch.setattr(backend, "BLOCK", block)
+            out = tmp_path / f"b{block}.csv"
+            assert run(["scan", "--model", "imaginary", "--n", "96",
+                        "--out", str(out)], capsys)[0] == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "scan.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from powergeom import backend
 from powergeom.errors import BadDomain
 from powergeom.geometry import StabilityClass
 from powergeom.jets import jet_linear, jet_mul, jet_seed
@@ -54,7 +55,7 @@ class TestScanGrid:
         assert samples == [-1.0 + i * step for i in range(5)]
 
     def test_refinement_shares_points_bitwise(self):
-        n = 17
+        n = 65  # the fine grid spans several kernel blocks
         coarse = scan_grid(IMAG, (-1.31, 1.07), n=n)
         fine = scan_grid(IMAG, (-1.31, 1.07), n=2 * n - 1)
         cd = coarse.columns["det"].reshape(n, n)
@@ -77,14 +78,16 @@ class TestScanGrid:
         b = render_csv(grid_table(scan_grid(COMP, n=16)))
         assert a == b
 
-    def test_thread_count_does_not_change_content(self):
-        one = scan_grid(IMAG, n=21, threads=1)
-        many = scan_grid(IMAG, n=21, threads=7)
-        for key in ("value", "g11", "g12", "g22", "det"):
-            assert (one.columns[key] == many.columns[key]).all()
-        a = one.columns["curvature"]
-        b = many.columns["curvature"]
-        assert ((a == b) | (np.isnan(a) & np.isnan(b))).all()
+    def test_block_split_does_not_change_content(self, monkeypatch):
+        n = 97  # 9409 points: three blocks at the default block size
+        base = scan_grid(IMAG, n=n)
+        for block in (13, 1000, 4000, n * n):
+            monkeypatch.setattr(backend, "BLOCK", block)
+            split = scan_grid(IMAG, n=n)
+            for key in ("value", "g11", "g12", "g22", "det", "curvature",
+                        "codes"):
+                a, b = base.columns[key], split.columns[key]
+                assert a.tobytes() == b.tobytes(), (block, key)
 
     def test_domain_touching_pole_rejected(self):
         with pytest.raises(BadDomain):
