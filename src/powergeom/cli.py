@@ -7,11 +7,12 @@ invariant suite, ``bus-power`` evaluates bus injections from a network
 JSON file, and ``plot-script`` emits a standalone matplotlib script for a
 scan file.
 
-Exit codes: 0 success, 1 domain or data error (message on stderr), 2 usage
-error. Angles may be given in degrees with ``--unit deg``; files always
-store radians. All randomized commands take ``--seed`` and rerun
-byte-identically. Scans evaluate their points on one thread in blocks of
-a fixed size, and their bytes do not depend on where the blocks split.
+Exit codes: 0 success, 1 domain or data error (message on stderr; a float
+result out of range counts as a data error), 2 usage error. Angles may be
+given in degrees with ``--unit deg``; files always store radians. All
+randomized commands take ``--seed`` and rerun byte-identically. Scans
+evaluate their points on one thread in blocks of a fixed size, and their
+bytes do not depend on where the blocks split.
 """
 
 from __future__ import annotations
@@ -109,12 +110,11 @@ def _cmd_diagonal(args) -> int:
     model = _model_from(args)
     lo = _angle(args.min, args.unit)
     hi = _angle(args.max, args.unit)
-    reports = scan_diagonal(model, (lo, hi), n=args.n, guard=DEFAULT_GUARD)
-    table = scan_io.diagonal_table(model, reports, (lo, hi), args.n,
-                                   DEFAULT_GUARD)
+    scan = scan_diagonal(model, (lo, hi), n=args.n, guard=DEFAULT_GUARD)
+    table = scan_io.diagonal_table(scan)
     scan_io.write_table(table, args.out, args.format)
     print(f"wrote {len(table.rows)} records to {args.out}")
-    transitions = locate_transitions(reports, model=model,
+    transitions = locate_transitions(scan,
                                      spike_threshold=args.spike_threshold)
     print(_transition_summary(transitions))
     return 0
@@ -280,8 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     except PowergeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # a float result out of range
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

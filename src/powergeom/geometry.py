@@ -13,6 +13,12 @@ Hessian), forms the curvature tensor component R_1212, and applies
 ``R = 2 R_1212 / det``. The two agree identically; the closed form's
 ``S12*S111*S222`` term must enter with a minus sign for that to hold, and
 the tests enforce the pair's agreement.
+
+The determinant, the degeneracy test, the closed-form curvature and the
+class sign table are written once, on plain arithmetic, so they run on
+floats for one point and elementwise on ndarray columns for a scan.
+:func:`geometry_columns` is the one classifier; :func:`geometry_report`
+runs it on a single point and the scans on whole columns.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from . import models
 from .errors import DegenerateMetric
@@ -67,6 +75,12 @@ class StabilityClass(enum.Enum):
         raise ValueError(f"unknown stability class label {label!r}")
 
 
+#: Stability classes in code order: code i of a scan column is CLASS_ORDER[i].
+CLASS_ORDER = (StabilityClass.STABLE, StabilityClass.NEGATIVE_DEFINITE,
+               StabilityClass.INDEFINITE, StabilityClass.DEGENERATE)
+_STABLE, _NEGDEF, _INDEF, _DEGEN = range(4)
+
+
 @dataclass(frozen=True)
 class Metric2:
     """Hessian metric components at one point (value units per radian^2)."""
@@ -92,30 +106,29 @@ def hessian_metric(field: Field, point: tuple[float, float]) -> Metric2:
     return Metric2.from_jet(jet, point)
 
 
+def determinant(g11, g12, g22):
+    """``g11*g22 - g12^2``; on floats, or elementwise on ndarrays."""
+    return g11 * g22 - g12 * g12
+
+
+def is_degenerate(det, g11, g12, g22):
+    """Whether |det| <= DEGEN_TOL * max(1, max|g|^2), on floats or elementwise.
+
+    Written as a disjunction so that it needs no ``max``: multiplying by
+    DEGEN_TOL and squaring are monotone, so each bound is one of the terms.
+    """
+    mag = abs(det)
+    return ((mag <= DEGEN_TOL) | (mag <= DEGEN_TOL * (g11 * g11))
+            | (mag <= DEGEN_TOL * (g12 * g12))
+            | (mag <= DEGEN_TOL * (g22 * g22)))
+
+
 def metric_determinant(metric: Metric2) -> float:
     """``g11*g22 - g12^2``."""
-    return metric.g11 * metric.g22 - metric.g12 * metric.g12
+    return determinant(metric.g11, metric.g12, metric.g22)
 
 
-def degeneracy_tolerance(metric: Metric2) -> float:
-    """Point-local |det| threshold below which the metric is degenerate."""
-    n = metric.inf_norm
-    return DEGEN_TOL * max(1.0, n * n)
-
-
-def classify_metric(metric: Metric2) -> StabilityClass:
-    """Sign table: DEGEN wins, then det<0, then the diagonal's sign."""
-    det = metric_determinant(metric)
-    if abs(det) <= degeneracy_tolerance(metric):
-        return StabilityClass.DEGENERATE
-    if det < 0.0:
-        return StabilityClass.INDEFINITE
-    if metric.g11 > 0.0 and metric.g22 > 0.0:
-        return StabilityClass.STABLE
-    return StabilityClass.NEGATIVE_DEFINITE
-
-
-def curvature_numerator(jet: Jet3) -> float:
+def curvature_numerator(jet: Jet3):
     """Third-order combination in the closed-form scalar curvature."""
     return (jet.f22 * jet.f111 * jet.f122
             + jet.f12 * jet.f112 * jet.f122
@@ -125,24 +138,27 @@ def curvature_numerator(jet: Jet3) -> float:
             - jet.f22 * jet.f112 * jet.f112)
 
 
+def closed_curvature(jet: Jet3, det):
+    """``R = -(1/2) det^-2 (S22 S111 S122 + S12 S112 S122 + S11 S112 S222
+    - S12 S111 S222 - S11 S122^2 - S22 S112^2)``, with ``det`` the jet's
+    metric determinant."""
+    return -0.5 * curvature_numerator(jet) / (det * det)
+
+
 def _require_nondegenerate(metric: Metric2, det: float) -> None:
-    if abs(det) <= degeneracy_tolerance(metric):
+    if is_degenerate(det, metric.g11, metric.g12, metric.g22):
         raise DegenerateMetric(
             f"metric determinant {det!r} at {metric.point} is degenerate; "
             "curvature undefined")
 
 
 def scalar_curvature_closed(field: Field, point: tuple[float, float]) -> float:
-    """Scalar curvature from one jet via the closed form.
-
-    ``R = -(1/2) det^-2 (S22 S111 S122 + S12 S112 S122 + S11 S112 S222
-    - S12 S111 S222 - S11 S122^2 - S22 S112^2)``.
-    """
+    """Scalar curvature from one jet via the closed form."""
     jet = as_jet_field(field)(point[0], point[1])
     metric = Metric2.from_jet(jet, point)
     det = metric_determinant(metric)
     _require_nondegenerate(metric, det)
-    return -0.5 * curvature_numerator(jet) / (det * det)
+    return closed_curvature(jet, det)
 
 
 def scalar_curvature_oracle(field: Field, point: tuple[float, float]) -> float:
@@ -188,15 +204,36 @@ class GeometryReport:
         return self.metric.point
 
 
+def geometry_columns(jet: Jet3) -> dict[str, np.ndarray]:
+    """Value, metric, determinant, curvature and class code of every point.
+
+    ``jet`` holds ndarray columns, one element per point, or floats for a
+    single point. Degenerate points get a nan curvature. Codes index
+    :data:`CLASS_ORDER`; degeneracy takes precedence, then det<0, then the
+    sign of the diagonal.
+    """
+    g11, g12, g22 = jet.f11, jet.f12, jet.f22
+    det = determinant(g11, g12, g22)
+    degen = is_degenerate(det, g11, g12, g22)
+    if np.ndim(det) == 0:  # one point on floats: divide only where defined
+        curvature = math.nan if degen else closed_curvature(jet, det)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curvature = np.where(degen, np.nan, closed_curvature(jet, det))
+    codes = np.where(
+        degen, _DEGEN,
+        np.where(det < 0.0, _INDEF,
+                 np.where((g11 > 0.0) & (g22 > 0.0), _STABLE, _NEGDEF)))
+    return {"value": jet.f, "g11": g11, "g12": g12, "g22": g22,
+            "det": det, "curvature": curvature,
+            "codes": codes.astype(np.int8)}
+
+
 def geometry_report(field: Field, point: tuple[float, float]) -> GeometryReport:
     """Metric, determinant, curvature (nan if degenerate) and class."""
     jet = as_jet_field(field)(point[0], point[1])
-    metric = Metric2.from_jet(jet, point)
-    det = metric_determinant(metric)
-    classification = classify_metric(metric)
-    if classification is StabilityClass.DEGENERATE:
-        curvature = math.nan
-    else:
-        curvature = -0.5 * curvature_numerator(jet) / (det * det)
-    return GeometryReport(metric=metric, value=jet.f, det=det,
-                          curvature=curvature, classification=classification)
+    cols = geometry_columns(jet)
+    return GeometryReport(metric=Metric2.from_jet(jet, point),
+                          value=jet.f, det=cols["det"],
+                          curvature=cols["curvature"],
+                          classification=CLASS_ORDER[int(cols["codes"])])

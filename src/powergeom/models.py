@@ -75,6 +75,11 @@ class PowerModel:
             raise ValueError(f"bus voltage must be positive, got {self.v!r}")
         if not (self.r0 > 0.0 and math.isfinite(self.r0)):
             raise ValueError(f"base resistance must be positive, got {self.r0!r}")
+        k = self.k
+        if not (math.isfinite(k * k) and k * k > 0.0):
+            raise ValueError(
+                f"scale k = V^2/R0 = {k!r} (V={self.v!r}, R0={self.r0!r}) "
+                "is out of range: k and k^2 must be finite and nonzero")
 
     @property
     def k(self) -> float:

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SchemaMismatch
-from .geometry import GeometryReport
-from .models import PowerModel
-from .stability import Bounds, GridScan
+from .stability import Bounds, DiagonalScan, GridScan
 
 SCAN_COLUMNS = ("a1", "a2", "value", "g11", "g12", "g22",
                 "det", "curvature", "class")
@@ -53,64 +51,36 @@ class ScanTable:
     rows: tuple[ScanRow, ...]
 
 
-def grid_metadata(scan: GridScan) -> dict[str, str]:
-    return {
+def _scan_table(scan: GridScan | DiagonalScan, command: str,
+                a1_bounds: Bounds, a2_bounds: Bounds) -> ScanTable:
+    model = scan.model
+    metadata = {
         "format": FORMAT_TAG,
-        "command": "scan",
-        "model": scan.model.kind.value,
-        "v": format_float(scan.model.v),
-        "r0": format_float(scan.model.r0),
-        "a1_min": format_float(scan.a1_bounds[0]),
-        "a1_max": format_float(scan.a1_bounds[1]),
-        "a2_min": format_float(scan.a2_bounds[0]),
-        "a2_max": format_float(scan.a2_bounds[1]),
+        "command": command,
+        "model": model.kind.value,
+        "v": format_float(model.v),
+        "r0": format_float(model.r0),
+        "a1_min": format_float(a1_bounds[0]),
+        "a1_max": format_float(a1_bounds[1]),
+        "a2_min": format_float(a2_bounds[0]),
+        "a2_max": format_float(a2_bounds[1]),
         "n": str(scan.n),
         "guard": format_float(scan.guard),
         "unit": "rad",
     }
-
-
-def diagonal_metadata(model: PowerModel, bounds: Bounds, n: int,
-                      guard: float) -> dict[str, str]:
-    return {
-        "format": FORMAT_TAG,
-        "command": "diagonal",
-        "model": model.kind.value,
-        "v": format_float(model.v),
-        "r0": format_float(model.r0),
-        "a1_min": format_float(bounds[0]),
-        "a1_max": format_float(bounds[1]),
-        "a2_min": format_float(bounds[0]),
-        "a2_max": format_float(bounds[1]),
-        "n": str(n),
-        "guard": format_float(guard),
-        "unit": "rad",
-    }
+    cols = scan.columns
+    rows = tuple(map(ScanRow, *(cols[name].tolist()
+                                for name in SCAN_COLUMNS[:-1]),
+                     scan.class_labels()))
+    return ScanTable(metadata=metadata, rows=rows)
 
 
 def grid_table(scan: GridScan) -> ScanTable:
-    cols = scan.columns
-    labels = scan.class_labels()
-    rows = tuple(
-        ScanRow(a1=float(cols["a1"][i]), a2=float(cols["a2"][i]),
-                value=float(cols["value"][i]), g11=float(cols["g11"][i]),
-                g12=float(cols["g12"][i]), g22=float(cols["g22"][i]),
-                det=float(cols["det"][i]),
-                curvature=float(cols["curvature"][i]), label=labels[i])
-        for i in range(len(scan)))
-    return ScanTable(metadata=grid_metadata(scan), rows=rows)
+    return _scan_table(scan, "scan", scan.a1_bounds, scan.a2_bounds)
 
 
-def diagonal_table(model: PowerModel, reports: Sequence[GeometryReport],
-                   bounds: Bounds, n: int, guard: float) -> ScanTable:
-    rows = tuple(
-        ScanRow(a1=rep.point[0], a2=rep.point[1], value=rep.value,
-                g11=rep.metric.g11, g12=rep.metric.g12, g22=rep.metric.g22,
-                det=rep.det, curvature=rep.curvature,
-                label=rep.classification.label)
-        for rep in reports)
-    return ScanTable(metadata=diagonal_metadata(model, bounds, n, guard),
-                     rows=rows)
+def diagonal_table(scan: DiagonalScan) -> ScanTable:
+    return _scan_table(scan, "diagonal", scan.bounds, scan.bounds)
 
 
 def render_csv(table: ScanTable) -> str:

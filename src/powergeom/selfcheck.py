@@ -48,7 +48,7 @@ def _check_jets_vs_differences(samples: int, seed: int) -> CheckResult:
 def _check_origin_anchors(samples: int, seed: int) -> CheckResult:
     real = eval_power_jet(PowerModel(FlowKind.REAL), 0.0, 0.0)
     imag = eval_power_jet(PowerModel(FlowKind.IMAGINARY), 0.0, 0.0)
-    det = real.f11 * real.f22 - real.f12 * real.f12
+    det = geometry.determinant(real.f11, real.f12, real.f22)
     errs = [abs(real.f11 + 2.0), abs(real.f12 - 2.0), abs(real.f22 + 2.0),
             abs(det), abs(imag.f11), abs(imag.f12), abs(imag.f22)]
     worst = max(errs)

@@ -10,7 +10,10 @@ varying fastest.
 The jets of all points come from one column-wise kernel
 (:func:`powergeom.backend.batch_slots`) that works through fixed-size
 blocks of points. Each point's jet depends only on that point, so scan
-content never depends on where the blocks split.
+content never depends on where the blocks split. Metric, determinant,
+curvature and class come from :func:`powergeom.geometry.geometry_columns`,
+the classifier single-point reports use too, and both scan shapes keep
+them as columns.
 
 Transition location walks every grid line for determinant sign changes,
 refines each by bisection on the continuous determinant, and lists
@@ -27,30 +30,15 @@ import numpy as np
 
 from . import backend
 from .errors import BadDomain
-from .geometry import (
-    DEGEN_TOL,
-    GeometryReport,
-    Metric2,
-    StabilityClass,
-    geometry_report,
-)
+from .geometry import CLASS_ORDER, determinant, geometry_columns
+from .jets import Jet3
 from .models import HALF_PI, PowerModel
 
 DEFAULT_BOUNDS = (-1.55, 1.55)
 DEFAULT_GUARD = 0.02
 BISECT_XTOL = 1e-10
 
-#: classification codes used in the vectorized path, in label order
-CLASS_ORDER = (StabilityClass.STABLE, StabilityClass.NEGATIVE_DEFINITE,
-               StabilityClass.INDEFINITE, StabilityClass.DEGENERATE)
-_STABLE, _NEGDEF, _INDEF, _DEGEN = range(4)
-
 Bounds = tuple[float, float]
-
-
-def classify_point(field, point: tuple[float, float]) -> StabilityClass:
-    """Stability class of one point; degeneracy takes precedence."""
-    return geometry_report(field, point).classification
 
 
 def _check_bounds(bounds: Bounds, guard: float, axis: str) -> Bounds:
@@ -71,53 +59,30 @@ def axis_samples(bounds: Bounds, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _geometry_columns(slots: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized twin of :func:`powergeom.geometry.geometry_report`."""
-    value = slots[:, 0]
-    g11, g12, g22 = slots[:, 3], slots[:, 4], slots[:, 5]
-    f111, f112, f122, f222 = (slots[:, 6], slots[:, 7],
-                              slots[:, 8], slots[:, 9])
-    det = g11 * g22 - g12 * g12
-    ninf = np.maximum(np.abs(g11), np.maximum(np.abs(g12), np.abs(g22)))
-    degen = np.abs(det) <= DEGEN_TOL * np.maximum(1.0, ninf * ninf)
-    num = (g22 * f111 * f122 + g12 * f112 * f122 + g11 * f112 * f222
-           - g12 * f111 * f222 - g11 * f122 * f122 - g22 * f112 * f112)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        curvature = -0.5 * num / (det * det)
-    curvature = np.where(degen, np.nan, curvature)
-    codes = np.where(
-        degen, _DEGEN,
-        np.where(det < 0.0, _INDEF,
-                 np.where((g11 > 0.0) & (g22 > 0.0), _STABLE, _NEGDEF)))
-    return {"value": value, "g11": g11, "g12": g12, "g22": g22,
-            "det": det, "curvature": curvature,
-            "codes": codes.astype(np.int8)}
-
-
 def _evaluate_points(model: PowerModel, a1: np.ndarray,
                      a2: np.ndarray) -> dict[str, np.ndarray]:
     slots = backend.batch_slots(model.kind.code, a1, a2)
     slots *= model.k
-    cols = _geometry_columns(slots)
+    cols = geometry_columns(Jet3(*slots.T))
     cols["a1"] = a1
     cols["a2"] = a2
     return cols
 
 
-def _report_from_columns(cols: dict[str, np.ndarray], i: int) -> GeometryReport:
-    point = (float(cols["a1"][i]), float(cols["a2"][i]))
-    metric = Metric2(g11=float(cols["g11"][i]), g12=float(cols["g12"][i]),
-                     g22=float(cols["g22"][i]), point=point)
-    return GeometryReport(
-        metric=metric,
-        value=float(cols["value"][i]),
-        det=float(cols["det"][i]),
-        curvature=float(cols["curvature"][i]),
-        classification=CLASS_ORDER[int(cols["codes"][i])])
+class _Columns:
+    """Row-major point columns shared by both scan shapes."""
+
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.columns["codes"])
+
+    def class_labels(self) -> list[str]:
+        return [CLASS_ORDER[c].label for c in self.columns["codes"].tolist()]
 
 
 @dataclass(frozen=True)
-class GridScan:
+class GridScan(_Columns):
     """Rectangular sample of the geometry, row-major with a1 fastest."""
 
     model: PowerModel
@@ -127,18 +92,6 @@ class GridScan:
     guard: float
     columns: dict[str, np.ndarray]
 
-    def __len__(self) -> int:
-        return self.n * self.n
-
-    def report(self, index: int) -> GeometryReport:
-        return _report_from_columns(self.columns, index)
-
-    def records(self) -> list[GeometryReport]:
-        return [self.report(i) for i in range(len(self))]
-
-    def class_labels(self) -> list[str]:
-        return [CLASS_ORDER[int(c)].label for c in self.columns["codes"]]
-
     @property
     def a1_axis(self) -> list[float]:
         return axis_samples(self.a1_bounds, self.n)
@@ -146,6 +99,17 @@ class GridScan:
     @property
     def a2_axis(self) -> list[float]:
         return axis_samples(self.a2_bounds, self.n)
+
+
+@dataclass(frozen=True)
+class DiagonalScan(_Columns):
+    """Sample of the geometry along the equal-angle line a1 = a2."""
+
+    model: PowerModel
+    bounds: Bounds
+    n: int
+    guard: float
+    columns: dict[str, np.ndarray]
 
 
 def scan_grid(model: PowerModel,
@@ -170,14 +134,15 @@ def scan_grid(model: PowerModel,
 def scan_diagonal(model: PowerModel,
                   bounds: Bounds = DEFAULT_BOUNDS,
                   n: int = 101,
-                  guard: float = DEFAULT_GUARD) -> list[GeometryReport]:
-    """Reports along the equal-angle line a1 = a2 = a."""
+                  guard: float = DEFAULT_GUARD) -> DiagonalScan:
+    """Scan n points of the equal-angle line a1 = a2 = a."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     bounds = _check_bounds(bounds, guard, "diagonal")
     a = np.array(axis_samples(bounds, n), dtype=np.float64)
     cols = _evaluate_points(model, a, a)
-    return [_report_from_columns(cols, i) for i in range(n)]
+    return DiagonalScan(model=model, bounds=bounds, n=n, guard=guard,
+                        columns=cols)
 
 
 @dataclass(frozen=True)
@@ -207,28 +172,16 @@ class TransitionSet:
     det_bound: float
 
 
-def det_function(field) -> Callable[[float, float], float]:
-    """Continuous metric determinant of a field, for root refinement."""
-    if isinstance(field, PowerModel):
-        code = field.kind.code
-        k = field.k
+def det_function(model: PowerModel) -> Callable[[float, float], float]:
+    """Continuous metric determinant of a model, for root refinement."""
+    code = model.kind.code
+    k = model.k
 
-        def det_at(a1: float, a2: float) -> float:
-            s = backend.unit_slots(code, a1, a2)
-            g11, g12, g22 = k * s.f11, k * s.f12, k * s.f22
-            return g11 * g22 - g12 * g12
+    def det_at(a1: float, a2: float) -> float:
+        s = backend.unit_slots(code, a1, a2)
+        return determinant(k * s.f11, k * s.f12, k * s.f22)
 
-        return det_at
-
-    from .geometry import as_jet_field
-
-    jet_field = as_jet_field(field)
-
-    def det_at_generic(a1: float, a2: float) -> float:
-        jet = jet_field(a1, a2)
-        return jet.f11 * jet.f22 - jet.f12 * jet.f12
-
-    return det_at_generic
+    return det_at
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,
@@ -278,58 +231,42 @@ def _line_crossings(line: str, level: float, positions: Sequence[float],
     return out
 
 
-def locate_transitions(scan: Union[GridScan, Sequence[GeometryReport]],
-                       spike_threshold: float | None = None,
-                       model=None) -> TransitionSet:
-    """Determinant zeros (bisected) and curvature spikes of a scan.
-
-    For a report list, pass the field (a model or jet callable) so the
-    determinant can be re-evaluated between samples.
-    """
-    if isinstance(scan, GridScan):
-        model = scan.model
-    elif model is None:
-        raise ValueError("locate_transitions needs the field for report lists")
-    k = model.k if isinstance(model, PowerModel) else 1.0
+def locate_transitions(scan: Union[GridScan, DiagonalScan],
+                       spike_threshold: float | None = None) -> TransitionSet:
+    """Determinant zeros (bisected) and curvature spikes of a scan."""
+    k = scan.model.k
     if spike_threshold is None:
         spike_threshold = 1e6 / k
     fbound = 1e-8 * k * k
-    det_at = det_function(model)
+    det_at = det_function(scan.model)
+    cols = scan.columns
     zeros: list[DetZeroCrossing] = []
-    spikes: list[CurvatureSpike] = []
 
     if isinstance(scan, GridScan):
         n = scan.n
         ax1, ax2 = scan.a1_axis, scan.a2_axis
-        det = scan.columns["det"].reshape(n, n)  # [i2, i1]
-        curv = scan.columns["curvature"].reshape(n, n)
-        for i2, level in enumerate(ax2):
+        det = cols["det"].reshape(n, n)  # [i2, i1]
+        for level, dets in zip(ax2, det.tolist()):
             zeros.extend(_line_crossings(
-                "row", level, ax1, det[i2, :],
+                "row", level, ax1, dets,
                 lambda x, lev=level: det_at(x, lev), BISECT_XTOL, fbound))
-        for i1, level in enumerate(ax1):
+        for level, dets in zip(ax1, det.T.tolist()):
             zeros.extend(_line_crossings(
-                "col", level, ax2, det[:, i1],
+                "col", level, ax2, dets,
                 lambda y, lev=level: det_at(lev, y), BISECT_XTOL, fbound))
-        for i2 in range(n):
-            for i1 in range(n):
-                r = curv[i2, i1]
-                if math.isfinite(r) and abs(r) > spike_threshold:
-                    spikes.append(CurvatureSpike(ax1[i1], ax2[i2], abs(r)))
     else:
-        reports = list(scan)
-        positions = [rep.point[0] for rep in reports]
-        dets = [rep.det for rep in reports]
         zeros.extend(_line_crossings(
-            "diag", math.nan, positions, dets,
+            "diag", math.nan, cols["a1"].tolist(), cols["det"].tolist(),
             lambda a: det_at(a, a), BISECT_XTOL, fbound))
-        for rep in reports:
-            if math.isfinite(rep.curvature) and abs(rep.curvature) > spike_threshold:
-                spikes.append(CurvatureSpike(rep.point[0], rep.point[1],
-                                             abs(rep.curvature)))
+
+    curv = cols["curvature"]
+    hits = np.flatnonzero(np.isfinite(curv) & (np.abs(curv) > spike_threshold))
+    a1, a2, mag = (cols["a1"][hits].tolist(), cols["a2"][hits].tolist(),
+                   np.abs(curv[hits]).tolist())
+    spikes = tuple(map(CurvatureSpike, a1, a2, mag))
 
     return TransitionSet(det_zeros=tuple(zeros),
-                         curvature_spikes=tuple(spikes),
+                         curvature_spikes=spikes,
                          spike_threshold=spike_threshold,
                          bisect_xtol=BISECT_XTOL,
                          det_bound=fbound)

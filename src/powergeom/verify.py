@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import geometry
 from .errors import DegenerateMetric
 from .expressions import PaperQuantity, quantities_for
-from .models import FlowKind, PowerModel, eval_power_jet
+from .models import FlowKind, PowerModel
 
 #: VERIFIED when max relative deviation stays at or below this.
 VERIFY_TOL = 1e-6
@@ -39,21 +39,13 @@ DEFAULT_BOUNDS = (-1.4, 1.4)
 
 def _autodiff_value(q: PaperQuantity, model: PowerModel,
                     a1: float, a2: float) -> float:
-    jet = eval_power_jet(model, a1, a2)
-    if q.target == "g11":
-        return jet.f11
-    if q.target == "g12":
-        return jet.f12
-    if q.target == "g22":
-        return jet.f22
-    metric = geometry.Metric2.from_jet(jet, (a1, a2))
-    det = geometry.metric_determinant(metric)
-    if q.target == "det":
-        return det
     if q.target == "curvature":
-        if abs(det) <= geometry.degeneracy_tolerance(metric):
-            raise DegenerateMetric("degenerate sample")
-        return -0.5 * geometry.curvature_numerator(jet) / (det * det)
+        return geometry.scalar_curvature_closed(model, (a1, a2))
+    metric = geometry.hessian_metric(model, (a1, a2))
+    if q.target == "det":
+        return geometry.metric_determinant(metric)
+    if q.target in ("g11", "g12", "g22"):
+        return getattr(metric, q.target)
     raise ValueError(f"unknown target {q.target!r}")
 
 

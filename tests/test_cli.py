@@ -239,6 +239,48 @@ class TestPlotScript:
         assert "header" in err
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+SCALES = ("1e-200", "1e-100", "1", "1e100", "1e200")
+
+
+class TestScaleRange:
+    """Every V, R0 pair gives a result or a typed error, never a crash."""
+
+    @pytest.mark.parametrize("flow", ["real", "imaginary", "complex"])
+    @pytest.mark.parametrize("command", [
+        ["classify", "--a1", "0.3", "--a2", "-0.2"],
+        ["scan", "--n", "4", "--out", "scan.csv"],
+        ["diagonal", "--n", "5", "--out", "diag.csv"],
+        ["verify-paper", "--samples", "3"],
+    ], ids=lambda argv: argv[0])
+    # numpy warns about overflowing intermediates at k near 1e100
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_extreme_scales(self, flow, command, tmp_path, capsys,
+                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for v in SCALES:
+            for r0 in SCALES:
+                argv = [command[0], "--model", flow, "--v", v, "--r0", r0,
+                        *command[1:]]
+                code, out, err = run(argv, capsys)
+                assert code in (0, 1), argv
+                assert "Traceback" not in err, argv
+                if code == 1:
+                    assert err.startswith("error: "), argv
+                k = float(v) * float(v) / float(r0)
+                if not (math.isfinite(k * k) and k * k > 0.0):
+                    assert code == 1 and "scale k" in err, argv
+                elif command[0] == "classify":
+                    assert code == 0, argv
+                    assert _strict_json(out)["class"] in (
+                        "STABLE", "NEGDEF", "INDEF", "DEGEN")
+
+
 class TestVerifySelf:
     def test_passes_and_prints_lines(self, capsys):
         code, stdout, _ = run(["verify-self", "--samples", "40"], capsys)

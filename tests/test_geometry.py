@@ -3,15 +3,23 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergeom.errors import DegenerateMetric
 from powergeom.fdcheck import central_difference
 from powergeom.geometry import (
+    CLASS_ORDER,
+    DEGEN_TOL,
     Metric2,
     StabilityClass,
+    determinant,
+    geometry_columns,
     geometry_report,
     hessian_metric,
+    is_degenerate,
     metric_determinant,
     scalar_curvature_closed,
     scalar_curvature_oracle,
@@ -212,9 +220,57 @@ class TestReportsAndClassification:
     def test_degeneracy_tolerance_scales_with_metric(self):
         # a metric with tiny det relative to its norm squared is degenerate
         small = Metric2(g11=1e6, g12=1e6, g22=1e6 + 1e-9, point=(0.0, 0.0))
-        from powergeom.geometry import classify_metric
-        assert classify_metric(small) is StabilityClass.DEGENERATE
+        det = metric_determinant(small)
+        assert det > DEGEN_TOL  # above the tolerance's absolute floor
+        assert is_degenerate(det, small.g11, small.g12, small.g22)
+        jet = Jet3(0.0, 0.0, 0.0, small.g11, small.g12, small.g22,
+                   0.0, 0.0, 0.0, 0.0)
+        codes = geometry_columns(jet)["codes"]
+        assert CLASS_ORDER[int(codes)] is StabilityClass.DEGENERATE
 
     def test_class_labels_round_trip(self):
         for member in StabilityClass:
             assert StabilityClass.from_label(member.label) is member
+
+
+def _magnitudes():
+    """0, +-inf, and finite magnitudes spread over 1e-170 ... 1e170."""
+    finite = st.builds(lambda m, e: m * 10.0 ** e,
+                       st.floats(1.0, 10.0), st.integers(-170, 169))
+    return st.one_of(st.just(0.0), st.just(math.inf), finite)
+
+
+def _signed(magnitude):
+    return st.tuples(st.sampled_from((1.0, -1.0)), magnitude).map(
+        lambda t: t[0] * t[1])
+
+
+_free_triples = st.tuples(_signed(_magnitudes()), _signed(_magnitudes()),
+                          _signed(_magnitudes()))
+# g22 close to g12^2/g11, so that det is tiny next to the components
+_near_singular = st.builds(
+    lambda g11, g12, rel: (g11, g12, g12 * g12 / g11 * (1.0 + rel)),
+    _signed(_magnitudes()).filter(lambda g: g != 0.0),
+    _signed(_magnitudes()),
+    st.sampled_from((0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-10, -1e-10,
+                     1e-8, 1e-4)))
+
+
+class TestDegeneracyPredicate:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(_free_triples, _near_singular),
+                    min_size=1, max_size=40))
+    def test_floats_arrays_and_the_max_form_agree(self, triples):
+        want = []
+        got_float = []
+        for g11, g12, g22 in triples:
+            det = determinant(g11, g12, g22)
+            norm = max(abs(g11), abs(g12), abs(g22))
+            want.append(abs(det) <= DEGEN_TOL * max(1.0, norm * norm))
+            got_float.append(is_degenerate(det, g11, g12, g22))
+        assert got_float == want
+        g11, g12, g22 = (np.array(col) for col in zip(*triples))
+        with np.errstate(all="ignore"):
+            det = determinant(g11, g12, g22)
+            got_array = is_degenerate(det, g11, g12, g22)
+        assert got_array.tolist() == want

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from powergeom.errors import SchemaMismatch
+from powergeom.geometry import geometry_report
 from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import (
     diagonal_table,
@@ -61,8 +62,7 @@ class TestCsvRoundTrip:
 
     def test_diagonal_csv_with_nan_curvature(self, tmp_path):
         model = PowerModel(FlowKind.REAL)
-        reports = scan_diagonal(model, (-1.0, 1.0), n=11)
-        table = diagonal_table(model, reports, (-1.0, 1.0), 11, 0.02)
+        table = diagonal_table(scan_diagonal(model, (-1.0, 1.0), n=11))
         assert any(math.isnan(r.curvature) for r in table.rows)
         path = tmp_path / "diag.csv"
         write_table(table, str(path), "csv")
@@ -72,8 +72,7 @@ class TestCsvRoundTrip:
 
     def test_json_round_trip(self, tmp_path):
         model = PowerModel(FlowKind.REAL)
-        reports = scan_diagonal(model, (-1.0, 1.0), n=7)
-        table = diagonal_table(model, reports, (-1.0, 1.0), 7, 0.02)
+        table = diagonal_table(scan_diagonal(model, (-1.0, 1.0), n=7))
         path = tmp_path / "diag.json"
         write_table(table, str(path), "json")
         back = read_scan(str(path))
@@ -103,6 +102,42 @@ class TestCsvRoundTrip:
         assert meta["unit"] == "rad"
 
 
+def _row_bits(row):
+    return ([float(x).hex() for x in (row.a1, row.a2, row.value, row.g11,
+                                      row.g12, row.g22, row.det,
+                                      row.curvature)], row.label)
+
+
+def _report_bits(rep):
+    return ([float(x).hex() for x in (*rep.point, rep.value, rep.metric.g11,
+                                      rep.metric.g12, rep.metric.g22,
+                                      rep.det, rep.curvature)],
+            rep.classification.label)
+
+
+class TestRowsMatchSinglePoints:
+    """Scan rows come from the column path, reports from one point at a
+    time; both must give the same bits and the same class everywhere."""
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_grid_rows(self, kind):
+        model = PowerModel(kind, v=1.3, r0=0.7)
+        table = grid_table(scan_grid(model, n=33))
+        assert len(table.rows) == 33 * 33
+        for row in table.rows:
+            rep = geometry_report(model, (row.a1, row.a2))
+            assert _row_bits(row) == _report_bits(rep), (row.a1, row.a2)
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_diagonal_rows(self, kind):
+        model = PowerModel(kind, v=1.3, r0=0.7)
+        table = diagonal_table(scan_diagonal(model, n=65))
+        assert len(table.rows) == 65
+        for row in table.rows:
+            rep = geometry_report(model, (row.a1, row.a2))
+            assert _row_bits(row) == _report_bits(rep), row.a1
+
+
 class TestPlotScript:
     def test_grid_heatmap_script(self, tmp_path):
         scan = scan_grid(IMAG, (-1.0, 1.0), n=6)
@@ -116,8 +151,7 @@ class TestPlotScript:
     def test_diagonal_line_script_runs(self, tmp_path):
         pytest.importorskip("matplotlib")
         model = PowerModel(FlowKind.COMPLEX)
-        reports = scan_diagonal(model, (-1.0, 1.0), n=15)
-        table = diagonal_table(model, reports, (-1.0, 1.0), 15, 0.02)
+        table = diagonal_table(scan_diagonal(model, (-1.0, 1.0), n=15))
         csv_path = tmp_path / "diag.csv"
         write_table(table, str(csv_path), "csv")
         script = emit_plot_script(str(csv_path), field="value",

@@ -7,13 +7,20 @@ import pytest
 
 from powergeom import backend
 from powergeom.errors import BadDomain
-from powergeom.geometry import StabilityClass
+from powergeom.geometry import (
+    CLASS_ORDER,
+    StabilityClass,
+    hessian_metric,
+    metric_determinant,
+)
 from powergeom.jets import jet_linear, jet_mul, jet_seed
 from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import grid_table, render_csv
 from powergeom.stability import (
+    BISECT_XTOL,
+    DiagonalScan,
+    _line_crossings,
     axis_samples,
-    classify_point,
     locate_transitions,
     scan_diagonal,
     scan_grid,
@@ -30,22 +37,12 @@ def paraboloid(a1, a2):
     return jet_linear(jet_mul(x, x), jet_mul(y, y), 1.0, 1.0)
 
 
-class TestClassifyPoint:
-    def test_quadratic_stable(self):
-        assert classify_point(paraboloid, (0.3, -0.8)) is StabilityClass.STABLE
-
-    def test_real_origin_degenerate(self):
-        assert classify_point(REAL, (0.0, 0.0)) is StabilityClass.DEGENERATE
-
-    def test_imaginary_diagonal_indefinite(self):
-        assert classify_point(IMAG, (0.5, 0.5)) is StabilityClass.INDEFINITE
-
-
 class TestScanGrid:
     def test_tiny_grid_shape_and_order(self):
         scan = scan_grid(REAL, (-0.2, 0.2), n=2)
         assert len(scan) == 4
-        pts = [(r.point[0], r.point[1]) for r in scan.records()]
+        pts = list(zip(scan.columns["a1"].tolist(),
+                       scan.columns["a2"].tolist()))
         # row-major, a1 fastest
         assert pts == [(-0.2, -0.2), (0.2, -0.2), (-0.2, 0.2), (0.2, 0.2)]
 
@@ -109,25 +106,40 @@ class TestScanGrid:
 
 class TestScanDiagonal:
     def test_imaginary_diagonal_flat_curvature(self):
-        reports = scan_diagonal(IMAG, (-1.4, 1.4), n=101)
-        for rep in reports:
-            assert rep.point[0] == rep.point[1]
-            if math.isfinite(rep.curvature):
-                assert abs(rep.curvature) <= 1e-6
+        scan = scan_diagonal(IMAG, (-1.4, 1.4), n=101)
+        assert isinstance(scan, DiagonalScan)
+        assert len(scan) == 101
+        cols = scan.columns
+        assert (cols["a1"] == cols["a2"]).all()
+        curv = cols["curvature"]
+        finite = np.isfinite(curv)
+        assert finite.any()
+        assert (np.abs(curv[finite]) <= 1e-6).all()
 
     def test_real_diagonal_degenerate_everywhere(self):
         k2 = REAL.k ** 2
-        for rep in scan_diagonal(REAL, (-1.4, 1.4), n=51):
-            sec = 1.0 / math.cos(rep.point[0])
-            assert abs(rep.det) <= 1e-9 * k2 * sec**8
-            assert rep.classification is StabilityClass.DEGENERATE
+        scan = scan_diagonal(REAL, (-1.4, 1.4), n=51)
+        sec = 1.0 / np.cos(scan.columns["a1"])
+        assert (np.abs(scan.columns["det"]) <= 1e-9 * k2 * sec**8).all()
+        assert set(scan.class_labels()) == {"DEGEN"}
+        assert np.isnan(scan.columns["curvature"]).all()
 
     def test_complex_diagonal_origin_degenerate(self):
-        reports = scan_diagonal(COMP, (-1.0, 1.0), n=21)
-        middle = reports[10]
-        assert middle.point == (0.0, 0.0)
-        assert middle.det == 0.0
-        assert middle.classification is StabilityClass.DEGENERATE
+        scan = scan_diagonal(COMP, (-1.0, 1.0), n=21)
+        cols = scan.columns
+        assert (cols["a1"][10], cols["a2"][10]) == (0.0, 0.0)
+        assert cols["det"][10] == 0.0
+        assert CLASS_ORDER[cols["codes"][10]] is StabilityClass.DEGENERATE
+
+
+def diagonal_crossings(field, positions):
+    """Bisected determinant zeros of a jet field along a1 = a2."""
+    def det_at(a):
+        return metric_determinant(hessian_metric(field, (a, a)))
+
+    return _line_crossings("diag", math.nan, positions,
+                           [det_at(a) for a in positions], det_at,
+                           BISECT_XTOL, 1e-8)
 
 
 class TestLocateTransitions:
@@ -141,23 +153,18 @@ class TestLocateTransitions:
             quad = jet_mul(y, y)
             return jet_linear(cubic, quad, 1.0 / 6.0, 0.5)
 
-        from powergeom.geometry import geometry_report
         positions = [-1.0, -0.5, 0.25, 1.0]
-        reports = [geometry_report(field, (a, a)) for a in positions]
-        assert [r.det for r in reports] == positions
-        transitions = locate_transitions(reports, model=field)
-        assert len(transitions.det_zeros) == 1
-        root = transitions.det_zeros[0]
+        assert [metric_determinant(hessian_metric(field, (a, a)))
+                for a in positions] == positions
+        zeros = diagonal_crossings(field, positions)
+        assert len(zeros) == 1
+        root = zeros[0]
+        assert root.line == "diag"
         assert abs(root.root) <= 1e-10
         assert root.bracket <= 1e-10
 
     def test_quadratic_field_has_no_transitions(self):
-        from powergeom.geometry import geometry_report
-        reports = [geometry_report(paraboloid, (a, a))
-                   for a in [-1.0, -0.3, 0.4, 1.0]]
-        transitions = locate_transitions(reports, model=paraboloid)
-        assert transitions.det_zeros == ()
-        assert transitions.curvature_spikes == ()
+        assert diagonal_crossings(paraboloid, [-1.0, -0.3, 0.4, 1.0]) == []
 
     def test_grid_roots_meet_the_det_bound_or_float_limit(self):
         for model in (REAL, IMAG, COMP):
@@ -171,8 +178,7 @@ class TestLocateTransitions:
                 assert z.bracket <= transitions.bisect_xtol or collapsed
 
     def test_diagonal_transition_counts_are_reported(self):
-        reports = scan_diagonal(COMP, n=201)
-        transitions = locate_transitions(reports, model=COMP)
+        transitions = locate_transitions(scan_diagonal(COMP, n=201))
         # origin det zero and curvature spike count are reported, not asserted
         # against any external claim
         assert len(transitions.det_zeros) >= 1
