@@ -10,6 +10,7 @@ from powergeom.errors import BadDomain
 from powergeom.geometry import (
     CLASS_ORDER,
     StabilityClass,
+    geometry_report,
     hessian_metric,
     metric_determinant,
 )
@@ -35,6 +36,22 @@ def paraboloid(a1, a2):
     x = jet_seed(1, a1)
     y = jet_seed(2, a2)
     return jet_linear(jet_mul(x, x), jet_mul(y, y), 1.0, 1.0)
+
+
+class TestClassifyPoint:
+    """Single points go through geometry_report, the scans' classifier."""
+
+    def test_quadratic_stable(self):
+        rep = geometry_report(paraboloid, (0.3, -0.8))
+        assert rep.classification is StabilityClass.STABLE
+
+    def test_real_origin_degenerate(self):
+        rep = geometry_report(REAL, (0.0, 0.0))
+        assert rep.classification is StabilityClass.DEGENERATE
+
+    def test_imaginary_diagonal_indefinite(self):
+        rep = geometry_report(IMAG, (0.5, 0.5))
+        assert rep.classification is StabilityClass.INDEFINITE
 
 
 class TestScanGrid:
