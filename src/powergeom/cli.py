@@ -8,11 +8,12 @@ JSON file, and ``plot-script`` emits a standalone matplotlib script for a
 scan file.
 
 Exit codes: 0 success, 1 domain or data error (message on stderr; a float
-result out of range counts as a data error), 2 usage error. Angles may be
-given in degrees with ``--unit deg``; files always store radians. All
-randomized commands take ``--seed`` and rerun byte-identically. Scans
-evaluate their points on one thread in blocks of a fixed size, and their
-bytes do not depend on where the blocks split.
+result out of range and a scan too large to allocate count as data
+errors), 2 usage error. Angles may be given in degrees with ``--unit
+deg``; files always store radians. All randomized commands take
+``--seed`` and rerun byte-identically. Scans evaluate their points on
+one thread in blocks of a fixed size, and their bytes do not depend on
+where the blocks split.
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ArithmeticError as exc:  # a float result out of range
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # arrays too large to allocate
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -78,6 +78,8 @@ class StabilityClass(enum.Enum):
 #: Stability classes in code order: code i of a scan column is CLASS_ORDER[i].
 CLASS_ORDER = (StabilityClass.STABLE, StabilityClass.NEGATIVE_DEFINITE,
                StabilityClass.INDEFINITE, StabilityClass.DEGENERATE)
+#: Label of each class code, in code order.
+CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
 _STABLE, _NEGDEF, _INDEF, _DEGEN = range(4)
 
 

@@ -6,23 +6,45 @@ exactly and reruns can be compared byte for byte; nothing volatile (no
 timestamps, no host or thread information) enters the output. The CSV
 carries ``# key=value`` metadata lines above the header row; the JSON
 variant mirrors rows and metadata, with ``null`` for undefined curvature.
+
+Both writers and both readers work column-wise, so every float-to-text
+and text-to-float conversion runs in C: a CSV row is one ``%``-template,
+a JSON column's float text comes from the C encoder (``json.dumps`` of
+the column as a list), and the readers convert whole columns with
+``map(float, ...)``. The JSON text is the ``json.dumps(..., indent=1)``
+layout of ``{"metadata": ..., "records": [...]}``, assembled from those
+pieces.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
+from typing import Sequence
 
 from .errors import SchemaMismatch
+from .geometry import CLASS_LABELS
 from .stability import Bounds, DiagonalScan, GridScan
 
 SCAN_COLUMNS = ("a1", "a2", "value", "g11", "g12", "g22",
                 "det", "curvature", "class")
 FORMAT_TAG = "powergeom-scan-v1"
+
+#: Class labels a scan file may carry.
+_LABELS = frozenset(CLASS_LABELS)
+
+#: One CSV data row: the eight floats with 17 significant digits, then
+#: the class label.
+_CSV_ROW = "%.17g," * 8 + "%s\n"
+#: One JSON record at its nesting depth in the ``indent=1`` layout.
+_JSON_RECORD = ("  {\n"
+                + ",\n".join(f'   "{name}": %s' for name in SCAN_COLUMNS)
+                + "\n  }")
 
 
 def format_float(x: float) -> str:
@@ -30,7 +52,7 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRow:
     a1: float
     a2: float
@@ -41,6 +63,27 @@ class ScanRow:
     det: float
     curvature: float  # nan when undefined
     label: str
+
+
+#: ScanRow field names, in column order.
+_ROW_FIELDS = tuple(f.name for f in fields(ScanRow))
+#: A row's field values in column order, as one tuple.
+_row_values = attrgetter(*_ROW_FIELDS)
+
+
+def _rows(columns: Sequence[Sequence]) -> tuple[ScanRow, ...]:
+    """Rows from the nine field columns, equal to
+    ``tuple(map(ScanRow, *columns))``.
+
+    The fields are set column by column with ``object.__setattr__``, as
+    the frozen ``__init__`` sets them, so the work runs in C instead of
+    one Python ``__init__`` call per row. ScanRow has no defaults and no
+    ``__post_init__``; construction does nothing else.
+    """
+    rows = tuple(map(object.__new__, repeat(ScanRow, len(columns[0]))))
+    for name, column in zip(_ROW_FIELDS, columns):
+        deque(map(object.__setattr__, rows, repeat(name), column), maxlen=0)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -69,10 +112,9 @@ def _scan_table(scan: GridScan | DiagonalScan, command: str,
         "unit": "rad",
     }
     cols = scan.columns
-    rows = tuple(map(ScanRow, *(cols[name].tolist()
-                                for name in SCAN_COLUMNS[:-1]),
-                     scan.class_labels()))
-    return ScanTable(metadata=metadata, rows=rows)
+    return ScanTable(metadata=metadata, rows=_rows(
+        [*(cols[name].tolist() for name in SCAN_COLUMNS[:-1]),
+         scan.class_labels()]))
 
 
 def grid_table(scan: GridScan) -> ScanTable:
@@ -84,27 +126,32 @@ def diagonal_table(scan: DiagonalScan) -> ScanTable:
 
 
 def render_csv(table: ScanTable) -> str:
-    out = io.StringIO()
-    for key, value in table.metadata.items():
-        out.write(f"# {key}={value}\n")
-    out.write(",".join(SCAN_COLUMNS) + "\n")
-    for r in table.rows:
-        out.write(",".join((
-            format_float(r.a1), format_float(r.a2), format_float(r.value),
-            format_float(r.g11), format_float(r.g12), format_float(r.g22),
-            format_float(r.det), format_float(r.curvature), r.label)) + "\n")
-    return out.getvalue()
+    head = "".join(f"# {key}={value}\n"
+                   for key, value in table.metadata.items())
+    body = "".join(map(_CSV_ROW.__mod__, map(_row_values, table.rows)))
+    return head + ",".join(SCAN_COLUMNS) + "\n" + body
 
 
 def render_json(table: ScanTable) -> str:
-    records = [{
-        "a1": r.a1, "a2": r.a2, "value": r.value,
-        "g11": r.g11, "g12": r.g12, "g22": r.g22, "det": r.det,
-        "curvature": None if math.isnan(r.curvature) else r.curvature,
-        "class": r.label,
-    } for r in table.rows]
-    return json.dumps({"metadata": table.metadata, "records": records},
-                      indent=1) + "\n"
+    # json.dumps(indent=1) never puts a raw newline inside a value, so
+    # indenting every line break nests the metadata object one level.
+    metadata = json.dumps(table.metadata, indent=1).replace("\n", "\n ")
+    records = "[]"
+    if table.rows:
+        *floats, curvature, labels = zip(*map(_row_values, table.rows))
+        # Float text from the C encoder; no float repr contains ", ".
+        texts = [json.dumps(col)[1:-1].split(", ") for col in floats]
+        # Undefined curvature is written as null; "NaN" is only ever the
+        # whole token of a nan.
+        texts.append(json.dumps(curvature)[1:-1].replace("NaN", "null")
+                     .split(", "))
+        encoded = {label: json.dumps(label) for label in set(labels)}
+        texts.append(map(encoded.__getitem__, labels))
+        records = ("[\n"
+                   + ",\n".join(map(_JSON_RECORD.__mod__, zip(*texts)))
+                   + "\n ]")
+    return ('{\n "metadata": ' + metadata + ',\n "records": ' + records
+            + "\n}\n")
 
 
 def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
@@ -118,50 +165,55 @@ def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
         fh.write(text)
 
 
-def _rows_from_iter(metadata: dict[str, str],
-                    raw_rows: Iterable[Sequence[str]],
-                    where: str) -> ScanTable:
-    rows = []
-    for parts in raw_rows:
-        if len(parts) != len(SCAN_COLUMNS):
-            raise SchemaMismatch(
-                f"{where}: expected {len(SCAN_COLUMNS)} fields, "
-                f"got {len(parts)}")
-        rows.append(ScanRow(
-            a1=float(parts[0]), a2=float(parts[1]), value=float(parts[2]),
-            g11=float(parts[3]), g12=float(parts[4]), g22=float(parts[5]),
-            det=float(parts[6]), curvature=float(parts[7]),
-            label=parts[8]))
-    return ScanTable(metadata=metadata, rows=tuple(rows))
+def _check_format(metadata: dict[str, str], where: str) -> None:
+    tag = metadata.get("format")
+    if tag != FORMAT_TAG:
+        raise SchemaMismatch(
+            f"{where}: missing or foreign format tag {tag!r}")
+
+
+def _table_from_columns(metadata: dict[str, str],
+                        floats: Sequence[Sequence[float]],
+                        labels: Sequence[str], where: str) -> ScanTable:
+    """Rows from eight parsed float columns and the label column."""
+    if not _LABELS.issuperset(labels):
+        bad = next(label for label in labels if label not in _LABELS)
+        raise SchemaMismatch(f"{where}: unknown class label {bad!r}")
+    return ScanTable(metadata=metadata, rows=_rows([*floats, labels]))
 
 
 def read_scan_csv(path: str) -> ScanTable:
     """Parse a scan CSV written by :func:`write_table`; schema-checked."""
-    metadata: dict[str, str] = {}
-    raw_rows: list[list[str]] = []
-    header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value
-                continue
-            if not header_seen:
-                if tuple(line.split(",")) != SCAN_COLUMNS:
-                    raise SchemaMismatch(
-                        f"{path}: header {line!r} does not match "
-                        f"{','.join(SCAN_COLUMNS)!r}")
-                header_seen = True
-                continue
-            raw_rows.append(line.split(","))
-    if not header_seen:
+        lines = fh.read().split("\n")
+    metadata: dict[str, str] = {}
+    for line in lines:
+        if line[:1] == "#":
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value
+    data = [line for line in lines if line and line[:1] != "#"]
+    if not data:
         raise SchemaMismatch(f"{path}: no header row found")
-    return _rows_from_iter(metadata, raw_rows, path)
+    if tuple(data[0].split(",")) != SCAN_COLUMNS:
+        raise SchemaMismatch(
+            f"{path}: header {data[0]!r} does not match "
+            f"{','.join(SCAN_COLUMNS)!r}")
+    _check_format(metadata, path)
+    rows = data[1:]
+    width = len(SCAN_COLUMNS)
+    if set(map(str.count, rows, repeat(","))) - {width - 1}:
+        got = next(n + 1 for n in map(str.count, rows, repeat(","))
+                   if n != width - 1)
+        raise SchemaMismatch(f"{path}: expected {width} fields, got {got}")
+    # Every row has `width` fields, so column i is every width-th cell
+    # from cell i on.
+    cells = ",".join(rows).split(",") if rows else []
+    return _table_from_columns(
+        metadata, [list(map(float, cells[i::width]))
+                   for i in range(width - 1)],
+        cells[width - 1::width], path)
 
 
 def read_scan_json(path: str) -> ScanTable:
@@ -172,20 +224,23 @@ def read_scan_json(path: str) -> ScanTable:
         records = data["records"]
     except (KeyError, TypeError):
         raise SchemaMismatch(f"{path}: not a scan JSON object") from None
-    rows = []
-    for rec in records:
-        try:
-            curvature = rec["curvature"]
-            rows.append(ScanRow(
-                a1=float(rec["a1"]), a2=float(rec["a2"]),
-                value=float(rec["value"]), g11=float(rec["g11"]),
-                g12=float(rec["g12"]), g22=float(rec["g22"]),
-                det=float(rec["det"]),
-                curvature=math.nan if curvature is None else float(curvature),
-                label=str(rec["class"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaMismatch(f"{path}: bad record: {exc}") from None
-    return ScanTable(metadata=metadata, rows=tuple(rows))
+    _check_format(metadata, path)
+    try:
+        *columns, labels = [[rec[name] for rec in records]
+                            for name in SCAN_COLUMNS]
+        for name, col in zip(SCAN_COLUMNS, columns):
+            wrong = set(map(type, col)) & {str, bool}
+            if wrong:
+                raise SchemaMismatch(
+                    f"{path}: bad record: {name!r} holds a "
+                    f"{wrong.pop().__name__}, not a number")
+        if None in columns[7]:  # null curvature: undefined
+            columns[7] = [math.nan if c is None else c for c in columns[7]]
+        return _table_from_columns(
+            metadata, [list(map(float, col)) for col in columns], labels,
+            path)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaMismatch(f"{path}: bad record: {exc}") from None
 
 
 def read_scan(path: str) -> ScanTable:
@@ -270,11 +325,7 @@ def emit_plot_script(scan_path: str, field: str = "det",
     if field not in PLOT_FIELDS:
         raise ValueError(
             f"field must be one of {sorted(PLOT_FIELDS)}, got {field!r}")
-    table = read_scan_csv(scan_path)  # validates schema
-    if table.metadata.get("format") != FORMAT_TAG:
-        raise SchemaMismatch(
-            f"{scan_path}: missing or foreign format tag "
-            f"{table.metadata.get('format')!r}")
+    read_scan_csv(scan_path)  # validates schema and format tag
     if out_path is None:
         out_path = scan_path + f".plot_{field}.py"
     rel = os.path.relpath(os.path.abspath(scan_path),

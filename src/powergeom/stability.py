@@ -30,7 +30,7 @@ import numpy as np
 
 from . import backend
 from .errors import BadDomain
-from .geometry import CLASS_ORDER, determinant, geometry_columns
+from .geometry import CLASS_LABELS, determinant, geometry_columns
 from .jets import Jet3
 from .models import HALF_PI, PowerModel
 
@@ -78,7 +78,8 @@ class _Columns:
         return len(self.columns["codes"])
 
     def class_labels(self) -> list[str]:
-        return [CLASS_ORDER[c].label for c in self.columns["codes"].tolist()]
+        return list(map(CLASS_LABELS.__getitem__,
+                        self.columns["codes"].tolist()))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import powergeom
-from powergeom import backend
+from powergeom import backend, cli
 from powergeom.cli import main
 from powergeom.scan_io import read_scan_csv
 
@@ -279,6 +279,21 @@ class TestScaleRange:
                     assert code == 0, argv
                     assert _strict_json(out)["class"] in (
                         "STABLE", "NEGDEF", "INDEF", "DEGEN")
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "scan_grid", no_memory)
+        code, stdout, stderr = run(["scan", "--model", "real", "--n", "4",
+                                    "--out", str(tmp_path / "s.csv")],
+                                   capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == ("error: MemoryError: Unable to allocate 8.00 TiB "
+                          "for an array\n")
 
 
 class TestVerifySelf:

@@ -1,0 +1,96 @@
+"""Golden bytes: the CLI's deterministic outputs, pinned by sha256.
+
+Every case runs in-process through ``cli.main`` and hashes the file it
+wrote and, where it says something beyond "wrote", its stdout (with the
+output path replaced by ``<out>``). A change that alters one byte of a
+scan file, a verification report or a self-check line fails here, so
+"the output stays the same bytes" is a standing check rather than a
+manual ``diff`` between two trees.
+
+The digests pin this platform's libm as well as this code: ``sin``,
+``cos``, ``tan`` and ``atan`` may differ in the last bit between C
+libraries, and a different libm changes the bytes without any change to
+the program. They were taken on x86-64 Linux (glibc) with CPython 3.11
+and numpy 2.4.
+"""
+
+import hashlib
+
+import pytest
+
+from powergeom.cli import main
+
+FLOWS = ("real", "imaginary", "complex")
+
+#: Asymmetric box with transitions: the spike summary is part of stdout.
+BOX = ["--v", "1.3", "--r0", "0.7", "--min", "-1.2", "--max", "0.9",
+       "--min2", "-0.4", "--max2", "1.4", "--n", "48",
+       "--spike-threshold", "1e6"]
+
+
+def _cases():
+    for flow in FLOWS:
+        for fmt in ("csv", "json"):
+            yield (f"scan-{flow}-{fmt}",
+                   ["scan", "--model", flow, "--n", "64", "--format", fmt],
+                   False)
+    yield ("scan-box-complex-csv", ["scan", "--model", "complex", *BOX],
+           True)
+    for flow in FLOWS:
+        for fmt in ("csv", "json"):
+            yield (f"diagonal-{flow}-{fmt}",
+                   ["diagonal", "--model", flow, "--n", "401",
+                    "--format", fmt], True)
+    for flow in FLOWS:
+        yield (f"verify-paper-{flow}",
+               ["verify-paper", "--model", flow, "--samples", "50",
+                "--seed", "7"], True)
+    yield ("verify-self", ["verify-self"], True)
+
+
+CASES = list(_cases())
+
+GOLDEN = {
+    "scan-real-csv": {"exit": 0, "out": "5db85a1bd2d2dc50ad5cb604b0f2dd34f685df9ca976721ce513667f29a14cff"},
+    "scan-real-json": {"exit": 0, "out": "e8e42599b6726453a09add990f0e5502e20cfd45bdde4fa914a99318bc17f635"},
+    "scan-imaginary-csv": {"exit": 0, "out": "ef9d83181f3b24e5a349eca18205fbf342e9acd89b690b05d9a142bc37cc7443"},
+    "scan-imaginary-json": {"exit": 0, "out": "87d2ace8501b4bc0213da55542b1383b5e3789d12464b2346e9ade74783751f1"},
+    "scan-complex-csv": {"exit": 0, "out": "9a6f4e21f6351c00f239f3a61f5ea33d7901442059c2e37eb38e418740437942"},
+    "scan-complex-json": {"exit": 0, "out": "d16f1b33fbbef2cac2b953ab75f199c8366a03f8c12e38d33b79135c2a2d932c"},
+    "scan-box-complex-csv": {"exit": 0, "out": "d4caa4112c8ecdf37714618dd20b72eb2b87beff5e8560ec03399e99738018f7", "stdout": "52d93a94fc4891b6ca4cb840660c789db62e88047777895f10a2769688b811a6"},
+    "diagonal-real-csv": {"exit": 0, "out": "1c63287419b8ae3ec4b9dd408ea03b3b71bf4db2fec0b1a887f44500ed0c9009", "stdout": "2fadf5d8bcb044fbbfee09aa0fb1ae2874a748596218e4a21fa37a6900017711"},
+    "diagonal-real-json": {"exit": 0, "out": "ef3ec80b5f50e42447d5acd6923f9152b4ca1c066de4557d113bcaa1dd68213d", "stdout": "2fadf5d8bcb044fbbfee09aa0fb1ae2874a748596218e4a21fa37a6900017711"},
+    "diagonal-imaginary-csv": {"exit": 0, "out": "f2f5cb2d2b99b1cfff23718b1bd570ed0b9ebffedac46a84111ea80f3295b075", "stdout": "4b2769b53384216c5d179f1eaded910c2dd4676ff70210018ccdc92261490353"},
+    "diagonal-imaginary-json": {"exit": 0, "out": "2a6ecff1e3d2dbb45809c5dcd4e686896035f0ea28754591aff08ab9290d85f4", "stdout": "4b2769b53384216c5d179f1eaded910c2dd4676ff70210018ccdc92261490353"},
+    "diagonal-complex-csv": {"exit": 0, "out": "100a1c8b2f3e5ba37547ed3697666c679102b44655e1fbe20a7d0f8c3b8f5b2c", "stdout": "3a4e678488f5590dcad8b4158bfd43fb83c3edaf64fd0d50c835cdebc0213d83"},
+    "diagonal-complex-json": {"exit": 0, "out": "6e077187928dcda0c95fc7935fa9f97ac16ad89a96a5fac3a97c7e7b58de2d31", "stdout": "3a4e678488f5590dcad8b4158bfd43fb83c3edaf64fd0d50c835cdebc0213d83"},
+    "verify-paper-real": {"exit": 0, "out": "695d59362c5903628b4c50bd3b9af258a5eb5d27e01b62fa984d0dabc16c27f5", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
+    "verify-paper-imaginary": {"exit": 0, "out": "a89b8ed9244f4deff75004d96c45fdaab9dcbb2fd3ecc0fec8cc911f9461b74e", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
+    "verify-paper-complex": {"exit": 0, "out": "e3baf81816138c2e2567b6d2c91459ef3513ca42416a38bb6a9051797d68efa2", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
+    "verify-self": {"exit": 0, "stdout": "b056744778589a06727446248ca3bfdd4f3d1e35a492c91d92fc0164a18443e5"},
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(argv, with_stdout, tmp_path, capsys):
+    """Exit code and sha256 of the written file and of the stdout."""
+    out = tmp_path / "out"
+    if argv[0] != "verify-self":
+        argv = [*argv, "--out", str(out)]
+    code = main(argv)
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    got = {"exit": code}
+    if out.exists():
+        got["out"] = _sha(out.read_bytes())
+    if with_stdout:
+        got["stdout"] = _sha(stdout.encode())
+    return got
+
+
+@pytest.mark.parametrize("name,argv,with_stdout", CASES,
+                         ids=[c[0] for c in CASES])
+def test_golden_bytes(name, argv, with_stdout, tmp_path, capsys):
+    assert digests(argv, with_stdout, tmp_path, capsys) == GOLDEN[name]

@@ -1,21 +1,32 @@
-"""Scan serialization: round-trips, precision, plot-script emission."""
+"""Scan serialization: round-trips, precision, byte identity with the
+row-by-row reference writers, reader strictness, plot-script emission."""
 
+import io
+import json
 import math
 import subprocess
 import sys
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergeom.errors import SchemaMismatch
-from powergeom.geometry import geometry_report
+from powergeom.geometry import CLASS_LABELS, geometry_report
 from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import (
+    FORMAT_TAG,
+    SCAN_COLUMNS,
+    ScanRow,
+    ScanTable,
     diagonal_table,
     emit_plot_script,
     format_float,
     grid_table,
     read_scan,
     read_scan_csv,
+    read_scan_json,
     render_csv,
     render_json,
     write_table,
@@ -26,7 +37,6 @@ IMAG = PowerModel(FlowKind.IMAGINARY)
 
 
 def rows_equal(a, b):
-    from dataclasses import astuple
     for ra, rb in zip(a, b):
         ta, tb = astuple(ra), astuple(rb)
         for fa, fb in zip(ta[:-1], tb[:-1]):
@@ -136,6 +146,162 @@ class TestRowsMatchSinglePoints:
         for row in table.rows:
             rep = geometry_report(model, (row.a1, row.a2))
             assert _row_bits(row) == _report_bits(rep), row.a1
+
+
+def reference_csv(table):
+    """The row-by-row CSV writer the column-wise one must match."""
+    out = io.StringIO()
+    for key, value in table.metadata.items():
+        out.write(f"# {key}={value}\n")
+    out.write(",".join(SCAN_COLUMNS) + "\n")
+    for r in table.rows:
+        out.write(",".join((
+            format_float(r.a1), format_float(r.a2), format_float(r.value),
+            format_float(r.g11), format_float(r.g12), format_float(r.g22),
+            format_float(r.det), format_float(r.curvature), r.label)) + "\n")
+    return out.getvalue()
+
+
+def reference_json(table):
+    """The per-record dict JSON writer the column-wise one must match."""
+    records = [{
+        "a1": r.a1, "a2": r.a2, "value": r.value,
+        "g11": r.g11, "g12": r.g12, "g22": r.g22, "det": r.det,
+        "curvature": None if math.isnan(r.curvature) else r.curvature,
+        "class": r.label,
+    } for r in table.rows]
+    return json.dumps({"metadata": table.metadata, "records": records},
+                      indent=1) + "\n"
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 2.225073858507201e-308,
+                sys.float_info.max, -sys.float_info.max, 1e16, 1e-5, 0.1)
+_doubles = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+# Unicode, quotes, backslashes, control characters, ", " and "%".
+_text = st.one_of(
+    st.sampled_from(("", "a, b", '"', "\\", "\n", "\x00\x1f\x7f", "%s",
+                     "\u00e9\u2028\U0001f600", "NaN")),
+    st.text())
+
+
+def _row(label):
+    return st.builds(ScanRow, _doubles, _doubles, _doubles, _doubles,
+                     _doubles, _doubles, _doubles, _doubles, label)
+
+
+def _tables(label, metadata):
+    return st.builds(ScanTable, metadata,
+                     st.lists(_row(label), max_size=12).map(tuple))
+
+
+def _float_bits(table):
+    return [(tuple(float(x).hex() for x in astuple(r)[:-1]), r.label)
+            for r in table.rows]
+
+
+class TestByteIdentity:
+    """The column-wise writers give the bytes of the row-by-row ones."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tables(_text, st.dictionaries(_text, _text, max_size=4)))
+    def test_arbitrary_tables(self, table):
+        assert render_csv(table) == reference_csv(table)
+        assert render_json(table) == reference_json(table)
+
+    def test_empty_table_and_metadata(self):
+        for table in (ScanTable({}, ()), ScanTable({"format": FORMAT_TAG},
+                                                   ())):
+            assert render_csv(table) == reference_csv(table)
+            assert render_json(table) == reference_json(table)
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_scans(self, kind):
+        model = PowerModel(kind, v=1.3, r0=0.7)
+        for table in (grid_table(scan_grid(model, (-1.2, 0.9), (-0.4, 1.4),
+                                           n=17)),
+                      diagonal_table(scan_diagonal(model, n=33))):
+            assert render_csv(table) == reference_csv(table)
+            assert render_json(table) == reference_json(table)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_tables(st.sampled_from(CLASS_LABELS),
+                   st.just({"format": FORMAT_TAG, "command": "scan"})))
+    def test_round_trip_bits(self, tmp_path_factory, table):
+        folder = tmp_path_factory.mktemp("round-trip")
+        for name in ("t.csv", "t.json"):
+            path = str(folder / name)
+            write_table(table, path, name[2:])
+            back = read_scan(path)
+            assert back.metadata == table.metadata
+            assert _float_bits(back) == _float_bits(table)
+
+
+def _write_scan(tmp_path, fmt):
+    table = grid_table(scan_grid(IMAG, (-1.0, 1.0), n=3))
+    path = tmp_path / f"scan.{fmt}"
+    write_table(table, str(path), fmt)
+    return path
+
+
+class TestReaderStrictness:
+    @pytest.mark.parametrize("line", ["", "# format=powergeom-scan-v0\n"])
+    def test_csv_format_tag(self, tmp_path, line):
+        path = _write_scan(tmp_path, "csv")
+        text = path.read_text().replace(f"# format={FORMAT_TAG}\n", line)
+        path.write_text(text)
+        with pytest.raises(SchemaMismatch, match="format tag"):
+            read_scan_csv(str(path))
+
+    @pytest.mark.parametrize("tag", [None, "powergeom-scan-v0"])
+    def test_json_format_tag(self, tmp_path, tag):
+        path = _write_scan(tmp_path, "json")
+        data = json.loads(path.read_text())
+        if tag is None:
+            del data["metadata"]["format"]
+        else:
+            data["metadata"]["format"] = tag
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatch, match="format tag"):
+            read_scan_json(str(path))
+
+    def test_csv_unknown_label(self, tmp_path):
+        path = _write_scan(tmp_path, "csv")
+        lines = path.read_text().split("\n")
+        lines[-3] = lines[-3].rsplit(",", 1)[0] + ",BOGUS"
+        path.write_text("\n".join(lines))
+        with pytest.raises(SchemaMismatch, match="'BOGUS'"):
+            read_scan_csv(str(path))
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("class", "BOGUS", "unknown class label 'BOGUS'"),
+        ("class", 7, "unknown class label 7"),
+        ("a1", "1.5", "'a1' holds a str"),
+        ("a2", True, "'a2' holds a bool"),
+        ("curvature", "nan", "'curvature' holds a str"),
+    ])
+    def test_json_bad_field(self, tmp_path, field, value, match):
+        path = _write_scan(tmp_path, "json")
+        data = json.loads(path.read_text())
+        data["records"][4][field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatch, match=match):
+            read_scan_json(str(path))
+
+    def test_messages_for_one_bad_field(self, tmp_path):
+        path = _write_scan(tmp_path, "csv")
+        lines = path.read_text().split("\n")
+        lines[-3] += ",extra"
+        path.write_text("\n".join(lines))
+        with pytest.raises(SchemaMismatch,
+                           match="expected 9 fields, got 10"):
+            read_scan_csv(str(path))
+        path = _write_scan(tmp_path, "json")
+        data = json.loads(path.read_text())
+        del data["records"][2]["g12"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatch, match="bad record: 'g12'"):
+            read_scan_json(str(path))
 
 
 class TestPlotScript:
