@@ -22,9 +22,6 @@ from .geometry import (
     Metric2,
     StabilityClass,
     geometry_report,
-    hessian_metric,
-    metric_determinant,
-    scalar_curvature_closed,
     scalar_curvature_oracle,
 )
 from .jets import (
@@ -79,7 +76,6 @@ __all__ = [
     "eval_power",
     "eval_power_jet",
     "geometry_report",
-    "hessian_metric",
     "jet_apply_univariate",
     "jet_const",
     "jet_cos",
@@ -90,9 +86,7 @@ __all__ = [
     "jet_sin",
     "jet_tan",
     "load_bus_network",
-    "metric_determinant",
     "phase_angles",
-    "scalar_curvature_closed",
     "scalar_curvature_oracle",
     "__version__",
 ]

@@ -34,7 +34,6 @@ from .models import (
 )
 from .stability import (
     DEFAULT_BOUNDS,
-    DEFAULT_GUARD,
     locate_transitions,
     scan_diagonal,
     scan_grid,
@@ -95,8 +94,7 @@ def _cmd_scan(args) -> int:
     hi1 = _angle(args.max, args.unit)
     lo2 = _angle(args.min2, args.unit) if args.min2 is not None else lo1
     hi2 = _angle(args.max2, args.unit) if args.max2 is not None else hi1
-    scan = scan_grid(model, (lo1, hi1), (lo2, hi2), n=args.n,
-                     guard=DEFAULT_GUARD)
+    scan = scan_grid(model, (lo1, hi1), (lo2, hi2), n=args.n)
     table = scan_io.grid_table(scan)
     scan_io.write_table(table, args.out, args.format)
     print(f"wrote {len(table.rows)} records to {args.out}")
@@ -111,7 +109,7 @@ def _cmd_diagonal(args) -> int:
     model = _model_from(args)
     lo = _angle(args.min, args.unit)
     hi = _angle(args.max, args.unit)
-    scan = scan_diagonal(model, (lo, hi), n=args.n, guard=DEFAULT_GUARD)
+    scan = scan_diagonal(model, (lo, hi), n=args.n)
     table = scan_io.diagonal_table(scan)
     scan_io.write_table(table, args.out, args.format)
     print(f"wrote {len(table.rows)} records to {args.out}")

@@ -55,17 +55,13 @@ class TrigPolynomial:
         return total
 
     def __call__(self, a1: float, a2: float) -> float:
+        """Value at angles (radians); valid on the whole circle."""
         return self.eval_cs(math.cos(a1), math.sin(a1),
                             math.cos(a2), math.sin(a2))
 
     def repair_annotations(self) -> list[str]:
         return [f"{self.name} term {idx}: {original!r} read as exponent {exponent}"
                 for idx, original, exponent in self.repairs]
-
-
-def trig_poly_eval(p: TrigPolynomial, a1: float, a2: float) -> float:
-    """Evaluate a table at angles (radians); valid on the whole circle."""
-    return p(a1, a2)
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,20 @@ diagonal components with positive determinant mean stable Gaussian
 fluctuations; a vanishing determinant collapses the fluctuation volume and
 makes the curvature undefined there.
 
-Two independent curvature routes are provided. The closed form combines
-the second and third partials directly; the oracle assembles Christoffel
-symbols of the first kind (half the third partials, since the metric is a
-Hessian), forms the curvature tensor component R_1212, and applies
-``R = 2 R_1212 / det``. The two agree identically; the closed form's
-``S12*S111*S222`` term must enter with a minus sign for that to hold, and
-the tests enforce the pair's agreement.
+Everything at a point comes from that point's one jet.
+:func:`geometry_columns` is the one classifier: value, metric,
+determinant, closed-form curvature and class code, on floats for one
+point or elementwise on ndarray columns for a scan. Its formulas
+(:func:`determinant`, :func:`is_degenerate`, :func:`closed_curvature`)
+are written once, on plain arithmetic. :func:`geometry_report` runs it on
+the jet of one point of a model, and the scans on whole columns.
 
-The determinant, the degeneracy test, the closed-form curvature and the
-class sign table are written once, on plain arithmetic, so they run on
-floats for one point and elementwise on ndarray columns for a scan.
-:func:`geometry_columns` is the one classifier; :func:`geometry_report`
-runs it on a single point and the scans on whole columns.
+:func:`scalar_curvature_oracle` is the independent check of the closed
+form. It assembles Christoffel symbols of the first kind (half the third
+partials, since the metric is a Hessian), forms the curvature tensor
+component R_1212, and applies ``R = 2 R_1212 / det``. The two agree
+identically; the closed form's ``S12*S111*S222`` term must enter with a
+minus sign for that to hold, and the tests enforce the pair's agreement.
 """
 
 from __future__ import annotations
@@ -26,28 +27,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from . import models
 from .errors import DegenerateMetric
-from .jets import Jet3, JetField
+from .jets import Jet3
 
 #: Relative degeneracy tolerance: |det| at or below
 #: DEGEN_TOL * max(1, metric_inf_norm^2) counts as degenerate. Relative to
 #: the squared norm because det scales as the square of the surface scale.
 DEGEN_TOL = 1e-10
-
-Field = Union[JetField, "models.PowerModel"]
-
-
-def as_jet_field(field: Field) -> JetField:
-    """Accept a PowerModel or any (a1, a2) -> Jet3 callable."""
-    if isinstance(field, models.PowerModel):
-        model = field
-        return lambda a1, a2: models.eval_power_jet(model, a1, a2)
-    return field
 
 
 class StabilityClass(enum.Enum):
@@ -97,16 +87,6 @@ class Metric2:
         return cls(g11=jet.f11, g12=jet.f12, g22=jet.f22,
                    point=(float(point[0]), float(point[1])))
 
-    @property
-    def inf_norm(self) -> float:
-        return max(abs(self.g11), abs(self.g12), abs(self.g22))
-
-
-def hessian_metric(field: Field, point: tuple[float, float]) -> Metric2:
-    """Metric components copied from the jet's second-order slots."""
-    jet = as_jet_field(field)(point[0], point[1])
-    return Metric2.from_jet(jet, point)
-
 
 def determinant(g11, g12, g22):
     """``g11*g22 - g12^2``; on floats, or elementwise on ndarrays."""
@@ -123,11 +103,6 @@ def is_degenerate(det, g11, g12, g22):
     return ((mag <= DEGEN_TOL) | (mag <= DEGEN_TOL * (g11 * g11))
             | (mag <= DEGEN_TOL * (g12 * g12))
             | (mag <= DEGEN_TOL * (g22 * g22)))
-
-
-def metric_determinant(metric: Metric2) -> float:
-    """``g11*g22 - g12^2``."""
-    return determinant(metric.g11, metric.g12, metric.g22)
 
 
 def curvature_numerator(jet: Jet3):
@@ -147,23 +122,7 @@ def closed_curvature(jet: Jet3, det):
     return -0.5 * curvature_numerator(jet) / (det * det)
 
 
-def _require_nondegenerate(metric: Metric2, det: float) -> None:
-    if is_degenerate(det, metric.g11, metric.g12, metric.g22):
-        raise DegenerateMetric(
-            f"metric determinant {det!r} at {metric.point} is degenerate; "
-            "curvature undefined")
-
-
-def scalar_curvature_closed(field: Field, point: tuple[float, float]) -> float:
-    """Scalar curvature from one jet via the closed form."""
-    jet = as_jet_field(field)(point[0], point[1])
-    metric = Metric2.from_jet(jet, point)
-    det = metric_determinant(metric)
-    _require_nondegenerate(metric, det)
-    return closed_curvature(jet, det)
-
-
-def scalar_curvature_oracle(field: Field, point: tuple[float, float]) -> float:
+def scalar_curvature_oracle(jet: Jet3) -> float:
     """Scalar curvature via Christoffel symbols and ``R = 2 R_1212 / det``.
 
     For a Hessian metric the Christoffel symbols of the first kind are just
@@ -173,14 +132,16 @@ def scalar_curvature_oracle(field: Field, point: tuple[float, float]) -> float:
         R_1212 = (1/4) g^{qr} (S_12q S_12r - S_22q S_11r).
 
     Kept deliberately independent of the closed form as its cross-check.
+    Raises :class:`DegenerateMetric` where the curvature is undefined.
     """
-    jet = as_jet_field(field)(point[0], point[1])
-    metric = Metric2.from_jet(jet, point)
-    det = metric_determinant(metric)
-    _require_nondegenerate(metric, det)
-    gi11 = metric.g22 / det
-    gi22 = metric.g11 / det
-    gi12 = -metric.g12 / det
+    g11, g12, g22 = jet.f11, jet.f12, jet.f22
+    det = determinant(g11, g12, g22)
+    if is_degenerate(det, g11, g12, g22):
+        raise DegenerateMetric(
+            f"metric determinant {det!r} is degenerate; curvature undefined")
+    gi11 = g22 / det
+    gi22 = g11 / det
+    gi12 = -g12 / det
     quad_a = (gi11 * jet.f112 * jet.f112
               + 2.0 * gi12 * jet.f112 * jet.f122
               + gi22 * jet.f122 * jet.f122)
@@ -206,36 +167,43 @@ class GeometryReport:
         return self.metric.point
 
 
-def geometry_columns(jet: Jet3) -> dict[str, np.ndarray]:
+def geometry_columns(jet: Jet3) -> dict:
     """Value, metric, determinant, curvature and class code of every point.
 
     ``jet`` holds ndarray columns, one element per point, or floats for a
-    single point. Degenerate points get a nan curvature. Codes index
-    :data:`CLASS_ORDER`; degeneracy takes precedence, then det<0, then the
-    sign of the diagonal.
+    single point, which get float results and an int code. Degenerate
+    points get a nan curvature. Codes index :data:`CLASS_ORDER`;
+    degeneracy takes precedence, then det<0, then the sign of the
+    diagonal.
     """
     g11, g12, g22 = jet.f11, jet.f12, jet.f22
     det = determinant(g11, g12, g22)
     degen = is_degenerate(det, g11, g12, g22)
-    if np.ndim(det) == 0:  # one point on floats: divide only where defined
-        curvature = math.nan if degen else closed_curvature(jet, det)
+    if isinstance(det, float):  # one point: divide only where defined
+        if degen:
+            curvature, codes = math.nan, _DEGEN
+        else:
+            curvature = closed_curvature(jet, det)
+            codes = (_INDEF if det < 0.0 else
+                     _STABLE if g11 > 0.0 and g22 > 0.0 else _NEGDEF)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             curvature = np.where(degen, np.nan, closed_curvature(jet, det))
-    codes = np.where(
-        degen, _DEGEN,
-        np.where(det < 0.0, _INDEF,
-                 np.where((g11 > 0.0) & (g22 > 0.0), _STABLE, _NEGDEF)))
+        codes = np.where(
+            degen, _DEGEN,
+            np.where(det < 0.0, _INDEF,
+                     np.where((g11 > 0.0) & (g22 > 0.0), _STABLE, _NEGDEF))
+        ).astype(np.int8)
     return {"value": jet.f, "g11": g11, "g12": g12, "g22": g22,
-            "det": det, "curvature": curvature,
-            "codes": codes.astype(np.int8)}
+            "det": det, "curvature": curvature, "codes": codes}
 
 
-def geometry_report(field: Field, point: tuple[float, float]) -> GeometryReport:
+def geometry_report(model: models.PowerModel,
+                    point: tuple[float, float]) -> GeometryReport:
     """Metric, determinant, curvature (nan if degenerate) and class."""
-    jet = as_jet_field(field)(point[0], point[1])
+    jet = models.eval_power_jet(model, point[0], point[1])
     cols = geometry_columns(jet)
     return GeometryReport(metric=Metric2.from_jet(jet, point),
                           value=jet.f, det=cols["det"],
                           curvature=cols["curvature"],
-                          classification=CLASS_ORDER[int(cols["codes"])])
+                          classification=CLASS_ORDER[cols["codes"]])

@@ -25,7 +25,7 @@ scans that way.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DivisionByNearZero
 
@@ -172,17 +172,18 @@ def tan_derivatives(t) -> UnivariateJet:
     return (t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (sec2 + 2.0 * t * t))
 
 
-def jet_reciprocal(b: Jet3, guard: float = DIV_GUARD) -> Jet3:
-    """Jet of ``1/b``; raises :class:`DivisionByNearZero` inside the guard."""
-    if abs(b.f) <= guard:
+def jet_reciprocal(b: Jet3) -> Jet3:
+    """Jet of ``1/b``; raises :class:`DivisionByNearZero` inside
+    :data:`DIV_GUARD`."""
+    if abs(b.f) <= DIV_GUARD:
         raise DivisionByNearZero(
-            f"denominator value {b.f!r} within guard {guard!r}")
+            f"denominator value {b.f!r} within guard {DIV_GUARD!r}")
     return jet_apply_univariate(reciprocal_derivatives(1.0 / b.f), b)
 
 
-def jet_div(a: Jet3, b: Jet3, guard: float = DIV_GUARD) -> Jet3:
+def jet_div(a: Jet3, b: Jet3) -> Jet3:
     """Quotient jet ``a/b``, computed as ``a * (1/b)``."""
-    return jet_mul(a, jet_reciprocal(b, guard))
+    return jet_mul(a, jet_reciprocal(b))
 
 
 def jet_tan(u: Jet3) -> Jet3:
@@ -202,7 +203,3 @@ def jet_cos(u: Jet3) -> Jet3:
     s = math.sin(u.f)
     c = math.cos(u.f)
     return jet_apply_univariate((c, -s, -c, s), u)
-
-
-#: A scalar field of two angles evaluated as a jet.
-JetField = Callable[[float, float], Jet3]

@@ -88,13 +88,13 @@ class PowerModel:
         return self.v * self.v / self.r0
 
 
-def check_angle(a: float, guard: float = DOMAIN_GUARD) -> float:
+def check_angle(a: float) -> float:
     """Validate one phase angle against the tan-pole guard."""
     if not math.isfinite(a):
         raise DomainError(f"phase angle must be finite, got {a!r}")
-    if abs(a) >= HALF_PI - guard:
-        raise DomainError(
-            f"phase angle {a!r} is within {guard!r} rad of the +-pi/2 pole")
+    if abs(a) >= HALF_PI - DOMAIN_GUARD:
+        raise DomainError(f"phase angle {a!r} is within {DOMAIN_GUARD!r} "
+                          "rad of the +-pi/2 pole")
     return float(a)
 
 

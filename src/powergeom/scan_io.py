@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import SchemaMismatch
 from .geometry import CLASS_LABELS
-from .stability import Bounds, DiagonalScan, GridScan
+from .stability import DEFAULT_GUARD, Bounds, DiagonalScan, GridScan
 
 SCAN_COLUMNS = ("a1", "a2", "value", "g11", "g12", "g22",
                 "det", "curvature", "class")
@@ -108,7 +108,7 @@ def _scan_table(scan: GridScan | DiagonalScan, command: str,
         "a2_min": format_float(a2_bounds[0]),
         "a2_max": format_float(a2_bounds[1]),
         "n": str(scan.n),
-        "guard": format_float(scan.guard),
+        "guard": format_float(DEFAULT_GUARD),
         "unit": "rad",
     }
     cols = scan.columns
@@ -210,10 +210,14 @@ def read_scan_csv(path: str) -> ScanTable:
     # Every row has `width` fields, so column i is every width-th cell
     # from cell i on.
     cells = ",".join(rows).split(",") if rows else []
-    return _table_from_columns(
-        metadata, [list(map(float, cells[i::width]))
-                   for i in range(width - 1)],
-        cells[width - 1::width], path)
+    floats = []
+    for i, name in enumerate(SCAN_COLUMNS[:-1]):
+        try:
+            floats.append(list(map(float, cells[i::width])))
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path}: column {name!r}: {exc}") from None
+    return _table_from_columns(metadata, floats, cells[width - 1::width],
+                               path)
 
 
 def read_scan_json(path: str) -> ScanTable:
@@ -243,9 +247,17 @@ def read_scan_json(path: str) -> ScanTable:
         raise SchemaMismatch(f"{path}: bad record: {exc}") from None
 
 
+def _is_json(path: str) -> bool:
+    """Whether a scan file is JSON: its first byte is ``{``. CSV scans
+    start with ``#``."""
+    with open(path, "rb") as fh:
+        return fh.read(1) == b"{"
+
+
 def read_scan(path: str) -> ScanTable:
-    """Dispatch on extension: .json via the JSON reader, else CSV."""
-    if path.endswith(".json"):
+    """Dispatch on content, whatever the file's name: JSON when it starts
+    with ``{``, else the CSV reader."""
+    if _is_json(path):
         return read_scan_json(path)
     return read_scan_csv(path)
 
@@ -325,6 +337,9 @@ def emit_plot_script(scan_path: str, field: str = "det",
     if field not in PLOT_FIELDS:
         raise ValueError(
             f"field must be one of {sorted(PLOT_FIELDS)}, got {field!r}")
+    if _is_json(scan_path):
+        raise SchemaMismatch(
+            f"{scan_path}: is a JSON scan; plot-script needs a CSV scan")
     read_scan_csv(scan_path)  # validates schema and format tag
     if out_path is None:
         out_path = scan_path + f".plot_{field}.py"

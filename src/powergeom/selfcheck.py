@@ -2,24 +2,23 @@
 
 Each check re-derives one of the package's contracts at runtime: the
 finite-difference oracle for the jets, hand-derivable anchors, the two
-curvature routes, diagonal identities, scale covariance, flow symmetries,
-the tabulated-expansion anchors, and bisection root quality. The command
-prints one pass/fail line per check.
+curvature routes, the diagonal identities ``verify-paper`` reports, scale
+covariance, flow symmetries, the tabulated-expansion anchors, and
+bisection root quality. The command prints one pass/fail line per check.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable
 
 from . import expressions, geometry
-from .expressions import quantity, trig_poly_eval
+from .expressions import quantity
 from .fdcheck import max_jet_deviation
 from .models import FlowKind, PowerModel, eval_power, eval_power_jet
 from .stability import locate_transitions, scan_grid
-from .verify import verify_against_autodiff
+from .verify import _diagonal_identities, verify_against_autodiff
 
 
 @dataclass(frozen=True)
@@ -29,9 +28,10 @@ class CheckResult:
     detail: str
 
 
-def _points(seed: int, n: int, lo: float = -1.4, hi: float = 1.4):
+def _points(seed: int, n: int):
     rng = random.Random(f"selfcheck:{seed}")
-    return [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
+    return [(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
+            for _ in range(n)]
 
 
 def _check_jets_vs_differences(samples: int, seed: int) -> CheckResult:
@@ -64,11 +64,12 @@ def _check_curvature_routes(samples: int, seed: int) -> CheckResult:
         k2 = model.k * model.k
         checked = 0
         for point in _points(seed + 1, 1000):
-            metric = geometry.hessian_metric(model, point)
-            if abs(geometry.metric_determinant(metric)) <= 0.1 * k2:
+            jet = eval_power_jet(model, *point)
+            cols = geometry.geometry_columns(jet)
+            if abs(cols["det"]) <= 0.1 * k2:
                 continue
-            closed = geometry.scalar_curvature_closed(model, point)
-            oracle = geometry.scalar_curvature_oracle(model, point)
+            closed = cols["curvature"]
+            oracle = geometry.scalar_curvature_oracle(jet)
             worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
             checked += 1
             if checked == min(samples, 100):
@@ -79,32 +80,19 @@ def _check_curvature_routes(samples: int, seed: int) -> CheckResult:
 
 
 def _check_imaginary_diagonal(samples: int, seed: int) -> CheckResult:
-    model = PowerModel(FlowKind.IMAGINARY)
-    worst = 0.0
-    for i in range(101):
-        a = -1.4 + i * 2.8 / 100
-        if abs(a) < 0.05:
-            continue
-        worst = max(worst, abs(geometry.scalar_curvature_closed(model, (a, a))))
+    identities, _ = _diagonal_identities(PowerModel(FlowKind.IMAGINARY))
+    worst = identities["imaginary_diagonal_curvature_max_abs"]
     return CheckResult(
         "imaginary flow is flat on the equal-angle diagonal", worst <= 1e-6,
         f"max |R(a,a)| = {worst:.3e} (tolerance 1e-06)")
 
 
 def _check_diagonal_determinants(samples: int, seed: int) -> CheckResult:
-    real = PowerModel(FlowKind.REAL)
-    comp = PowerModel(FlowKind.COMPLEX)
-    worst_real = 0.0
-    worst_comp = 0.0
-    for i in range(101):
-        a = -1.4 + i * 2.8 / 100
-        sec = 1.0 / math.cos(a)
-        det_r = geometry.metric_determinant(geometry.hessian_metric(real, (a, a)))
-        worst_real = max(worst_real, abs(det_r) / (1e-9 * sec**8))
-        det_c = geometry.metric_determinant(geometry.hessian_metric(comp, (a, a)))
-        expected = -4.0 * sec**4 * math.tan(a) ** 2
-        worst_comp = max(worst_comp,
-                         abs(det_c - expected) / (1e-9 * max(1.0, abs(expected))))
+    real, _ = _diagonal_identities(PowerModel(FlowKind.REAL))
+    comp, _ = _diagonal_identities(PowerModel(FlowKind.COMPLEX))
+    # residuals in units of the 1e-9 tolerance
+    worst_real = real["real_diagonal_det_max_scaled"] / 1e-9
+    worst_comp = comp["complex_diagonal_det_formula_max_rel_dev"] / 1e-9
     ok = worst_real <= 1.0 and worst_comp <= 1.0
     return CheckResult(
         "diagonal determinant identities (real zero, complex closed form)",
@@ -155,13 +143,12 @@ def _check_table_anchors(samples: int, seed: int) -> CheckResult:
     errs: list[float] = []
     for qid in ("METRIC_R_11", "METRIC_R_12", "METRIC_R_22"):
         q = quantity(qid)
-        errs.append(abs(trig_poly_eval(q.numerators[0], 0.0, 0.0) - 1.0))
-        errs.append(abs(trig_poly_eval(q.denominators[0], 0.0, 0.0) + 1.0))
+        errs.append(abs(q.numerators[0](0.0, 0.0) - 1.0))
+        errs.append(abs(q.denominators[0](0.0, 0.0) + 1.0))
     for qid in ("METRIC_I_11", "METRIC_I_12", "METRIC_I_22"):
         q = quantity(qid)
-        errs.append(abs(trig_poly_eval(q.numerators[0], 0.0, 0.0)))
-    errs.append(abs(trig_poly_eval(quantity("METRIC_I_11").denominators[0],
-                                   0.0, 0.0) + 1.0))
+        errs.append(abs(q.numerators[0](0.0, 0.0)))
+    errs.append(abs(quantity("METRIC_I_11").denominators[0](0.0, 0.0) + 1.0))
     jet = eval_power_jet(PowerModel(FlowKind.REAL), 0.0, 0.0)
     for qid, slot in (("METRIC_R_11", jet.f11), ("METRIC_R_12", jet.f12),
                       ("METRIC_R_22", jet.f22)):

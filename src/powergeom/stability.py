@@ -41,14 +41,14 @@ BISECT_XTOL = 1e-10
 Bounds = tuple[float, float]
 
 
-def _check_bounds(bounds: Bounds, guard: float, axis: str) -> Bounds:
+def _check_bounds(bounds: Bounds, axis: str) -> Bounds:
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BadDomain(f"{axis} bounds must satisfy lo < hi, got {bounds!r}")
-    limit = HALF_PI - guard
+    limit = HALF_PI - DEFAULT_GUARD
     if abs(lo) > limit or abs(hi) > limit:
-        raise BadDomain(
-            f"{axis} bounds {bounds!r} reach within {guard!r} rad of +-pi/2")
+        raise BadDomain(f"{axis} bounds {bounds!r} reach within "
+                        f"{DEFAULT_GUARD!r} rad of +-pi/2")
     return lo, hi
 
 
@@ -90,7 +90,6 @@ class GridScan(_Columns):
     a1_bounds: Bounds
     a2_bounds: Bounds
     n: int
-    guard: float
     columns: dict[str, np.ndarray]
 
     @property
@@ -109,41 +108,37 @@ class DiagonalScan(_Columns):
     model: PowerModel
     bounds: Bounds
     n: int
-    guard: float
     columns: dict[str, np.ndarray]
 
 
 def scan_grid(model: PowerModel,
               a1_bounds: Bounds = DEFAULT_BOUNDS,
               a2_bounds: Bounds | None = None,
-              n: int = 64,
-              guard: float = DEFAULT_GUARD) -> GridScan:
+              n: int = 64) -> GridScan:
     """Scan an n-by-n grid; degenerate points carry nan curvature."""
     if n < 2:
         raise ValueError(f"need at least 2 samples per axis, got {n}")
     if a2_bounds is None:
         a2_bounds = a1_bounds
-    a1_bounds = _check_bounds(a1_bounds, guard, "a1")
-    a2_bounds = _check_bounds(a2_bounds, guard, "a2")
+    a1_bounds = _check_bounds(a1_bounds, "a1")
+    a2_bounds = _check_bounds(a2_bounds, "a2")
     a1 = np.tile(np.array(axis_samples(a1_bounds, n), dtype=np.float64), n)
     a2 = np.repeat(np.array(axis_samples(a2_bounds, n), dtype=np.float64), n)
     cols = _evaluate_points(model, a1, a2)
     return GridScan(model=model, a1_bounds=a1_bounds, a2_bounds=a2_bounds,
-                    n=n, guard=guard, columns=cols)
+                    n=n, columns=cols)
 
 
 def scan_diagonal(model: PowerModel,
                   bounds: Bounds = DEFAULT_BOUNDS,
-                  n: int = 101,
-                  guard: float = DEFAULT_GUARD) -> DiagonalScan:
+                  n: int = 101) -> DiagonalScan:
     """Scan n points of the equal-angle line a1 = a2 = a."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    bounds = _check_bounds(bounds, guard, "diagonal")
+    bounds = _check_bounds(bounds, "diagonal")
     a = np.array(axis_samples(bounds, n), dtype=np.float64)
     cols = _evaluate_points(model, a, a)
-    return DiagonalScan(model=model, bounds=bounds, n=n, guard=guard,
-                        columns=cols)
+    return DiagonalScan(model=model, bounds=bounds, n=n, columns=cols)
 
 
 @dataclass(frozen=True)

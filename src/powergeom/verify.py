@@ -1,13 +1,16 @@
-"""Verification of the tabulated expansions against the jet engine, plus
-the package-wide invariant self-check.
+"""Verification of the tabulated expansions against the jet engine.
 
 For every tabulated quantity of a model the harness samples deterministic
-pseudo-random points, reconstructs the tabulated value and the matching
-jet-engine value (metric slot, determinant, or closed-form curvature), and
-records the worst relative deviation. A quantity within tolerance is
-VERIFIED; anything else is DISCREPANT with worst-point diagnostics.
-Discrepancies never abort, and transcriptions are never patched to force
-agreement: surfacing them is the harness's whole job.
+pseudo-random points in :data:`DEFAULT_BOUNDS`, reconstructs the tabulated
+value, reads the matching jet-engine value (metric slot, determinant, or
+closed-form curvature) off :func:`~powergeom.geometry.geometry_columns`
+of the point's one jet, and records the worst relative deviation. A
+quantity within :data:`VERIFY_TOL` is VERIFIED; anything else is
+DISCREPANT with worst-point diagnostics. A point whose metric is
+degenerate has no curvature and is resampled. Discrepancies never abort,
+and transcriptions are never patched to force agreement: surfacing them
+is the harness's whole job. The equal-angle identities measured here
+(:func:`_diagonal_identities`) are also what ``verify-self`` checks.
 
 Reports carry no timestamps or environment detail, so reruns with the same
 seed are byte-identical.
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from . import geometry
 from .errors import DegenerateMetric
 from .expressions import PaperQuantity, quantities_for
-from .models import FlowKind, PowerModel
+from .models import FlowKind, PowerModel, eval_power_jet
 
 #: VERIFIED when max relative deviation stays at or below this.
 VERIFY_TOL = 1e-6
@@ -37,16 +40,17 @@ RESAMPLE_DENOM_TOL = 1e-6
 DEFAULT_BOUNDS = (-1.4, 1.4)
 
 
-def _autodiff_value(q: PaperQuantity, model: PowerModel,
+def _autodiff_value(target: str, model: PowerModel,
                     a1: float, a2: float) -> float:
-    if q.target == "curvature":
-        return geometry.scalar_curvature_closed(model, (a1, a2))
-    metric = geometry.hessian_metric(model, (a1, a2))
-    if q.target == "det":
-        return geometry.metric_determinant(metric)
-    if q.target in ("g11", "g12", "g22"):
-        return getattr(metric, q.target)
-    raise ValueError(f"unknown target {q.target!r}")
+    """``g11``, ``g12``, ``g22``, ``det`` or ``curvature`` from the jet at
+    (a1, a2); a degenerate point's curvature raises DegenerateMetric."""
+    cols = geometry.geometry_columns(eval_power_jet(model, a1, a2))
+    if (target == "curvature" and geometry.CLASS_ORDER[cols["codes"]]
+            is geometry.StabilityClass.DEGENERATE):
+        raise DegenerateMetric(
+            f"metric determinant {cols['det']!r} at {(a1, a2)} is "
+            "degenerate; curvature undefined")
+    return cols[target]
 
 
 @dataclass(frozen=True)
@@ -144,17 +148,16 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _sample_stream(seed: int, tag: str, bounds: tuple[float, float]):
+def _sample_stream(seed: int, tag: str):
     rng = random.Random(f"{seed}:{tag}")
-    lo, hi = bounds
+    lo, hi = DEFAULT_BOUNDS
     while True:
         yield rng.uniform(lo, hi), rng.uniform(lo, hi)
 
 
 def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
-                    seed: int, bounds: tuple[float, float],
-                    tolerance: float) -> QuantityCheck:
-    stream = _sample_stream(seed, q.id, bounds)
+                    seed: int) -> QuantityCheck:
+    stream = _sample_stream(seed, q.id)
     mass = q.denominator_mass()
     worst = -1.0
     worst_point = (math.nan, math.nan)
@@ -173,7 +176,7 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
             resampled += 1
             continue
         try:
-            auto = _autodiff_value(q, model, a1, a2)
+            auto = _autodiff_value(q.target, model, a1, a2)
         except DegenerateMetric:
             resampled += 1
             continue
@@ -189,7 +192,7 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
             worst_auto = auto
             worst_recon = recon
         used += 1
-    status = "VERIFIED" if 0.0 <= worst <= tolerance else "DISCREPANT"
+    status = "VERIFIED" if 0.0 <= worst <= VERIFY_TOL else "DISCREPANT"
     return QuantityCheck(
         quantity_id=q.id, target=q.target, status=status,
         max_rel_dev=worst, worst_point=worst_point,
@@ -205,12 +208,11 @@ def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str
     k = model.k
     out: dict[str, float] = {}
     notes: list[str] = []
-    samples = [a for a in axis_samples((-1.4, 1.4), 101) if abs(a) >= 0.05]
+    samples = [a for a in axis_samples(DEFAULT_BOUNDS, 101) if abs(a) >= 0.05]
     if model.kind is FlowKind.REAL:
         worst = 0.0
         for a in samples:
-            metric = geometry.hessian_metric(model, (a, a))
-            det = geometry.metric_determinant(metric)
+            det = _autodiff_value("det", model, a, a)
             sec = 1.0 / math.cos(a)
             worst = max(worst, abs(det) / (k * k * sec**8))
         out["real_diagonal_det_max_scaled"] = worst
@@ -222,14 +224,13 @@ def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str
     elif model.kind is FlowKind.IMAGINARY:
         worst = 0.0
         for a in samples:
-            r = geometry.scalar_curvature_closed(model, (a, a))
+            r = _autodiff_value("curvature", model, a, a)
             worst = max(worst, abs(r))
         out["imaginary_diagonal_curvature_max_abs"] = worst
     else:
         worst = 0.0
         for a in samples:
-            det = geometry.metric_determinant(
-                geometry.hessian_metric(model, (a, a)))
+            det = _autodiff_value("det", model, a, a)
             sec = 1.0 / math.cos(a)
             expected = -4.0 * k * k * sec**4 * math.tan(a) ** 2
             worst = max(worst,
@@ -239,17 +240,14 @@ def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str
 
 
 def verify_against_autodiff(model: PowerModel, samples: int = 100,
-                            seed: int = 0,
-                            bounds: tuple[float, float] = DEFAULT_BOUNDS,
-                            tolerance: float = VERIFY_TOL) -> VerificationReport:
+                            seed: int = 0) -> VerificationReport:
     """Check every tabulated quantity of the model against the jet engine."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    checks = tuple(
-        _check_quantity(q, model, samples, seed, bounds, tolerance)
-        for q in quantities_for(model.kind))
+    checks = tuple(_check_quantity(q, model, samples, seed)
+                   for q in quantities_for(model.kind))
     identities, notes = _diagonal_identities(model)
     return VerificationReport(
-        model=model, samples=samples, seed=seed, bounds=bounds,
-        tolerance=tolerance, checks=checks,
+        model=model, samples=samples, seed=seed, bounds=DEFAULT_BOUNDS,
+        tolerance=VERIFY_TOL, checks=checks,
         derived_identities=identities, notes=notes)

@@ -11,7 +11,7 @@ import time
 
 from powergeom import backend, geometry
 from powergeom.cli import main
-from powergeom.expressions import quantity, reconstruct_quantity, trig_poly_eval
+from powergeom.expressions import quantity, reconstruct_quantity
 from powergeom.fdcheck import max_jet_deviation
 from powergeom.models import FlowKind, PowerModel, eval_power_jet
 from powergeom.stability import scan_grid
@@ -69,11 +69,12 @@ def test_criterion_3_curvature_identity():
         checked = 0
         while checked < 100:
             point = (rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-            metric = geometry.hessian_metric(model, point)
-            if abs(geometry.metric_determinant(metric)) <= 0.1 * k2:
+            jet = eval_power_jet(model, *point)
+            cols = geometry.geometry_columns(jet)
+            if abs(cols["det"]) <= 0.1 * k2:
                 continue
-            closed = geometry.scalar_curvature_closed(model, point)
-            oracle = geometry.scalar_curvature_oracle(model, point)
+            closed = cols["curvature"]
+            oracle = geometry.scalar_curvature_oracle(jet)
             worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
             checked += 1
     report(3, "closed-form and curvature-tensor routes agree",
@@ -89,7 +90,9 @@ def test_criterion_4_equal_phase_imaginary_curvature():
         a = -1.4 + i * step
         if abs(a) < 0.05:
             continue
-        worst = max(worst, abs(geometry.scalar_curvature_closed(model, (a, a))))
+        cols = geometry.geometry_columns(eval_power_jet(model, a, a))
+        assert not math.isnan(cols["curvature"])  # never degenerate here
+        worst = max(worst, abs(cols["curvature"]))
     report(4, "imaginary flow curvature vanishes on the diagonal",
            worst <= 1e-6, f"max |R(a,a)| {worst:.3e} (tol 1e-06)")
 
@@ -103,9 +106,9 @@ def test_criterion_5_diagonal_determinant_identities():
     for i in range(101):
         a = -1.4 + i * step
         sec = 1.0 / math.cos(a)
-        det_r = geometry.metric_determinant(geometry.hessian_metric(real, (a, a)))
+        det_r = geometry.geometry_columns(eval_power_jet(real, a, a))["det"]
         worst_real = max(worst_real, abs(det_r) / (1e-9 * sec**8))
-        det_c = geometry.metric_determinant(geometry.hessian_metric(comp, (a, a)))
+        det_c = geometry.geometry_columns(eval_power_jet(comp, a, a))["det"]
         expected = -4.0 * sec**4 * math.tan(a) ** 2
         worst_comp = max(worst_comp,
                          abs(det_c - expected) / (1e-9 * max(1.0, abs(expected))))
@@ -119,12 +122,11 @@ def test_criterion_6_expression_anchors():
     errs = []
     for qid in ("METRIC_R_11", "METRIC_R_12", "METRIC_R_22"):
         q = quantity(qid)
-        errs.append(abs(trig_poly_eval(q.numerators[0], 0.0, 0.0) - 1.0))
-        errs.append(abs(trig_poly_eval(q.denominators[0], 0.0, 0.0) + 1.0))
+        errs.append(abs(q.numerators[0](0.0, 0.0) - 1.0))
+        errs.append(abs(q.denominators[0](0.0, 0.0) + 1.0))
     for qid in ("METRIC_I_11", "METRIC_I_12", "METRIC_I_22"):
-        errs.append(abs(trig_poly_eval(quantity(qid).numerators[0], 0.0, 0.0)))
-    errs.append(abs(trig_poly_eval(quantity("METRIC_I_11").denominators[0],
-                                   0.0, 0.0) + 1.0))
+        errs.append(abs(quantity(qid).numerators[0](0.0, 0.0)))
+    errs.append(abs(quantity("METRIC_I_11").denominators[0](0.0, 0.0) + 1.0))
     jet = eval_power_jet(PowerModel(FlowKind.REAL), 0.0, 0.0)
     for qid, slot in (("METRIC_R_11", jet.f11), ("METRIC_R_12", jet.f12),
                       ("METRIC_R_22", jet.f22)):

@@ -231,6 +231,27 @@ class TestPlotScript:
         code, _, err = run(["plot-script", "/nonexistent/scan.csv"], capsys)
         assert code == 1
 
+    def test_json_scan_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "g.JSON"
+        run(["scan", "--model", "real", "--n", "4", "--format", "json",
+             "--out", str(out)], capsys)
+        code, _, err = run(["plot-script", str(out)], capsys)
+        assert code == 1
+        assert err == (f"error: {out}: is a JSON scan; plot-script needs "
+                       "a CSV scan\n")
+
+    def test_non_number_field_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run(["scan", "--model", "real", "--n", "4", "--out", str(out)],
+            capsys)
+        lines = out.read_text().split("\n")
+        lines[-2] = "abc" + lines[-2][lines[-2].index(","):]
+        out.write_text("\n".join(lines))
+        code, _, err = run(["plot-script", str(out)], capsys)
+        assert code == 1
+        assert err == (f"error: {out}: column 'a1': could not convert "
+                       "string to float: 'abc'\n")
+
     def test_foreign_schema_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")

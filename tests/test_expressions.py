@@ -16,7 +16,6 @@ from powergeom.expressions import (
     quantities_for,
     quantity,
     reconstruct_quantity,
-    trig_poly_eval,
 )
 from powergeom.models import FlowKind, PowerModel, eval_power_jet
 
@@ -26,19 +25,18 @@ angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 class TestAnchors:
     def test_real_numerators_at_origin(self):
         for qid in ("METRIC_R_11", "METRIC_R_12", "METRIC_R_22"):
-            assert trig_poly_eval(quantity(qid).numerators[0], 0.0, 0.0) == 1.0
+            assert quantity(qid).numerators[0](0.0, 0.0) == 1.0
 
     def test_real_denominators_at_origin(self):
         for qid in ("METRIC_R_11", "METRIC_R_12", "METRIC_R_22"):
-            assert trig_poly_eval(quantity(qid).denominators[0], 0.0, 0.0) == -1.0
+            assert quantity(qid).denominators[0](0.0, 0.0) == -1.0
 
     def test_imaginary_numerators_vanish_at_origin(self):
         for qid in ("METRIC_I_11", "METRIC_I_12", "METRIC_I_22"):
-            assert trig_poly_eval(quantity(qid).numerators[0], 0.0, 0.0) == 0.0
+            assert quantity(qid).numerators[0](0.0, 0.0) == 0.0
 
     def test_imaginary_denominator_at_origin(self):
-        assert trig_poly_eval(quantity("METRIC_I_11").denominators[0],
-                              0.0, 0.0) == -1.0
+        assert quantity("METRIC_I_11").denominators[0](0.0, 0.0) == -1.0
 
     def test_reconstructed_real_metric_matches_jet_at_origin(self):
         jet = eval_power_jet(PowerModel(FlowKind.REAL), 0.0, 0.0)
@@ -106,7 +104,7 @@ class TestStructure:
 def test_coefficient_mass_bounds_every_table(a1, a2):
     for q in QUANTITIES[:5] + QUANTITIES[9:10]:
         for poly in q.numerators + q.denominators:
-            assert abs(trig_poly_eval(poly, a1, a2)) <= poly.coefficient_mass
+            assert abs(poly(a1, a2)) <= poly.coefficient_mass
 
 
 def test_pole_structure_kills_cosine_terms():
@@ -116,7 +114,7 @@ def test_pole_structure_kills_cosine_terms():
     expected = sum(c * math.cos(math.pi / 2) ** 0 * math.sin(math.pi / 2) ** es1
                    * math.cos(0.3) ** ec2 * math.sin(0.3) ** es2
                    for c, _, es1, ec2, es2 in survivors)
-    got = trig_poly_eval(poly, math.pi / 2, 0.3)
+    got = poly(math.pi / 2, 0.3)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 

@@ -13,19 +13,15 @@ from powergeom.fdcheck import central_difference
 from powergeom.geometry import (
     CLASS_ORDER,
     DEGEN_TOL,
-    Metric2,
     StabilityClass,
     determinant,
     geometry_columns,
     geometry_report,
-    hessian_metric,
     is_degenerate,
-    metric_determinant,
-    scalar_curvature_closed,
     scalar_curvature_oracle,
 )
 from powergeom.jets import Jet3, jet_linear, jet_mul, jet_seed
-from powergeom.models import FlowKind, PowerModel
+from powergeom.models import FlowKind, PowerModel, eval_power_jet
 
 REAL = PowerModel(FlowKind.REAL)
 IMAG = PowerModel(FlowKind.IMAGINARY)
@@ -39,6 +35,11 @@ def paraboloid(a1: float, a2: float) -> Jet3:
     return jet_linear(jet_mul(x, x), jet_mul(y, y), 1.0, 1.0)
 
 
+def at(model, a1, a2):
+    """geometry_columns of the model's jet at one point."""
+    return geometry_columns(eval_power_jet(model, a1, a2))
+
+
 def random_points(seed, n, lo=-1.4, hi=1.4):
     rng = random.Random(seed)
     return [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
@@ -46,39 +47,42 @@ def random_points(seed, n, lo=-1.4, hi=1.4):
 
 class TestMetric:
     def test_quadratic_field(self):
-        m = hessian_metric(paraboloid, (0.37, -0.9))
-        assert (m.g11, m.g12, m.g22) == (2.0, 0.0, 2.0)
-        assert metric_determinant(m) == 4.0
+        m = geometry_columns(paraboloid(0.37, -0.9))
+        assert (m["g11"], m["g12"], m["g22"]) == (2.0, 0.0, 2.0)
+        assert m["det"] == 4.0
 
     def test_real_flow_origin(self):
-        m = hessian_metric(REAL, (0.0, 0.0))
-        assert (m.g11, m.g12, m.g22) == (-2.0, 2.0, -2.0)
-        assert metric_determinant(m) == 0.0
+        m = at(REAL, 0.0, 0.0)
+        assert (m["g11"], m["g12"], m["g22"]) == (-2.0, 2.0, -2.0)
+        assert m["det"] == 0.0
 
     def test_imaginary_flow_origin_is_zero_matrix(self):
-        m = hessian_metric(IMAG, (0.0, 0.0))
-        assert (m.g11, m.g12, m.g22) == (0.0, 0.0, 0.0)
+        m = at(IMAG, 0.0, 0.0)
+        assert (m["g11"], m["g12"], m["g22"]) == (0.0, 0.0, 0.0)
 
     def test_real_flow_exchange_symmetry(self):
         for (a1, a2) in random_points(21, 50):
-            m = hessian_metric(REAL, (a1, a2))
-            ms = hessian_metric(REAL, (a2, a1))
-            tol = 1e-12 * max(1.0, m.inf_norm)
-            assert abs(m.g11 - ms.g22) <= tol
-            assert abs(m.g22 - ms.g11) <= tol
-            assert abs(m.g12 - ms.g12) <= tol
+            m = at(REAL, a1, a2)
+            ms = at(REAL, a2, a1)
+            norm = max(abs(m["g11"]), abs(m["g12"]), abs(m["g22"]))
+            tol = 1e-12 * max(1.0, norm)
+            assert abs(m["g11"] - ms["g22"]) <= tol
+            assert abs(m["g22"] - ms["g11"]) <= tol
+            assert abs(m["g12"] - ms["g12"]) <= tol
 
 
 class TestCurvature:
     def test_quadratic_field_is_flat_both_routes(self):
-        assert scalar_curvature_closed(paraboloid, (0.5, 0.5)) == 0.0
-        assert scalar_curvature_oracle(paraboloid, (0.5, 0.5)) == 0.0
+        jet = paraboloid(0.5, 0.5)
+        assert geometry_columns(jet)["curvature"] == 0.0
+        assert scalar_curvature_oracle(jet) == 0.0
 
     def test_degenerate_at_real_flow_origin(self):
+        cols = at(REAL, 0.0, 0.0)
+        assert math.isnan(cols["curvature"])
+        assert CLASS_ORDER[cols["codes"]] is StabilityClass.DEGENERATE
         with pytest.raises(DegenerateMetric):
-            scalar_curvature_closed(REAL, (0.0, 0.0))
-        with pytest.raises(DegenerateMetric):
-            scalar_curvature_oracle(REAL, (0.0, 0.0))
+            scalar_curvature_oracle(eval_power_jet(REAL, 0.0, 0.0))
 
     @pytest.mark.parametrize("model", [REAL, IMAG, COMP])
     def test_closed_equals_oracle(self, model):
@@ -86,11 +90,12 @@ class TestCurvature:
         checked = 0
         k2 = model.k * model.k
         for (a1, a2) in random_points(22, 400):
-            m = hessian_metric(model, (a1, a2))
-            if abs(metric_determinant(m)) <= 0.1 * k2:
+            jet = eval_power_jet(model, a1, a2)
+            cols = geometry_columns(jet)
+            if abs(cols["det"]) <= 0.1 * k2:
                 continue
-            closed = scalar_curvature_closed(model, (a1, a2))
-            oracle = scalar_curvature_oracle(model, (a1, a2))
+            closed = cols["curvature"]
+            oracle = scalar_curvature_oracle(jet)
             assert abs(closed - oracle) <= 1e-6 * max(1.0, abs(oracle))
             checked += 1
             if checked == 100:
@@ -99,7 +104,7 @@ class TestCurvature:
 
     def test_imaginary_equal_phases_flat(self):
         for a in (0.5, -0.5, 0.3, 1.0, -1.3):
-            r = scalar_curvature_closed(IMAG, (a, a))
+            r = at(IMAG, a, a)["curvature"]
             assert abs(r) <= 1e-6
 
     def test_against_surface_theory_curvature(self):
@@ -111,8 +116,7 @@ class TestCurvature:
 
         def metric_entry(model, which):
             def entry(a1, a2):
-                m = hessian_metric(model, (a1, a2))
-                return getattr(m, which)
+                return at(model, a1, a2)[which]
             return entry
 
         for model, point in [(REAL, (0.4, -0.3)), (IMAG, (0.7, 0.2)),
@@ -145,7 +149,7 @@ class TestCurvature:
                            [0.5 * Gu, f, g]])
             det = e * g - f * f
             gauss = (first - second) / (det * det)
-            closed = scalar_curvature_closed(model, point)
+            closed = at(model, *point)["curvature"]
             assert closed == pytest.approx(2.0 * gauss, rel=1e-5, abs=1e-7)
 
 
@@ -153,7 +157,7 @@ class TestDiagonalIdentities:
     def test_real_flow_determinant_vanishes(self):
         k2 = REAL.k * REAL.k
         for a in [i / 20 * 1.4 for i in range(-20, 21)]:
-            det = metric_determinant(hessian_metric(REAL, (a, a)))
+            det = at(REAL, a, a)["det"]
             sec = 1.0 / math.cos(a)
             assert abs(det) <= 1e-9 * k2 * sec**8
 
@@ -161,7 +165,7 @@ class TestDiagonalIdentities:
     def test_diagonal_determinant_formula(self, model):
         k2 = model.k * model.k
         for a in [i / 20 * 1.4 for i in range(-20, 21)]:
-            det = metric_determinant(hessian_metric(model, (a, a)))
+            det = at(model, a, a)["det"]
             sec = 1.0 / math.cos(a)
             expected = -4.0 * k2 * sec**4 * math.tan(a) ** 2
             assert abs(det - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -174,11 +178,11 @@ class TestScaleCovariance:
             unit = PowerModel(kind)
             scaled = PowerModel(kind, v=2.0, r0=1.0)
             for (a1, a2) in random_points(23, 30):
-                mu = hessian_metric(unit, (a1, a2))
-                ms = hessian_metric(scaled, (a1, a2))
-                assert (ms.g11, ms.g12, ms.g22) == (
-                    4.0 * mu.g11, 4.0 * mu.g12, 4.0 * mu.g22)
-                assert metric_determinant(ms) == 16.0 * metric_determinant(mu)
+                mu = at(unit, a1, a2)
+                ms = at(scaled, a1, a2)
+                assert (ms["g11"], ms["g12"], ms["g22"]) == (
+                    4.0 * mu["g11"], 4.0 * mu["g12"], 4.0 * mu["g22"])
+                assert ms["det"] == 16.0 * mu["det"]
 
     def test_generic_scale_covariance(self):
         for kind in FlowKind:
@@ -186,24 +190,23 @@ class TestScaleCovariance:
             scaled = PowerModel(kind, v=1.9, r0=0.7)
             c = scaled.k
             for (a1, a2) in random_points(24, 40):
-                mu = hessian_metric(unit, (a1, a2))
-                ms = hessian_metric(scaled, (a1, a2))
-                assert ms.g11 == pytest.approx(c * mu.g11, rel=1e-12, abs=1e-12)
-                det_u = metric_determinant(mu)
+                mu = at(unit, a1, a2)
+                ms = at(scaled, a1, a2)
+                assert ms["g11"] == pytest.approx(c * mu["g11"], rel=1e-12,
+                                                  abs=1e-12)
+                det_u = mu["det"]
                 if abs(det_u) < 0.1:
                     continue
-                assert metric_determinant(ms) == pytest.approx(
-                    c * c * det_u, rel=1e-12)
-                ru = scalar_curvature_closed(unit, (a1, a2))
-                rs = scalar_curvature_closed(scaled, (a1, a2))
-                assert rs == pytest.approx(ru / c, rel=1e-9)
+                assert ms["det"] == pytest.approx(c * c * det_u, rel=1e-12)
+                assert ms["curvature"] == pytest.approx(mu["curvature"] / c,
+                                                        rel=1e-9)
 
 
 class TestReportsAndClassification:
     def test_quadratic_is_stable(self):
-        rep = geometry_report(paraboloid, (0.1, 0.2))
-        assert rep.classification is StabilityClass.STABLE
-        assert rep.curvature == 0.0
+        cols = geometry_columns(paraboloid(0.1, 0.2))
+        assert CLASS_ORDER[cols["codes"]] is StabilityClass.STABLE
+        assert cols["curvature"] == 0.0
 
     def test_real_origin_is_degenerate_with_nan_curvature(self):
         rep = geometry_report(REAL, (0.0, 0.0))
@@ -219,14 +222,13 @@ class TestReportsAndClassification:
 
     def test_degeneracy_tolerance_scales_with_metric(self):
         # a metric with tiny det relative to its norm squared is degenerate
-        small = Metric2(g11=1e6, g12=1e6, g22=1e6 + 1e-9, point=(0.0, 0.0))
-        det = metric_determinant(small)
+        g11, g12, g22 = 1e6, 1e6, 1e6 + 1e-9
+        det = determinant(g11, g12, g22)
         assert det > DEGEN_TOL  # above the tolerance's absolute floor
-        assert is_degenerate(det, small.g11, small.g12, small.g22)
-        jet = Jet3(0.0, 0.0, 0.0, small.g11, small.g12, small.g22,
-                   0.0, 0.0, 0.0, 0.0)
+        assert is_degenerate(det, g11, g12, g22)
+        jet = Jet3(0.0, 0.0, 0.0, g11, g12, g22, 0.0, 0.0, 0.0, 0.0)
         codes = geometry_columns(jet)["codes"]
-        assert CLASS_ORDER[int(codes)] is StabilityClass.DEGENERATE
+        assert CLASS_ORDER[codes] is StabilityClass.DEGENERATE
 
     def test_class_labels_round_trip(self):
         for member in StabilityClass:
@@ -254,6 +256,28 @@ _near_singular = st.builds(
     _signed(_magnitudes()),
     st.sampled_from((0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-10, -1e-10,
                      1e-8, 1e-4)))
+
+
+_third = st.floats(-1e3, 1e3)
+
+
+class TestOnePointPath:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(_free_triples, _near_singular),
+           st.tuples(_third, _third, _third, _third))
+    def test_floats_match_a_one_element_column(self, metric, third):
+        """The float branch gives the column branch's curvature and code."""
+        jet = Jet3(1.0, 0.0, 0.0, *metric, *third)
+        one = geometry_columns(jet)
+        with np.errstate(all="ignore"):
+            col = geometry_columns(Jet3(*(np.array([x]) for x in jet)))
+        assert type(one["codes"]) is int
+        assert one["codes"] == col["codes"][0]
+        assert type(one["curvature"]) is float
+        assert (np.array(one["curvature"]).tobytes()
+                == col["curvature"][:1].tobytes()
+                or math.isnan(one["curvature"])
+                and math.isnan(col["curvature"][0]))
 
 
 class TestDegeneracyPredicate:

@@ -2,10 +2,11 @@
 
 Every case runs in-process through ``cli.main`` and hashes the file it
 wrote and, where it says something beyond "wrote", its stdout (with the
-output path replaced by ``<out>``). A change that alters one byte of a
-scan file, a verification report or a self-check line fails here, so
-"the output stays the same bytes" is a standing check rather than a
-manual ``diff`` between two trees.
+output path replaced by ``<out>``). ``classify`` and ``verify-self``
+write no file; their stdout is the output. A change that alters one byte
+of a scan file, a verification report, a point report or a self-check
+line fails here, so "the output stays the same bytes" is a standing
+check rather than a manual ``diff`` between two trees.
 
 The digests pin this platform's libm as well as this code: ``sin``,
 ``cos``, ``tan`` and ``atan`` may differ in the last bit between C
@@ -46,6 +47,15 @@ def _cases():
                ["verify-paper", "--model", flow, "--samples", "50",
                 "--seed", "7"], True)
     yield ("verify-self", ["verify-self"], True)
+    for flow in FLOWS:
+        yield (f"classify-{flow}",
+               ["classify", "--model", flow, "--v", "1.3", "--r0", "0.7",
+                "--a1", "0.4", "--a2", "-0.9"], True)
+    yield ("classify-real-origin",
+           ["classify", "--model", "real", "--a1", "0", "--a2", "0"], True)
+    yield ("classify-complex-deg",
+           ["classify", "--model", "complex", "--v", "1.3", "--r0", "0.7",
+            "--unit", "deg", "--a1", "25", "--a2", "-40"], True)
 
 
 CASES = list(_cases())
@@ -68,6 +78,11 @@ GOLDEN = {
     "verify-paper-imaginary": {"exit": 0, "out": "a89b8ed9244f4deff75004d96c45fdaab9dcbb2fd3ecc0fec8cc911f9461b74e", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
     "verify-paper-complex": {"exit": 0, "out": "e3baf81816138c2e2567b6d2c91459ef3513ca42416a38bb6a9051797d68efa2", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
     "verify-self": {"exit": 0, "stdout": "b056744778589a06727446248ca3bfdd4f3d1e35a492c91d92fc0164a18443e5"},
+    "classify-real": {"exit": 0, "stdout": "dca10c98125b15799468511c4e350e06b8401c51cb2da33c2ac1bd4a7150e0f1"},
+    "classify-imaginary": {"exit": 0, "stdout": "b822a4da256b966b796180b9aa4cd6f2338a727002f3bf5a1ad6d7a71598ed4a"},
+    "classify-complex": {"exit": 0, "stdout": "8f777c5001ac25899693217b0e343b4156ea04b99b3a10b5487197e56b455934"},
+    "classify-real-origin": {"exit": 0, "stdout": "b5884c7b17048167669578a65f3339877ca2d87fbe172eb8c619cace2a73a946"},
+    "classify-complex-deg": {"exit": 0, "stdout": "b78533b5012083ac7f6c95024023e5e710455c4459600bc0c46b9aba9b02cc6b"},
 }
 
 
@@ -78,7 +93,7 @@ def _sha(data: bytes) -> str:
 def digests(argv, with_stdout, tmp_path, capsys):
     """Exit code and sha256 of the written file and of the stdout."""
     out = tmp_path / "out"
-    if argv[0] != "verify-self":
+    if argv[0] not in ("verify-self", "classify"):
         argv = [*argv, "--out", str(out)]
     code = main(argv)
     stdout = capsys.readouterr().out.replace(str(out), "<out>")

@@ -288,6 +288,20 @@ class TestReaderStrictness:
         with pytest.raises(SchemaMismatch, match=match):
             read_scan_json(str(path))
 
+    @pytest.mark.parametrize("column", [0, 5, 7])
+    def test_csv_non_number_names_file_and_column(self, tmp_path, column):
+        path = _write_scan(tmp_path, "csv")
+        lines = path.read_text().split("\n")
+        cells = lines[-4].split(",")
+        cells[column] = "abc"
+        lines[-4] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        name = SCAN_COLUMNS[column]
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan_csv(str(path))
+        assert str(info.value) == (f"{path}: column {name!r}: could not "
+                                   "convert string to float: 'abc'")
+
     def test_messages_for_one_bad_field(self, tmp_path):
         path = _write_scan(tmp_path, "csv")
         lines = path.read_text().split("\n")
@@ -304,7 +318,39 @@ class TestReaderStrictness:
             read_scan_json(str(path))
 
 
+class TestReaderChoice:
+    """read_scan picks the reader from the content, not the file name."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["g.JSON", "g.CSV", "g", "g.json.bak"])
+    def test_any_name(self, tmp_path, fmt, name):
+        written = _write_scan(tmp_path, fmt)
+        path = tmp_path / name
+        path.write_bytes(written.read_bytes())
+        want = (read_scan_json if fmt == "json" else read_scan_csv)(
+            str(written))
+        got = read_scan(str(path))
+        assert got.metadata == want.metadata
+        assert rows_equal(got.rows, want.rows)
+
+    def test_csv_content_named_json(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(_write_scan(tmp_path, "csv").read_bytes())
+        assert read_scan(str(path)).rows  # read as CSV, not JSON
+
+    def test_empty_file_is_a_schema_mismatch(self, tmp_path):
+        path = tmp_path / "empty"
+        path.write_text("")
+        with pytest.raises(SchemaMismatch, match="no header row"):
+            read_scan(str(path))
+
+
 class TestPlotScript:
+    def test_json_scan_is_rejected(self, tmp_path):
+        path = _write_scan(tmp_path, "json")
+        with pytest.raises(SchemaMismatch, match="needs a CSV scan"):
+            emit_plot_script(str(path))
+
     def test_grid_heatmap_script(self, tmp_path):
         scan = scan_grid(IMAG, (-1.0, 1.0), n=6)
         csv_path = tmp_path / "grid.csv"

@@ -10,9 +10,8 @@ from powergeom.errors import BadDomain
 from powergeom.geometry import (
     CLASS_ORDER,
     StabilityClass,
+    geometry_columns,
     geometry_report,
-    hessian_metric,
-    metric_determinant,
 )
 from powergeom.jets import jet_linear, jet_mul, jet_seed
 from powergeom.models import FlowKind, PowerModel
@@ -42,8 +41,8 @@ class TestClassifyPoint:
     """Single points go through geometry_report, the scans' classifier."""
 
     def test_quadratic_stable(self):
-        rep = geometry_report(paraboloid, (0.3, -0.8))
-        assert rep.classification is StabilityClass.STABLE
+        codes = geometry_columns(paraboloid(0.3, -0.8))["codes"]
+        assert CLASS_ORDER[codes] is StabilityClass.STABLE
 
     def test_real_origin_degenerate(self):
         rep = geometry_report(REAL, (0.0, 0.0))
@@ -152,7 +151,7 @@ class TestScanDiagonal:
 def diagonal_crossings(field, positions):
     """Bisected determinant zeros of a jet field along a1 = a2."""
     def det_at(a):
-        return metric_determinant(hessian_metric(field, (a, a)))
+        return geometry_columns(field(a, a))["det"]
 
     return _line_crossings("diag", math.nan, positions,
                            [det_at(a) for a in positions], det_at,
@@ -171,7 +170,7 @@ class TestLocateTransitions:
             return jet_linear(cubic, quad, 1.0 / 6.0, 0.5)
 
         positions = [-1.0, -0.5, 0.25, 1.0]
-        assert [metric_determinant(hessian_metric(field, (a, a)))
+        assert [geometry_columns(field(a, a))["det"]
                 for a in positions] == positions
         zeros = diagonal_crossings(field, positions)
         assert len(zeros) == 1

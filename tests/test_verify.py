@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from powergeom.errors import DegenerateMetric
 from powergeom.models import FlowKind, PowerModel
 from powergeom.selfcheck import run_self_checks
-from powergeom.verify import verify_against_autodiff
+from powergeom.verify import _autodiff_value, verify_against_autodiff
 
 REAL = PowerModel(FlowKind.REAL)
 IMAG = PowerModel(FlowKind.IMAGINARY)
@@ -119,6 +120,14 @@ class TestDerivedIdentities:
         rep = reports[FlowKind.COMPLEX]
         assert rep.derived_identities[
             "complex_diagonal_det_formula_max_rel_dev"] <= 1e-9
+
+    def test_degenerate_curvature_raises_instead_of_reading_nan(self):
+        """A degenerate point has no curvature to compare: the sample loop
+        resamples it and the diagonal identities do not skip it."""
+        with pytest.raises(DegenerateMetric,
+                           match=r"at \(0\.0, 0\.0\) is degenerate"):
+            _autodiff_value("curvature", REAL, 0.0, 0.0)
+        assert _autodiff_value("det", REAL, 0.0, 0.0) == 0.0
 
     def test_repaired_exponent_annotations_travel_with_quantities(self, reports):
         by_id = {c.quantity_id: c for c in reports[FlowKind.REAL].checks}
