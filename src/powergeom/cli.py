@@ -148,10 +148,13 @@ def _cmd_verify_paper(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         discrepant = report.discrepant_ids()
+        short = report.short_ids()
         print(f"wrote report to {args.out}: "
               f"{len(report.verified_ids())} verified, "
               f"{len(discrepant)} discrepant"
-              + (f" ({', '.join(discrepant)})" if discrepant else ""))
+              + (f" ({', '.join(discrepant)})" if discrepant else "")
+              + (f", {len(short)} short ({', '.join(short)})"
+                 if short else ""))
     else:
         sys.stdout.write(text)
     return 0

@@ -15,11 +15,15 @@ formulas below carry the combinatorial factors.
 All jets are immutable values and every operation is a pure function, so
 evaluation is safe from any number of threads.
 
-Slots may also hold equal-length ndarrays, one element per point:
-:func:`jet_linear`, :func:`jet_scale`, :func:`jet_mul` and
-:func:`jet_apply_univariate` are plain arithmetic and run elementwise with
-the same bits per element as on floats. ``powergeom.backend`` evaluates
-scans that way.
+This is the general-purpose jet library, and the reference the flow
+kernel is tested against: ``powergeom.backend`` evaluates the flow
+surfaces with one straight-line kernel that writes out the composition of
+:func:`jet_seed`, :func:`jet_tan`, :func:`jet_linear`, :func:`jet_mul` and
+:func:`jet_reciprocal` operation for operation, and the tests require the
+two to agree bit for bit. Slots may also hold equal-length ndarrays, one
+element per point: :func:`jet_linear`, :func:`jet_scale`, :func:`jet_mul`
+and :func:`jet_apply_univariate` are plain arithmetic and run elementwise
+with the same bits per element as on floats.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -37,6 +38,11 @@ FORMAT_TAG = "powergeom-scan-v1"
 
 #: Class labels a scan file may carry.
 _LABELS = frozenset(CLASS_LABELS)
+
+#: Text ``float()`` reads but no writer produces: ``_`` digit separators,
+#: whitespace and non-ASCII characters (such as other scripts' digits).
+_ODD_NUMBER = re.compile(r"[_\s]|[^\x00-\x7f]")
+_ODD_ASCII = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
 
 #: One CSV data row: the eight floats with 17 significant digits, then
 #: the class label.
@@ -209,7 +215,10 @@ def read_scan_csv(path: str) -> ScanTable:
         raise SchemaMismatch(f"{path}: expected {width} fields, got {got}")
     # Every row has `width` fields, so column i is every width-th cell
     # from cell i on.
-    cells = ",".join(rows).split(",") if rows else []
+    text = ",".join(rows)
+    cells = text.split(",") if rows else []
+    if not text.isascii() or any(c in text for c in _ODD_ASCII):
+        _reject_odd_numbers(cells, width, path)
     floats = []
     for i, name in enumerate(SCAN_COLUMNS[:-1]):
         try:
@@ -218,6 +227,17 @@ def read_scan_csv(path: str) -> ScanTable:
             raise SchemaMismatch(f"{path}: column {name!r}: {exc}") from None
     return _table_from_columns(metadata, floats, cells[width - 1::width],
                                path)
+
+
+def _reject_odd_numbers(cells: list[str], width: int, path: str) -> None:
+    """Raise SchemaMismatch for the first number cell holding text that
+    only ``float()`` accepts; labels are checked against the known set."""
+    for i, cell in enumerate(cells):
+        if i % width != width - 1 and _ODD_NUMBER.search(cell):
+            raise SchemaMismatch(
+                f"{path}: column {SCAN_COLUMNS[i % width]!r}: {cell!r} is "
+                "not a number as written (underscore, whitespace or "
+                "non-ASCII text)")
 
 
 def read_scan_json(path: str) -> ScanTable:

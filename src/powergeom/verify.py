@@ -5,9 +5,12 @@ pseudo-random points in :data:`DEFAULT_BOUNDS`, reconstructs the tabulated
 value, reads the matching jet-engine value (metric slot, determinant, or
 closed-form curvature) off :func:`~powergeom.geometry.geometry_columns`
 of the point's one jet, and records the worst relative deviation. A
-quantity within :data:`VERIFY_TOL` is VERIFIED; anything else is
-DISCREPANT with worst-point diagnostics. A point whose metric is
-degenerate has no curvature and is resampled. Discrepancies never abort,
+quantity whose samples all fall within :data:`VERIFY_TOL` is VERIFIED; one
+sample beyond it makes the quantity DISCREPANT, with worst-point
+diagnostics. A point whose metric is degenerate has no curvature and is
+resampled. When the draws run out (``1000 * samples`` of them) before
+``samples`` points were usable, a quantity with no discrepancy is SHORT,
+not VERIFIED, and a note gives the shortfall. Discrepancies never abort,
 and transcriptions are never patched to force agreement: surfacing them
 is the harness's whole job. The equal-angle identities measured here
 (:func:`_diagonal_identities`) are also what ``verify-self`` checks.
@@ -59,7 +62,7 @@ class QuantityCheck:
 
     quantity_id: str
     target: str
-    status: str  # VERIFIED or DISCREPANT
+    status: str  # VERIFIED, DISCREPANT or SHORT
     max_rel_dev: float
     worst_point: tuple[float, float]
     worst_autodiff: float
@@ -101,6 +104,9 @@ class VerificationReport:
 
     def discrepant_ids(self) -> list[str]:
         return [c.quantity_id for c in self.checks if c.status == "DISCREPANT"]
+
+    def short_ids(self) -> list[str]:
+        return [c.quantity_id for c in self.checks if c.status == "SHORT"]
 
     def to_dict(self) -> dict:
         return {
@@ -165,7 +171,7 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
     worst_recon = math.nan
     used = 0
     resampled = 0
-    budget = 1000 * samples
+    draws = budget = 1000 * samples
     while used < samples and budget > 0:
         budget -= 1
         a1, a2 = next(stream)
@@ -192,13 +198,22 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
             worst_auto = auto
             worst_recon = recon
         used += 1
-    status = "VERIFIED" if 0.0 <= worst <= VERIFY_TOL else "DISCREPANT"
+    notes = q.notes
+    if worst > VERIFY_TOL:
+        status = "DISCREPANT"
+    elif used < samples:
+        status = "SHORT"
+    else:
+        status = "VERIFIED"
+    if used < samples:
+        notes += (f"sample shortfall: {used} of {samples} samples usable "
+                  f"after {draws} draws",)
     return QuantityCheck(
         quantity_id=q.id, target=q.target, status=status,
         max_rel_dev=worst, worst_point=worst_point,
         worst_autodiff=worst_auto, worst_reconstructed=worst_recon,
         samples=used, resampled=resampled,
-        repairs=tuple(q.repair_annotations()), notes=q.notes)
+        repairs=tuple(q.repair_annotations()), notes=notes)
 
 
 def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str, ...]]:

@@ -1,9 +1,12 @@
-"""Batch kernel: column-wise jets must equal the per-point jets bit for bit."""
+"""Slot kernel: per-point and column-wise jets must equal, bit for bit,
+the jet composition of ``powergeom.jets`` that the kernel writes out."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergeom import backend, jets
 from powergeom.errors import DivisionByNearZero
@@ -12,6 +15,38 @@ from powergeom.stability import DEFAULT_BOUNDS, axis_samples
 
 CODES = (backend.KIND_REAL, backend.KIND_IMAGINARY, backend.KIND_COMPLEX)
 BLOCK = backend.BLOCK
+
+_ONE = jets.jet_const(1.0)
+_EDGE_LIMIT = math.pi / 2 - 1e-6
+
+#: Signed zeros, the smallest subnormal, tiny normals and the angles next
+#: to the tan pole; every ordered pair of them is tested, a1 == a2 too.
+EDGE = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+        _EDGE_LIMIT, -_EDGE_LIMIT, 0.5, -1.25)
+
+
+def reference_slots(code, a1, a2):
+    """Unit-scale jet by the generic composition: seeds through ``tan``,
+    u = tan a1 - tan a2, the reciprocal of 1 + u*u, then u or 1 + u times
+    it."""
+    u = jets.jet_linear(jets.jet_tan(jets.jet_seed(1, a1)),
+                        jets.jet_tan(jets.jet_seed(2, a2)), 1.0, -1.0)
+    inv = jets.jet_reciprocal(
+        jets.jet_linear(_ONE, jets.jet_mul(u, u), 1.0, 1.0))
+    if code == backend.KIND_REAL:
+        return inv
+    if code == backend.KIND_IMAGINARY:
+        return jets.jet_mul(u, inv)
+    return jets.jet_mul(jets.jet_linear(_ONE, u, 1.0, 1.0), inv)
+
+
+def assert_matches_reference(code, a1, a2):
+    """Both kernel paths give the reference's bits at every point."""
+    want = np.array([reference_slots(code, x, y) for x, y in zip(a1, a2)],
+                    dtype=np.float64).reshape(-1, 10)
+    a1, a2 = np.array(a1, dtype=np.float64), np.array(a2, dtype=np.float64)
+    assert_same_bits(unit_rows(code, a1, a2), want)
+    assert_same_bits(backend.batch_slots(code, a1, a2), want)
 
 
 def unit_rows(code, a1, a2):
@@ -28,6 +63,29 @@ def assert_same_bits(got, want):
 def random_points(seed, n, lo=-1.57, hi=1.57):
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+
+
+_angles = st.floats(min_value=-_EDGE_LIMIT, max_value=_EDGE_LIMIT,
+                    allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("code", CODES)
+class TestKernelAgainstReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.tuples(_angles, _angles),
+                              _angles.map(lambda a: (a, a))),
+                    min_size=1, max_size=8))
+    def test_drawn_points(self, code, points):
+        assert_matches_reference(code, *zip(*points))
+
+    def test_edge_points(self, code):
+        assert_matches_reference(code, [x for x in EDGE for _ in EDGE],
+                                 [y for _ in EDGE for y in EDGE])
+
+    def test_random_and_equal_angle_points(self, code):
+        a1, a2 = random_points(51 + code, 3000)
+        a1[:1000] = a2[:1000]
+        assert_matches_reference(code, a1.tolist(), a2.tolist())
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -94,16 +152,16 @@ class TestInputChecks:
 
     def test_denominator_guard_matches_scalar(self):
         guard = jets.DIV_GUARD
-        for near in (0.0, 0.5 * guard, -guard, guard):
-            with pytest.raises(DivisionByNearZero):
+        for near in (0.0, -0.0, 0.5 * guard, -guard, guard):
+            with pytest.raises(DivisionByNearZero) as generic:
                 jets.jet_reciprocal(Jet3(near, *([0.5] * 9)))
-            column = np.array([1.5, near, -2.0])
+            with pytest.raises(DivisionByNearZero) as kernel:
+                backend._check_denominator(near)
+            assert str(kernel.value) == str(generic.value)
             with pytest.raises(DivisionByNearZero):
-                backend._reciprocal_column(
-                    Jet3(column, *([np.full(3, 0.5)] * 9)))
-        values = np.array([2.0 * guard, -3.0 * guard, 0.75, -4.0])
-        got = backend._reciprocal_column(
-            Jet3(values, *([np.full(4, 0.5)] * 9)))
-        for i, v in enumerate(values.tolist()):
-            want = jets.jet_reciprocal(Jet3(v, *([0.5] * 9)))
-            assert_same_bits(np.array([s[i] for s in got]), np.array(want))
+                backend._check_denominator(np.array([1.5, near, -2.0]))
+        values = [2.0 * guard, -3.0 * guard, 0.75, -4.0, math.nan]
+        for v in values:
+            jets.jet_reciprocal(Jet3(v, *([0.5] * 9)))
+            backend._check_denominator(v)
+        backend._check_denominator(np.array(values))

@@ -6,7 +6,9 @@ output path replaced by ``<out>``). ``classify`` and ``verify-self``
 write no file; their stdout is the output. A change that alters one byte
 of a scan file, a verification report, a point report or a self-check
 line fails here, so "the output stays the same bytes" is a standing
-check rather than a manual ``diff`` between two trees.
+check rather than a manual ``diff`` between two trees. The bisected
+roots, which the files print to 12 digits only, are pinned bit for bit
+from ``locate_transitions`` itself.
 
 The digests pin this platform's libm as well as this code: ``sin``,
 ``cos``, ``tan`` and ``atan`` may differ in the last bit between C
@@ -20,6 +22,8 @@ import hashlib
 import pytest
 
 from powergeom.cli import main
+from powergeom.models import FlowKind, PowerModel
+from powergeom.stability import locate_transitions, scan_diagonal, scan_grid
 
 FLOWS = ("real", "imaginary", "complex")
 
@@ -109,3 +113,36 @@ def digests(argv, with_stdout, tmp_path, capsys):
                          ids=[c[0] for c in CASES])
 def test_golden_bytes(name, argv, with_stdout, tmp_path, capsys):
     assert digests(argv, with_stdout, tmp_path, capsys) == GOLDEN[name]
+
+
+#: Every bisected determinant root, bit for bit: sha256 over one line per
+#: crossing (``line``, then ``float.hex`` of ``level``, ``root``,
+#: ``bracket`` and ``det_at_root``), in ``det_zeros`` order, at V = 1.3,
+#: R0 = 0.7 on a 64-point grid and on the 401-point diagonal. The scan
+#: files print roots at ``%.12g``, so a last-bit change of a root shows
+#: only here.
+ROOTS_GOLDEN = {
+    ("real", "grid"): (356, "85d473b547cc07d0f38ae91bbf8b26289eeeeec625aa9e7fe080ad865ee63da8"),
+    ("real", "diagonal"): (401, "818d0eefd026fe6b83515e80c9db39d0a57e070ffacae556964cb2416dfab629"),
+    ("imaginary", "grid"): (400, "3195ebf2bef4c148934fabe7963666a05a388ca28c2c6a1c842422bf817f7e09"),
+    ("imaginary", "diagonal"): (1, "1c540ebbbb3dc674f922feea387141093be29c06640e230b0208974160f2a903"),
+    ("complex", "grid"): (442, "777bc429a40c9f3eec0728ee01ef61cf93f83e31b589abf42724ac1ea997fb15"),
+    ("complex", "diagonal"): (1, "1c540ebbbb3dc674f922feea387141093be29c06640e230b0208974160f2a903"),
+}
+
+
+def roots_digest(transitions):
+    """Count and sha256 of every field of every bisected root."""
+    text = "".join(
+        f"{z.line} {z.level.hex()} {z.root.hex()} {z.bracket.hex()} "
+        f"{z.det_at_root.hex()}\n" for z in transitions.det_zeros)
+    return len(transitions.det_zeros), _sha(text.encode())
+
+
+@pytest.mark.parametrize("flow,shape", list(ROOTS_GOLDEN),
+                         ids=[f"{f}-{s}" for f, s in ROOTS_GOLDEN])
+def test_bisected_roots_bits(flow, shape):
+    model = PowerModel(FlowKind(flow), v=1.3, r0=0.7)
+    scan = (scan_grid(model, n=64) if shape == "grid"
+            else scan_diagonal(model, n=401))
+    assert roots_digest(locate_transitions(scan)) == ROOTS_GOLDEN[flow, shape]

@@ -302,6 +302,24 @@ class TestReaderStrictness:
         assert str(info.value) == (f"{path}: column {name!r}: could not "
                                    "convert string to float: 'abc'")
 
+    @pytest.mark.parametrize("text", ["1_5", " -0.5 ", "\t0.25", "\x0b0.5",
+                                      "\u0661.5", "0.5\u2003"])
+    @pytest.mark.parametrize("column", [0, 5, 7])
+    def test_csv_number_text_no_writer_produces(self, tmp_path, column,
+                                                text):
+        float(text)  # Python reads it; the scan reader must not
+        path = _write_scan(tmp_path, "csv")
+        lines = path.read_text(encoding="utf-8").split("\n")
+        cells = lines[-4].split(",")
+        cells[column] = text
+        lines[-4] = ",".join(cells)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        name = SCAN_COLUMNS[column]
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan_csv(str(path))
+        assert str(info.value).startswith(
+            f"{path}: column {name!r}: {text!r} is not a number as written")
+
     def test_messages_for_one_bad_field(self, tmp_path):
         path = _write_scan(tmp_path, "csv")
         lines = path.read_text().split("\n")

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from powergeom import verify
+from powergeom.cli import main
 from powergeom.errors import DegenerateMetric
 from powergeom.models import FlowKind, PowerModel
 from powergeom.selfcheck import run_self_checks
@@ -102,6 +104,75 @@ class TestDeterminism:
                     "DET_I", "CURV_I"):
             assert qid in text
         assert "DISCREPANT" in text
+
+
+@pytest.fixture
+def scarce_points(monkeypatch):
+    """Most off-diagonal samples degenerate: only every 2000th call of
+    ``_autodiff_value`` off the diagonal returns, so no quantity gets its
+    samples within the 1000-draws-per-sample budget at samples=3. The
+    equal-angle identities (a1 == a2) are left alone."""
+    real = verify._autodiff_value
+    calls = [0]
+
+    def scarce(target, model, a1, a2):
+        if a1 != a2:
+            calls[0] += 1
+            if calls[0] % 2000:
+                raise DegenerateMetric("forced degenerate sample")
+        return real(target, model, a1, a2)
+
+    monkeypatch.setattr(verify, "_autodiff_value", scarce)
+
+
+class TestSampleShortfall:
+    def test_short_check_is_not_verified(self, scarce_points):
+        rep = verify_against_autodiff(COMP, samples=3, seed=7)
+        assert rep.verified_ids() == []
+        assert rep.discrepant_ids() == []
+        assert rep.short_ids() == [c.quantity_id for c in rep.checks]
+        for check in rep.checks:
+            assert check.status == "SHORT"
+            assert check.samples < 3
+            assert check.notes[-1] == (
+                f"sample shortfall: {check.samples} of 3 samples usable "
+                "after 3000 draws")
+
+    def test_shortfall_in_text_and_json(self, scarce_points):
+        rep = verify_against_autodiff(COMP, samples=3, seed=7)
+        text = rep.render_text()
+        data = json.loads(rep.to_json())
+        for check, q in zip(rep.checks, data["quantities"]):
+            assert q["status"] == "SHORT"
+            assert q["samples"] == check.samples
+            assert q["notes"][-1].startswith("sample shortfall: ")
+            assert f"{check.quantity_id:<14}SHORT" in text
+            assert f"    note: {check.notes[-1]}" in text
+
+    def test_discrepancy_outranks_shortfall(self, scarce_points):
+        rep = verify_against_autodiff(PowerModel(FlowKind.IMAGINARY),
+                                      samples=3, seed=7)
+        assert rep.discrepant_ids() == ["METRIC_I_12", "DET_I"]
+        assert set(rep.short_ids()) == {"METRIC_I_11", "METRIC_I_22",
+                                        "CURV_I"}
+        for check in rep.checks:
+            assert check.samples < 3
+            assert check.notes[-1].startswith("sample shortfall: ")
+
+    def test_cli_summary_names_short_checks(self, scarce_points, tmp_path,
+                                            capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify-paper", "--model", "complex", "--samples", "3",
+                     "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote report to {out}: 0 verified, 0 discrepant, 5 short "
+            "(METRIC_C_11, METRIC_C_12, METRIC_C_22, DET_C, CURV_C)\n")
+
+    def test_full_samples_stay_verified(self):
+        rep = verify_against_autodiff(COMP, samples=20, seed=7)
+        assert rep.short_ids() == []
+        assert all(c.samples == 20 for c in rep.checks)
+        assert all("shortfall" not in n for c in rep.checks for n in c.notes)
 
 
 class TestDerivedIdentities:
