@@ -95,12 +95,15 @@ def _cmd_scan(args) -> int:
     lo2 = _angle(args.min2, args.unit) if args.min2 is not None else lo1
     hi2 = _angle(args.max2, args.unit) if args.max2 is not None else hi1
     scan = scan_grid(model, (lo1, hi1), (lo2, hi2), n=args.n)
-    table = scan_io.grid_table(scan)
-    scan_io.write_table(table, args.out, args.format)
-    print(f"wrote {len(table.rows)} records to {args.out}")
+    # transitions before the file, so a rejected threshold writes nothing
+    transitions = None
     if args.spike_threshold is not None:
         transitions = locate_transitions(scan,
                                          spike_threshold=args.spike_threshold)
+    table = scan_io.grid_table(scan)
+    scan_io.write_table(table, args.out, args.format)
+    print(f"wrote {len(table.rows)} records to {args.out}")
+    if transitions is not None:
         print(_transition_summary(transitions))
     return 0
 
@@ -110,11 +113,12 @@ def _cmd_diagonal(args) -> int:
     lo = _angle(args.min, args.unit)
     hi = _angle(args.max, args.unit)
     scan = scan_diagonal(model, (lo, hi), n=args.n)
+    # transitions before the file, so a rejected threshold writes nothing
+    transitions = locate_transitions(scan,
+                                     spike_threshold=args.spike_threshold)
     table = scan_io.diagonal_table(scan)
     scan_io.write_table(table, args.out, args.format)
     print(f"wrote {len(table.rows)} records to {args.out}")
-    transitions = locate_transitions(scan,
-                                     spike_threshold=args.spike_threshold)
     print(_transition_summary(transitions))
     return 0
 

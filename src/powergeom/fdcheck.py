@@ -1,114 +1,135 @@
 """Central-finite-difference oracle for the jet engine.
 
-Every jet slot is checked against derivatives of the plain scalar surface,
-computed with product central stencils and Richardson extrapolation over
-halved steps. The base steps are 1e-3 for first and second order and 1e-2
-for third order; extrapolation picks the best-converged level, which keeps
-the worst relative deviation against exact derivatives below 1e-6 across
-the whole guarded sample box (plain second-order stencils bottom out near
-1e-4 and would not do).
+Every jet slot is checked against a derivative of the scalar surface that
+owes nothing to the jets: one second-order central product stencil per
+slot at step ``STEP = 1e-9``, on surface values computed in ``decimal`` at
+``PRECISION = 45`` digits. Truncation (h^2 = 1e-18 times a fifth
+derivative) and rounding (1e-45 amplified by at most h^-3) both sit near
+1e-18, so a deviation the check reports is the engine's.
 
-This module is test machinery that ships with the package so the self-check
-command can rerun the oracle anywhere.
+The surface depends on the angles through ``u = tan a1 - tan a2`` only.
+``tan a`` comes once per axis from the sin and cos Taylor series, and each
+shifted abscissa from ``tan(a + s) = (tan a + tan s) / (1 - tan a tan s)``;
+the stencil points, and through a small cache the three flows, share them.
+
+This is test machinery that ships with the package so ``verify-self`` can
+rerun it anywhere. Only the self-check imports it, so the CLI does not
+load ``decimal`` otherwise.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+import functools
+from decimal import Context, Decimal, localcontext
+from typing import Sequence
 
 from .jets import Jet3
-from .models import PowerModel, eval_power, eval_power_jet
+from .models import PowerModel, eval_power_jet, unit_surface
 
-STEP_FIRST_SECOND = 1e-3
-STEP_THIRD = 1e-2
-RICHARDSON_LEVELS = 5
+PRECISION = 45
+STEP = Decimal("1e-9")
 
-#: (offset, weight) central stencils for d^n/dx^n, second-order accurate.
-_STENCILS = {
-    0: ((0.0, 1.0),),
-    1: ((-1.0, -0.5), (1.0, 0.5)),
-    2: ((-1.0, 1.0), (0.0, -2.0), (1.0, 1.0)),
-    3: ((-2.0, -0.5), (-1.0, 1.0), (1.0, -1.0), (2.0, 0.5)),
-}
+_CONTEXT = Context(prec=PRECISION)
 
-#: Jet slot names with their differentiation orders (i in a1, j in a2).
-SLOT_ORDERS = (
-    ("f", 0, 0),
-    ("f1", 1, 0), ("f2", 0, 1),
-    ("f11", 2, 0), ("f12", 1, 1), ("f22", 0, 2),
-    ("f111", 3, 0), ("f112", 2, 1), ("f122", 1, 2), ("f222", 0, 3),
+#: Central stencils for d^n/dx^n, second-order accurate, as
+#: (divisor, ((offset, weight), ...)) with integer offsets and weights so
+#: that any number type can go through them.
+_STENCILS = (
+    (1, ((0, 1),)),
+    (2, ((-1, -1), (1, 1))),
+    (1, ((-1, 1), (0, -2), (1, 1))),
+    (2, ((-2, -1), (-1, 2), (1, -2), (2, 1))),
 )
 
-Scalar2 = Callable[[float, float], float]
+
+def central_difference(f, x, y, i: int, j: int, h):
+    """d^{i+j} f / dx^i dy^j at (x, y) from one central product stencil.
+
+    Number-generic: x, y, h and the values of f may be floats, Decimals or
+    Fractions, and the arithmetic is done in their type (for Decimals, in
+    the current context). The error is O(h^2) plus the rounding of f
+    amplified by h^-(i+j).
+    """
+    div_x, xs = _STENCILS[i]
+    div_y, ys = _STENCILS[j]
+    total = sum(wx * wy * f(x + ox * h, y + oy * h)
+                for ox, wx in xs for oy, wy in ys)
+    return total / (div_x * div_y * h ** (i + j))
 
 
-def _product_stencil(f: Scalar2, x: float, y: float,
-                     i: int, j: int, h: float) -> float:
-    total = 0.0
-    for ox, wx in _STENCILS[i]:
-        for oy, wy in _STENCILS[j]:
-            total += wx * wy * f(x + ox * h, y + oy * h)
-    return total / h ** (i + j)
+def decimal_tan(a: Decimal) -> Decimal:
+    """tan a from the sin and cos Taylor series, in the current context.
+
+    For angles of the model's domain, |a| < pi/2; anything else, NaN
+    included, is a ``ValueError`` rather than a series that never settles.
+    """
+    if not (a.is_finite() and abs(a) < 2):
+        raise ValueError(f"decimal_tan takes |a| < 2, got {a}")
+    a2 = a * a
+    sin, cos, term, n = a, Decimal(1), Decimal(1), 0
+    while True:
+        n += 2
+        term = -term * a2 / (n * (n - 1))  # (-1)^(n/2) a^n / n!
+        next_cos = cos + term
+        next_sin = sin + term * a / (n + 1)
+        if next_cos == cos and next_sin == sin:
+            return sin / cos
+        cos, sin = next_cos, next_sin
 
 
-def central_difference(f: Scalar2, x: float, y: float, i: int, j: int,
-                       base_step: float | None = None,
-                       levels: int = RICHARDSON_LEVELS) -> float:
-    """d^{i+j} f / da1^i da2^j via Richardson-extrapolated central stencils."""
-    order = i + j
-    if order == 0:
-        return f(x, y)
-    if base_step is None:
-        base_step = STEP_THIRD if order == 3 else STEP_FIRST_SECOND
-    prev_row: list[float] = [_product_stencil(f, x, y, i, j, base_step)]
-    best = prev_row[0]
-    best_spread = math.inf
-    for level in range(1, levels):
-        h = base_step / (2 ** level)
-        row = [_product_stencil(f, x, y, i, j, h)]
-        factor = 4.0
-        for lower in prev_row:
-            row.append(row[-1] + (row[-1] - lower) / (factor - 1.0))
-            factor *= 4.0
-        spread = max(abs(row[-1] - row[-2]), abs(row[-1] - prev_row[-1]))
-        if spread < best_spread:
-            best, best_spread = row[-1], spread
-        prev_row = row
-    return best
+with localcontext(_CONTEXT):
+    #: tan(o * STEP) for every offset o a stencil of order <= 3 takes.
+    _TAN_OFFSETS = {o: decimal_tan(o * STEP) for o in range(-2, 3)}
 
 
-def jet_by_central_differences(f: Scalar2, a1: float, a2: float) -> Jet3:
-    """All ten slots of ``f`` at (a1, a2) from the scalar surface alone."""
-    return Jet3(*(central_difference(f, a1, a2, i, j)
-                  for _, i, j in SLOT_ORDERS))
+@functools.lru_cache(maxsize=256)
+def _axis_tans(a: float) -> dict[int, Decimal]:
+    """{o: tan(a + o * STEP)} over the stencil offsets, from one series
+    for tan a. Cached for the three flows at a point; callers only read it.
+    """
+    with localcontext(_CONTEXT):
+        t = decimal_tan(Decimal(a))
+        return {o: (t + tau) / (1 - t * tau)
+                for o, tau in _TAN_OFFSETS.items()}
 
 
-def relative_deviation(got: float, want: float) -> float:
-    """|got - want| / max(1, |want|)."""
-    return abs(got - want) / max(1.0, abs(want))
+def _oracle(model: PowerModel, a1: float, a2: float) -> Jet3:
+    """The ten slots at (a1, a2) from central differences of the surface."""
+    t1, t2 = _axis_tans(a1), _axis_tans(a2)
+
+    @functools.cache
+    def surface(o1: int, o2: int) -> Decimal:
+        """The unit surface at (a1 + o1 * STEP, a2 + o2 * STEP)."""
+        return unit_surface(model.kind, t1[o1] - t2[o2])
+
+    with localcontext(_CONTEXT):
+        k = Decimal(model.k)
+        # The stencils run on the integer offset lattice, where the n-th
+        # derivative is STEP^n times the one in the angles. A slot's name
+        # spells its derivative: f112 is d^3/da1^2 da2.
+        return Jet3(*(float(k * central_difference(surface, 0, 0, i, j, 1)
+                            / STEP ** (i + j))
+                      for i, j in ((name.count("1"), name.count("2"))
+                                   for name in Jet3._fields)))
 
 
 def max_jet_deviation(model: PowerModel,
                       points: Sequence[tuple[float, float]]) -> tuple[float, dict]:
     """Worst slot deviation between the jet engine and the oracle.
 
-    Returns the maximum relative deviation over all slots and points plus a
-    description of where it occurred.
+    Returns the maximum of |jet - oracle| / max(1, |oracle|) over all slots
+    and points, plus a description of where it occurred. The caller's
+    decimal context is left as it was.
     """
-
-    def f(x: float, y: float) -> float:
-        return eval_power(model, x, y)
-
     worst = 0.0
     info: dict = {}
     for (a1, a2) in points:
         jet = eval_power_jet(model, a1, a2)
-        oracle = jet_by_central_differences(f, a1, a2)
-        for idx, (name, _, _) in enumerate(SLOT_ORDERS):
-            dev = relative_deviation(jet[idx], oracle[idx])
+        for name, got, want in zip(Jet3._fields, jet,
+                                   _oracle(model, a1, a2)):
+            dev = abs(got - want) / max(1.0, abs(want))
             if dev > worst:
                 worst = dev
                 info = {"slot": name, "point": (a1, a2),
-                        "jet": jet[idx], "oracle": oracle[idx]}
+                        "jet": got, "oracle": want}
     return worst, info

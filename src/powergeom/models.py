@@ -98,19 +98,25 @@ def check_angle(a: float) -> float:
     return float(a)
 
 
+def unit_surface(kind: FlowKind, u):
+    """The surface at k = 1 as a function of u = tan a1 - tan a2.
+
+    Number-generic: a float u gives the float surface, a Decimal u the
+    Decimal one (in the current context).
+    """
+    den = 1 + u * u
+    if kind is FlowKind.REAL:
+        return 1 / den
+    if kind is FlowKind.IMAGINARY:
+        return u / den
+    return (1 + u) / den
+
+
 def eval_power(model: PowerModel, a1: float, a2: float) -> float:
     """Flow surface value at (a1, a2), in watts or vars."""
     a1 = check_angle(a1)
     a2 = check_angle(a2)
-    u = math.tan(a1) - math.tan(a2)
-    den = 1.0 + u * u
-    if model.kind is FlowKind.REAL:
-        base = 1.0 / den
-    elif model.kind is FlowKind.IMAGINARY:
-        base = u / den
-    else:
-        base = (1.0 + u) / den
-    return model.k * base
+    return model.k * unit_surface(model.kind, math.tan(a1) - math.tan(a2))
 
 
 def eval_power_jet(model: PowerModel, a1: float, a2: float) -> Jet3:

@@ -1,10 +1,12 @@
 """Invariant battery behind the ``verify-self`` command.
 
-Each check re-derives one of the package's contracts at runtime: the
-finite-difference oracle for the jets, hand-derivable anchors, the two
-curvature routes, the diagonal identities ``verify-paper`` reports, scale
-covariance, flow symmetries, the tabulated-expansion anchors, and
-bisection root quality. The command prints one pass/fail line per check.
+Each check re-derives one of the package's contracts at runtime: the jets
+against central differences of the scalar surface computed in ``decimal``
+(:mod:`powergeom.fdcheck`, the only reference here that owes nothing to
+the jet engine), hand-derivable anchors, the two curvature routes, the
+diagonal identities ``verify-paper`` reports, scale covariance, flow
+symmetries, the tabulated-expansion anchors, and bisection root quality.
+The command prints one pass/fail line per check.
 """
 
 from __future__ import annotations
@@ -218,7 +220,13 @@ _CHECKS: tuple[Callable[[int, int], CheckResult], ...] = (
 
 
 def run_self_checks(samples: int = 100, seed: int = 0) -> list[CheckResult]:
-    """Run every invariant check; never raises, reports failures instead."""
+    """Run every invariant check and report failures instead of raising.
+
+    Only a sample count below 1 raises (``ValueError``), before any check
+    runs: with no samples the checks would pass vacuously.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     results = []
     for check in _CHECKS:
         try:

@@ -229,10 +229,17 @@ def _line_crossings(line: str, level: float, positions: Sequence[float],
 
 def locate_transitions(scan: Union[GridScan, DiagonalScan],
                        spike_threshold: float | None = None) -> TransitionSet:
-    """Determinant zeros (bisected) and curvature spikes of a scan."""
+    """Determinant zeros (bisected) and curvature spikes of a scan.
+
+    A spike is a finite curvature with |R| above ``spike_threshold``
+    (default 1e6/k), which must be finite and positive.
+    """
     k = scan.model.k
     if spike_threshold is None:
         spike_threshold = 1e6 / k
+    elif not (math.isfinite(spike_threshold) and spike_threshold > 0.0):
+        raise ValueError("spike threshold must be finite and > 0, "
+                         f"got {spike_threshold!r}")
     fbound = 1e-8 * k * k
     det_at = det_function(scan.model)
     cols = scan.columns

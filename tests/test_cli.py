@@ -116,6 +116,21 @@ class TestDiagonal:
         assert "|R| > 10" in stdout
 
 
+@pytest.mark.parametrize("command", ["scan", "diagonal"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1e6"])
+def test_bad_spike_threshold_exits_one_and_writes_nothing(
+        command, bad, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, stdout, stderr = run([command, "--model", "complex", "--n", "9",
+                                f"--spike-threshold={bad}",
+                                "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == ("error: spike threshold must be finite and > 0, "
+                      f"got {float(bad)!r}\n")
+    assert not out.exists()
+
+
 class TestClassify:
     def test_indefinite_diagonal_point(self, capsys):
         code, stdout, _ = run(["classify", "--model", "imaginary",
@@ -324,6 +339,14 @@ class TestVerifySelf:
         assert "11/11 checks passed" in stdout
         assert stdout.count("[pass]") == 11
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_fails_up_front(self, samples, capsys):
+        code, stdout, stderr = run(["verify-self", "--samples", samples],
+                                   capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: samples must be >= 1\n"
+
 
 # What an installer's console script does with a `module:attr` target:
 # load it, then exit with its return value.
@@ -334,6 +357,22 @@ target = EntryPoint("powergeom", sys.argv[1], "console_scripts").load()
 sys.argv[:] = ["powergeom"] + sys.argv[2:]
 sys.exit(target())
 """
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    """`decimal` is for the self-check's oracle only; the CLI's start-up,
+    which every command pays, does not load it."""
+    env = dict(os.environ)
+    package_root = str(Path(powergeom.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, powergeom.cli; print(sorted("
+         "{'decimal', 'powergeom.fdcheck'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powergeom.errors import DegenerateMetric
-from powergeom.fdcheck import central_difference
+from powergeom.fdcheck import PRECISION, central_difference, decimal_tan
 from powergeom.geometry import (
     CLASS_ORDER,
     DEGEN_TOL,
@@ -21,7 +22,8 @@ from powergeom.geometry import (
     scalar_curvature_oracle,
 )
 from powergeom.jets import Jet3, jet_linear, jet_mul, jet_seed
-from powergeom.models import FlowKind, PowerModel, eval_power_jet
+from powergeom.models import (FlowKind, PowerModel, eval_power_jet,
+                              unit_surface)
 
 REAL = PowerModel(FlowKind.REAL)
 IMAG = PowerModel(FlowKind.IMAGINARY)
@@ -110,45 +112,53 @@ class TestCurvature:
     def test_against_surface_theory_curvature(self):
         """Brioschi formula on the metric field, fully independent route.
 
-        Differentiates the metric components numerically and assembles the
-        Gaussian curvature K; the scalar curvature must equal 2K.
+        The metric entries are second differences of the surface, and the
+        Brioschi formula takes differences of those entries, all from one
+        central stencil in ``decimal`` (entries at h = 1e-12, their
+        derivatives at h = 1e-6), on the unit surface, as the models are
+        at k = 1. The Gaussian curvature K they give owes nothing to the
+        jets; the scalar curvature must equal 2K.
         """
+        inner, outer = Decimal("1e-12"), Decimal("1e-6")
 
-        def metric_entry(model, which):
+        def metric_entry(model, i, j):
             def entry(a1, a2):
-                return at(model, a1, a2)[which]
+                def surface(x, y):
+                    return unit_surface(model.kind,
+                                        decimal_tan(x) - decimal_tan(y))
+                return central_difference(surface, a1, a2, i, j, inner)
             return entry
+
+        def det3(m):
+            return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
         for model, point in [(REAL, (0.4, -0.3)), (IMAG, (0.7, 0.2)),
                              (COMP, (-0.5, 0.35))]:
-            E = metric_entry(model, "g11")
-            F = metric_entry(model, "g12")
-            G = metric_entry(model, "g22")
-            x, y = point
-            Ev = central_difference(E, x, y, 0, 1, 1e-3)
-            Evv = central_difference(E, x, y, 0, 2, 1e-3)
-            Eu = central_difference(E, x, y, 1, 0, 1e-3)
-            Fu = central_difference(F, x, y, 1, 0, 1e-3)
-            Fv = central_difference(F, x, y, 0, 1, 1e-3)
-            Fuv = central_difference(F, x, y, 1, 1, 1e-3)
-            Gu = central_difference(G, x, y, 1, 0, 1e-3)
-            Gv = central_difference(G, x, y, 0, 1, 1e-3)
-            Guu = central_difference(G, x, y, 2, 0, 1e-3)
-            e, f, g = E(x, y), F(x, y), G(x, y)
-
-            def det3(m):
-                return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-            first = det3([[-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
-                          [Fv - 0.5 * Gu, e, f],
-                          [0.5 * Gv, f, g]])
-            second = det3([[0.0, 0.5 * Ev, 0.5 * Gu],
-                           [0.5 * Ev, e, f],
-                           [0.5 * Gu, f, g]])
-            det = e * g - f * f
-            gauss = (first - second) / (det * det)
+            E = metric_entry(model, 2, 0)
+            F = metric_entry(model, 1, 1)
+            G = metric_entry(model, 0, 2)
+            x, y = map(Decimal, point)
+            with localcontext(Context(prec=PRECISION)):
+                Ev = central_difference(E, x, y, 0, 1, outer)
+                Evv = central_difference(E, x, y, 0, 2, outer)
+                Eu = central_difference(E, x, y, 1, 0, outer)
+                Fu = central_difference(F, x, y, 1, 0, outer)
+                Fv = central_difference(F, x, y, 0, 1, outer)
+                Fuv = central_difference(F, x, y, 1, 1, outer)
+                Gu = central_difference(G, x, y, 1, 0, outer)
+                Gv = central_difference(G, x, y, 0, 1, outer)
+                Guu = central_difference(G, x, y, 2, 0, outer)
+                e, f, g = E(x, y), F(x, y), G(x, y)
+                first = det3([[-Evv / 2 + Fuv - Guu / 2, Eu / 2, Fu - Ev / 2],
+                              [Fv - Gu / 2, e, f],
+                              [Gv / 2, f, g]])
+                second = det3([[0, Ev / 2, Gu / 2],
+                               [Ev / 2, e, f],
+                               [Gu / 2, f, g]])
+                det = e * g - f * f
+                gauss = float((first - second) / (det * det))
             closed = at(model, *point)["curvature"]
             assert closed == pytest.approx(2.0 * gauss, rel=1e-5, abs=1e-7)
 

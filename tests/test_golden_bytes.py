@@ -81,7 +81,7 @@ GOLDEN = {
     "verify-paper-real": {"exit": 0, "out": "695d59362c5903628b4c50bd3b9af258a5eb5d27e01b62fa984d0dabc16c27f5", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
     "verify-paper-imaginary": {"exit": 0, "out": "a89b8ed9244f4deff75004d96c45fdaab9dcbb2fd3ecc0fec8cc911f9461b74e", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
     "verify-paper-complex": {"exit": 0, "out": "e3baf81816138c2e2567b6d2c91459ef3513ca42416a38bb6a9051797d68efa2", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
-    "verify-self": {"exit": 0, "stdout": "b056744778589a06727446248ca3bfdd4f3d1e35a492c91d92fc0164a18443e5"},
+    "verify-self": {"exit": 0, "stdout": "9cc406614fd8de02825d347ced22ca205310851c50da5d4260d1629b5909f448"},
     "classify-real": {"exit": 0, "stdout": "dca10c98125b15799468511c4e350e06b8401c51cb2da33c2ac1bd4a7150e0f1"},
     "classify-imaginary": {"exit": 0, "stdout": "b822a4da256b966b796180b9aa4cd6f2338a727002f3bf5a1ad6d7a71598ed4a"},
     "classify-complex": {"exit": 0, "stdout": "8f777c5001ac25899693217b0e343b4156ea04b99b3a10b5487197e56b455934"},

@@ -208,6 +208,14 @@ class TestLocateTransitions:
         assert transitions.spike_threshold == pytest.approx(1e6 / 4.0)
         assert transitions.det_bound == pytest.approx(1e-8 * 16.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0,
+                                     -0.0, -1.0])
+    def test_spike_threshold_must_be_finite_and_positive(self, bad):
+        for scan in (scan_grid(COMP, (-0.5, 0.5), n=5),
+                     scan_diagonal(COMP, n=5)):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                locate_transitions(scan, spike_threshold=bad)
+
 
 class TestClassificationInvariance:
     def test_rescaling_k_preserves_every_class(self):
