@@ -4,10 +4,10 @@ One straight-line kernel, :func:`_slots`, computes the third-order jet of
 a flow surface from ``tan a1`` and ``tan a2``. It is plain arithmetic on
 local variables, so it runs on Python floats for one point and
 elementwise on ndarray columns for many. ``unit_slots`` evaluates one
-point on floats; bisection, the verification harness and single-point
-reports use it. ``batch_slots`` evaluates flat point arrays for the
-scans, in blocks of ``BLOCK`` points so that the temporaries stay small at
-any grid size.
+point on floats; bisection and single-point reports use it.
+``batch_slots`` evaluates flat point arrays for the scans and the
+verification harness's samples, in blocks of ``BLOCK`` points so that the
+temporaries stay small at any grid size.
 
 The kernel is the jet composition of :mod:`powergeom.jets` written out:
 the seed jets of a1 and a2 through ``tan``, ``u = tan a1 - tan a2``, the

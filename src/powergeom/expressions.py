@@ -12,6 +12,16 @@ expansions term for term, in source order; this module evaluates them and
 pairs each with the jet-engine quantity it claims to equal, so the
 verification harness can confirm or flag every single one.
 
+One evaluator serves one point and many. :meth:`TrigPolynomial.eval_cs`
+and :meth:`Prefactor.value` take floats, float64 columns, or
+:class:`Powers` tables of either, and read every ``x**e`` off a table, so
+a quantity's numerators, denominators and prefactor share one table per
+variable. Table entries come from Python ``**`` per element and terms are
+multiplied and added left to right in source order, so a column holds the
+same bits as the floats at each of its points. Polynomials are added with
+plain ``+``, never builtin ``sum()``, whose float sums are compensated from
+Python 3.12 on and would make the reports depend on the Python version.
+
 Transcriptions are never corrected to make verification pass: a quantity
 whose tabulated form disagrees with the defining Hessian stays encoded as
 transcribed and is reported as discrepant, with any strong repair candidate
@@ -23,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _tables
 from .errors import DenominatorZero
 from .models import FlowKind
@@ -33,6 +45,44 @@ TrigTerm = tuple
 #: Denominator magnitudes at or below DENOM_TOL * coefficient_mass raise
 #: DenominatorZero.
 DENOM_TOL = 1e-12
+
+
+class Powers:
+    """``x**e`` for each exponent asked of one variable, computed once.
+
+    ``x`` is a float or a float64 column. A column's powers come from
+    Python ``**`` on each element, never ``np.power``, whose fast paths can
+    round differently, so every element has the float's bits.
+    """
+
+    __slots__ = ("x", "_table")
+
+    def __init__(self, x):
+        self.x = x
+        self._table = {}
+
+    def __getitem__(self, e: int):
+        power = self._table.get(e)
+        if power is None:
+            x = self.x
+            power = (np.fromiter((v**e for v in x.tolist()), np.float64,
+                                 len(x))
+                     if isinstance(x, np.ndarray) else x**e)
+            self._table[e] = power
+        return power
+
+
+def powers(x) -> Powers:
+    """``x`` itself if it is a :class:`Powers` table, else a new one."""
+    return x if isinstance(x, Powers) else Powers(x)
+
+
+def poly_sum(polys, c1, s1, c2, s2):
+    """The polynomials' values added left to right with ``+``."""
+    total = polys[0].eval_cs(c1, s1, c2, s2)
+    for poly in polys[1:]:
+        total = total + poly.eval_cs(c1, s1, c2, s2)
+    return total
 
 
 @dataclass(frozen=True)
@@ -48,10 +98,13 @@ class TrigPolynomial:
         """Sum of |coeff|; bounds |value| over the whole circle."""
         return sum(abs(t[0]) for t in self.terms)
 
-    def eval_cs(self, c1: float, s1: float, c2: float, s2: float) -> float:
+    def eval_cs(self, c1, s1, c2, s2):
+        """Value at cosines and sines c1, s1, c2, s2: floats, float64
+        columns (elementwise), or their :class:`Powers` tables."""
+        c1, s1, c2, s2 = powers(c1), powers(s1), powers(c2), powers(s2)
         total = 0.0
         for coeff, ec1, es1, ec2, es2 in self.terms:
-            total += coeff * c1**ec1 * s1**es1 * c2**ec2 * s2**es2
+            total += coeff * c1[ec1] * s1[es1] * c2[ec2] * s2[es2]
         return total
 
     def __call__(self, a1: float, a2: float) -> float:
@@ -75,8 +128,11 @@ class Prefactor:
     e_v: int = 0
     e_r0: int = 0
 
-    def value(self, c1: float, c2: float, v: float, r0: float) -> float:
-        return (self.sign * 2.0**self.pow2 * c1**self.e_c1 * c2**self.e_c2
+    def value(self, c1, c2, v: float, r0: float):
+        """Value at cosines c1, c2 (floats, float64 columns or their
+        :class:`Powers` tables) and scale constants v, r0."""
+        c1, c2 = powers(c1), powers(c2)
+        return (self.sign * 2.0**self.pow2 * c1[self.e_c1] * c2[self.e_c2]
                 * v**self.e_v * r0**self.e_r0)
 
 
@@ -108,10 +164,10 @@ class PaperQuantity:
 def reconstruct_quantity(q: PaperQuantity, a1: float, a2: float,
                          v: float = 1.0, r0: float = 1.0) -> float:
     """Prefactor times numerator sum over denominator sum at (a1, a2)."""
-    c1, s1 = math.cos(a1), math.sin(a1)
-    c2, s2 = math.cos(a2), math.sin(a2)
-    num = sum(p.eval_cs(c1, s1, c2, s2) for p in q.numerators)
-    den = sum(p.eval_cs(c1, s1, c2, s2) for p in q.denominators)
+    c1, s1 = Powers(math.cos(a1)), Powers(math.sin(a1))
+    c2, s2 = Powers(math.cos(a2)), Powers(math.sin(a2))
+    num = poly_sum(q.numerators, c1, s1, c2, s2)
+    den = poly_sum(q.denominators, c1, s1, c2, s2)
     if abs(den) <= DENOM_TOL * q.denominator_mass():
         raise DenominatorZero(
             f"{q.id}: denominator {den!r} vanishes at ({a1!r}, {a2!r})")

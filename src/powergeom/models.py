@@ -252,6 +252,25 @@ def bus_injections(net: BusNetwork) -> list[BusInjection]:
     return [BusInjection(*totals[bus.id]) for bus in net.buses]
 
 
+def _objects(items, key: str) -> list:
+    """``items``, checked to be a list of JSON objects."""
+    if not isinstance(items, list):
+        raise ValueError(f"{key!r} must be a list of objects, got {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"{key}[{i}] must be an object, got {item!r}")
+    return items
+
+
+def _number(item: dict, key: str, default: float, where: str) -> float:
+    value = item.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{where}: {key!r} must be a number, got {value!r}") from None
+
+
 def network_from_dict(data: dict) -> BusNetwork:
     """Build a network from the JSON object layout.
 
@@ -261,20 +280,26 @@ def network_from_dict(data: dict) -> BusNetwork:
          "branches": [{"from": "b1", "to": "b2", "ymag": 1.0,
                        "g": 1.0, "b": 0.0, "a": 0.0}, ...]}
 
-    Angles are radians; magnitudes per-unit and siemens.
+    Angles are radians; magnitudes per-unit and siemens. Any other shape
+    is a ValueError that names the offending part.
     """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"network must be a JSON object, got {type(data).__name__}")
     try:
-        buses = tuple(Bus(id=str(item["id"]),
-                          vmag=float(item.get("vmag", 1.0)),
-                          delta=float(item.get("delta", 0.0)))
-                      for item in data["buses"])
-        branches = tuple(Branch(from_bus=str(item["from"]),
-                                to_bus=str(item["to"]),
-                                ymag=float(item.get("ymag", 1.0)),
-                                g=float(item.get("g", 1.0)),
-                                b=float(item.get("b", 0.0)),
-                                a=float(item.get("a", 0.0)))
-                         for item in data.get("branches", ()))
+        buses = tuple(
+            Bus(id=str(item["id"]),
+                vmag=_number(item, "vmag", 1.0, f"buses[{i}]"),
+                delta=_number(item, "delta", 0.0, f"buses[{i}]"))
+            for i, item in enumerate(_objects(data["buses"], "buses")))
+        branches = tuple(
+            Branch(from_bus=str(item["from"]), to_bus=str(item["to"]),
+                   ymag=_number(item, "ymag", 1.0, f"branches[{i}]"),
+                   g=_number(item, "g", 1.0, f"branches[{i}]"),
+                   b=_number(item, "b", 0.0, f"branches[{i}]"),
+                   a=_number(item, "a", 0.0, f"branches[{i}]"))
+            for i, item in enumerate(
+                _objects(data.get("branches", []), "branches")))
     except KeyError as exc:
         raise ValueError(f"network object missing required key {exc}") from None
     return BusNetwork(buses=buses, branches=branches)
@@ -292,6 +317,10 @@ def network_to_dict(net: BusNetwork) -> dict:
 
 
 def load_bus_network(path: str) -> BusNetwork:
-    """Read a network JSON file."""
+    """Read a network JSON file; a file that is not UTF-8 JSON of the
+    network layout is a ValueError naming the file and the problem."""
     with open(path, "r", encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))
+        try:
+            return network_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -232,6 +232,26 @@ class TestBusPower:
         code, _, err = run(["bus-power", "/nonexistent/net.json"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("text,problem", [
+        ('{"buses": 5}', "'buses' must be a list of objects, got 5"),
+        ("[]", "network must be a JSON object, got list"),
+        ('{"buses": [5]}', "buses[0] must be an object, got 5"),
+        ('{"buses": [{"id": "a", "vmag": [1]}]}',
+         "buses[0]: 'vmag' must be a number, got [1]"),
+        ('{"buses": [{"id": "a"}], "branches": 7}',
+         "'branches' must be a list of objects, got 7"),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["buses-number", "top-level-list", "bus-number", "vmag-list",
+            "branches-number", "not-json"])
+    def test_malformed_network_is_one_error_line(self, text, problem,
+                                                 tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        code, stdout, err = run(["bus-power", str(path)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {path}: {problem}\n"
+
 
 class TestPlotScript:
     def test_emits_script_for_grid(self, tmp_path, capsys):

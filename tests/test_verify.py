@@ -1,13 +1,24 @@
 """Verification harness: statuses, determinism, diagnostics, self-checks."""
 
+import dataclasses
 import json
 import math
+import random
+import warnings
 
+import numpy as np
 import pytest
 
-from powergeom import verify
+from powergeom import backend, expressions, verify
 from powergeom.cli import main
-from powergeom.errors import DegenerateMetric
+from powergeom.errors import DegenerateMetric, DenominatorZero
+from powergeom.expressions import (
+    QUANTITIES,
+    PaperQuantity,
+    Prefactor,
+    TrigPolynomial,
+    reconstruct_quantity,
+)
 from powergeom.models import FlowKind, PowerModel
 from powergeom.selfcheck import run_self_checks
 from powergeom.verify import _autodiff_value, verify_against_autodiff
@@ -108,21 +119,20 @@ class TestDeterminism:
 
 @pytest.fixture
 def scarce_points(monkeypatch):
-    """Most off-diagonal samples degenerate: only every 2000th call of
-    ``_autodiff_value`` off the diagonal returns, so no quantity gets its
-    samples within the 1000-draws-per-sample budget at samples=3. The
-    equal-angle identities (a1 == a2) are left alone."""
-    real = verify._autodiff_value
-    calls = [0]
+    """Most samples degenerate: of the draws whose jet value is asked
+    for, in draw order, only every 2000th is defined, so no quantity gets
+    its samples within the 1000-draws-per-sample budget at samples=3. The
+    equal-angle identities, which read single points, are left alone."""
+    real = verify._autodiff_columns
+    asked = [0]
 
     def scarce(target, model, a1, a2):
-        if a1 != a2:
-            calls[0] += 1
-            if calls[0] % 2000:
-                raise DegenerateMetric("forced degenerate sample")
-        return real(target, model, a1, a2)
+        values, defined = real(target, model, a1, a2)
+        order = asked[0] + 1 + np.arange(len(a1))
+        asked[0] += len(a1)
+        return values, defined & (order % 2000 == 0)
 
-    monkeypatch.setattr(verify, "_autodiff_value", scarce)
+    monkeypatch.setattr(verify, "_autodiff_columns", scarce)
 
 
 class TestSampleShortfall:
@@ -212,3 +222,190 @@ def test_self_checks_all_pass():
     failures = [r for r in results if not r.passed]
     assert not failures, "\n".join(f"{r.name}: {r.detail}" for r in failures)
     assert len(results) == 11
+
+
+def reference_check_quantity(q, model, samples, seed):
+    """The verification loop one draw at a time, as it was before draws
+    were evaluated in chunks: the reference the chunked loop must match.
+    Polynomials and the prefactor are evaluated term by term here, with
+    plain left-to-right addition."""
+    def poly(p, c1, s1, c2, s2):
+        total = 0.0
+        for coeff, ec1, es1, ec2, es2 in p.terms:
+            total += coeff * c1**ec1 * s1**es1 * c2**ec2 * s2**es2
+        return total
+
+    def polys(ps, c1, s1, c2, s2):
+        total = 0.0
+        for p in ps:
+            total += poly(p, c1, s1, c2, s2)
+        return total
+
+    pf = q.prefactor
+    stream = verify._sample_stream(seed, q.id)
+    mass = q.denominator_mass()
+    worst = -1.0
+    worst_point = (math.nan, math.nan)
+    worst_auto = math.nan
+    worst_recon = math.nan
+    used = 0
+    resampled = 0
+    draws = budget = 1000 * samples
+    while used < samples and budget > 0:
+        budget -= 1
+        a1, a2 = next(stream)
+        c1, s1 = math.cos(a1), math.sin(a1)
+        c2, s2 = math.cos(a2), math.sin(a2)
+        den = polys(q.denominators, c1, s1, c2, s2)
+        if abs(den) <= verify.RESAMPLE_DENOM_TOL * mass:
+            resampled += 1
+            continue
+        try:
+            auto = _autodiff_value(q.target, model, a1, a2)
+        except DegenerateMetric:
+            resampled += 1
+            continue
+        num = polys(q.numerators, c1, s1, c2, s2)
+        prefactor = (pf.sign * 2.0**pf.pow2 * c1**pf.e_c1 * c2**pf.e_c2
+                     * model.v**pf.e_v * model.r0**pf.e_r0)
+        recon = prefactor * num / den
+        if not (math.isfinite(auto) and math.isfinite(recon)):
+            resampled += 1
+            continue
+        dev = abs(recon - auto) / max(1.0, abs(auto))
+        if dev > worst:
+            worst = dev
+            worst_point = (a1, a2)
+            worst_auto = auto
+            worst_recon = recon
+        used += 1
+    notes = q.notes
+    if worst > verify.VERIFY_TOL:
+        status = "DISCREPANT"
+    elif used < samples:
+        status = "SHORT"
+    else:
+        status = "VERIFIED"
+    if used < samples:
+        notes += (f"sample shortfall: {used} of {samples} samples usable "
+                  f"after {draws} draws",)
+    return verify.QuantityCheck(
+        quantity_id=q.id, target=q.target, status=status,
+        max_rel_dev=worst, worst_point=worst_point,
+        worst_autodiff=worst_auto, worst_reconstructed=worst_recon,
+        samples=used, resampled=resampled,
+        repairs=tuple(q.repair_annotations()), notes=notes)
+
+
+def _exact(value):
+    """A value with its type, floats as ``float.hex``, for bitwise
+    comparison (a numpy scalar leaking into a report shows as a type)."""
+    if isinstance(value, tuple):
+        return tuple(map(_exact, value))
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    return type(value).__name__, value
+
+
+def exact_fields(check):
+    return {f.name: _exact(getattr(check, f.name))
+            for f in dataclasses.fields(check)}
+
+
+#: (V, R0): unit scale, the golden-bytes scale and a large k = 9e4.
+SCALES = ((1.0, 1.0), (1.3, 0.7), (30.0, 0.01))
+RUNS = ((1, 0), (1, 1), (1, 2), (7, 0), (7, 1), (7, 2), (1000, 3))
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize("v,r0", SCALES)
+    @pytest.mark.parametrize("samples,seed", RUNS)
+    def test_matches_one_draw_at_a_time_bit_for_bit(self, v, r0, samples,
+                                                    seed):
+        for q in QUANTITIES:
+            model = PowerModel(q.kind, v=v, r0=r0)
+            got = verify._check_quantity(q, model, samples, seed)
+            want = reference_check_quantity(q, model, samples, seed)
+            assert exact_fields(got) == exact_fields(want), q.id
+
+    def test_first_maximum_wins_across_chunks(self, monkeypatch):
+        """Every draw ties (table value 1, jet value 2): the worst point is
+        the very first draw, though the draws span several chunks."""
+        one = TrigPolynomial("one", ((1, 0, 0, 0, 0),))
+        q = PaperQuantity(id="TIE", kind=FlowKind.REAL, target="g11",
+                          prefactor=Prefactor(+1), numerators=(one,),
+                          denominators=(one,))
+
+        def constant(target, model, a1, a2):
+            return np.full(len(a1), 2.0), np.ones(len(a1), dtype=bool)
+
+        monkeypatch.setattr(verify, "_autodiff_columns", constant)
+        check = verify._check_quantity(q, REAL, 3 * verify.CHUNK, 0)
+        assert (check.samples, check.resampled) == (3 * verify.CHUNK, 0)
+        assert check.max_rel_dev == 0.5
+        assert check.worst_point == next(verify._sample_stream(0, "TIE"))
+
+    def test_jet_batches_stay_within_one_block(self, monkeypatch):
+        sizes = []
+        real = backend.batch_slots
+
+        def recording(code, a1, a2):
+            sizes.append(len(a1))
+            return real(code, a1, a2)
+
+        monkeypatch.setattr(backend, "batch_slots", recording)
+        rep = verify_against_autodiff(REAL, samples=5000, seed=2)
+        assert all(c.samples == 5000 for c in rep.checks)
+        assert verify.CHUNK <= backend.BLOCK
+        assert max(sizes) <= verify.CHUNK
+        assert max(sizes) > verify.CHUNK // 2  # the cap is what binds
+        assert sum(sizes) > 5 * 5000
+
+    @pytest.mark.parametrize("flow", [k.value for k in FlowKind])
+    @pytest.mark.parametrize("scale", [[], ["--v", "1.3", "--r0", "0.7"]],
+                             ids=["unit", "box"])
+    def test_verify_paper_writes_nothing_to_stderr(self, flow, scale,
+                                                   tmp_path, capsys):
+        """Rejected draws (vanishing denominators, degenerate curvature)
+        raise no numpy warning and print nothing."""
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify-paper", "--model", flow, *scale,
+                         "--samples", "300", "--seed", "4",
+                         "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_bits_do_not_depend_on_builtin_sum(monkeypatch):
+    """Python 3.12's ``sum()`` compensates float sums. The polynomials are
+    added with plain ``+``, so a compensated module-level ``sum`` changes
+    neither a report nor a reconstructed value."""
+    rng = random.Random(11)
+    points = [(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
+              for _ in range(50)]
+
+    def outputs():
+        reports = [verify_against_autodiff(PowerModel(kind), samples=200,
+                                           seed=9).to_json()
+                   for kind in FlowKind]
+        values = []
+        for q in QUANTITIES:
+            for a1, a2 in points:
+                try:
+                    values.append(
+                        reconstruct_quantity(q, a1, a2, v=1.3, r0=0.7).hex())
+                except DenominatorZero:
+                    values.append(None)
+        assert values.count(None) < len(values) // 4
+        return reports, values
+
+    before = outputs()
+
+    def compensated_sum(values, start=0):
+        return math.fsum(values) + start
+
+    for module in (expressions, verify):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert outputs() == before
