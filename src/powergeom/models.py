@@ -324,3 +324,5 @@ def load_bus_network(path: str) -> BusNetwork:
             return network_from_dict(json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:  # the decoder's limit on nested arrays
+            raise ValueError(f"{path}: JSON nested too deeply") from None

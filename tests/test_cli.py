@@ -241,8 +241,9 @@ class TestBusPower:
         ('{"buses": [{"id": "a"}], "branches": 7}',
          "'branches' must be a list of objects, got 7"),
         ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
     ], ids=["buses-number", "top-level-list", "bus-number", "vmag-list",
-            "branches-number", "not-json"])
+            "branches-number", "not-json", "deep-nesting"])
     def test_malformed_network_is_one_error_line(self, text, problem,
                                                  tmp_path, capsys):
         path = tmp_path / "net.json"
