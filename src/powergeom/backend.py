@@ -167,9 +167,11 @@ def unit_slots(code: int, a1: float, a2: float) -> Jet3:
     return _slots(code, math.tan(a1), math.tan(a2))
 
 
-def _tan(a: np.ndarray) -> np.ndarray:
-    """``math.tan`` of each element of ``a``."""
-    return np.fromiter(map(math.tan, a.tolist()), dtype=np.float64,
+def per_element(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.tan``, ``math.cos``, ...) of each element of ``a``,
+    as the float path computes it; numpy's own ``tan`` rounds differently
+    at some points."""
+    return np.fromiter(map(fn, a.tolist()), dtype=np.float64,
                        count=a.shape[0])
 
 
@@ -194,7 +196,8 @@ def batch_slots(code: int, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     out = np.empty((n, 10), dtype=np.float64)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
-        jet = _slots(code, _tan(a1[start:stop]), _tan(a2[start:stop]))
+        jet = _slots(code, per_element(math.tan, a1[start:stop]),
+                     per_element(math.tan, a2[start:stop]))
         for j, column in enumerate(jet):
             out[start:stop, j] = column
     return out

@@ -189,13 +189,6 @@ def _draw(stream, size: int) -> np.ndarray:
     return np.fromiter(flat, np.float64, 2 * size).reshape(size, 2).T
 
 
-def _map(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` of each element of ``a``: ``math.cos`` and ``math.sin`` here,
-    never ``np.cos``/``np.sin``, whose SIMD loops may round differently
-    from the C library's."""
-    return np.fromiter(map(fn, a.tolist()), dtype=np.float64, count=len(a))
-
-
 def _autodiff_columns(target: str, model: PowerModel, a1: np.ndarray,
                       a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``target`` of the jets at the points (a1, a2), and where it is
@@ -246,8 +239,11 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
     while used < samples and drawn < draws:
         size = _chunk_size(samples - used, drawn, used, draws - drawn)
         a1, a2 = _draw(stream, size)
-        c1, s1 = Powers(_map(math.cos, a1)), Powers(_map(math.sin, a1))
-        c2, s2 = Powers(_map(math.cos, a2)), Powers(_map(math.sin, a2))
+        # math.cos/math.sin per element, as one draw at a time takes them
+        c1 = Powers(backend.per_element(math.cos, a1))
+        s1 = Powers(backend.per_element(math.sin, a1))
+        c2 = Powers(backend.per_element(math.cos, a2))
+        s2 = Powers(backend.per_element(math.sin, a2))
         # rejected draws may divide by zero or overflow: silence their
         # warnings, the walk below never reads them
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
