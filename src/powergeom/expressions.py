@@ -72,7 +72,7 @@ class Powers:
         return power
 
 
-def powers(x) -> Powers:
+def _powers(x) -> Powers:
     """``x`` itself if it is a :class:`Powers` table, else a new one."""
     return x if isinstance(x, Powers) else Powers(x)
 
@@ -101,7 +101,7 @@ class TrigPolynomial:
     def eval_cs(self, c1, s1, c2, s2):
         """Value at cosines and sines c1, s1, c2, s2: floats, float64
         columns (elementwise), or their :class:`Powers` tables."""
-        c1, s1, c2, s2 = powers(c1), powers(s1), powers(c2), powers(s2)
+        c1, s1, c2, s2 = _powers(c1), _powers(s1), _powers(c2), _powers(s2)
         total = 0.0
         for coeff, ec1, es1, ec2, es2 in self.terms:
             total += coeff * c1[ec1] * s1[es1] * c2[ec2] * s2[es2]
@@ -131,7 +131,7 @@ class Prefactor:
     def value(self, c1, c2, v: float, r0: float):
         """Value at cosines c1, c2 (floats, float64 columns or their
         :class:`Powers` tables) and scale constants v, r0."""
-        c1, c2 = powers(c1), powers(c2)
+        c1, c2 = _powers(c1), _powers(c2)
         return (self.sign * 2.0**self.pow2 * c1[self.e_c1] * c2[self.e_c2]
                 * v**self.e_v * r0**self.e_r0)
 
