@@ -7,13 +7,15 @@ timestamps, no host or thread information) enters the output. The CSV
 carries ``# key=value`` metadata lines above the header row; the JSON
 variant mirrors rows and metadata, with ``null`` for undefined curvature.
 
-Both writers and both readers work column-wise, so every float-to-text
-and text-to-float conversion runs in C: a CSV row is one ``%``-template,
-a JSON column's float text comes from the C encoder (``json.dumps`` of
-the column as a list), and the readers convert whole columns with
-``map(float, ...)``. The JSON text is the ``json.dumps(..., indent=1)``
-layout of ``{"metadata": ..., "records": [...]}``, assembled from those
-pieces.
+A :class:`ScanTable` holds the metadata and one :class:`ScanRow` named
+tuple per point, in column order, so a row is the tuple its writers
+format. Both writers and both readers work column-wise, so every
+float-to-text and text-to-float conversion runs in C: a CSV row is one
+``%``-template applied to the row, a JSON column's float text comes from
+the C encoder (``json.dumps`` of the column as a list), and the readers
+convert whole columns with ``map(float, ...)``. The JSON text is the
+``json.dumps(..., indent=1)`` layout of
+``{"metadata": ..., "records": [...]}``, assembled from those pieces.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ import json
 import math
 import os
 import re
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SchemaMismatch
 from .geometry import CLASS_LABELS
@@ -58,8 +58,9 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One scan point, its fields in :data:`SCAN_COLUMNS` order."""
+
     a1: float
     a2: float
     value: float
@@ -69,27 +70,6 @@ class ScanRow:
     det: float
     curvature: float  # nan when undefined
     label: str
-
-
-#: ScanRow field names, in column order.
-_ROW_FIELDS = tuple(f.name for f in fields(ScanRow))
-#: A row's field values in column order, as one tuple.
-_row_values = attrgetter(*_ROW_FIELDS)
-
-
-def _rows(columns: Sequence[Sequence]) -> tuple[ScanRow, ...]:
-    """Rows from the nine field columns, equal to
-    ``tuple(map(ScanRow, *columns))``.
-
-    The fields are set column by column with ``object.__setattr__``, as
-    the frozen ``__init__`` sets them, so the work runs in C instead of
-    one Python ``__init__`` call per row. ScanRow has no defaults and no
-    ``__post_init__``; construction does nothing else.
-    """
-    rows = tuple(map(object.__new__, repeat(ScanRow, len(columns[0]))))
-    for name, column in zip(_ROW_FIELDS, columns):
-        deque(map(object.__setattr__, rows, repeat(name), column), maxlen=0)
-    return rows
 
 
 @dataclass(frozen=True)
@@ -118,9 +98,9 @@ def _scan_table(scan: GridScan | DiagonalScan, command: str,
         "unit": "rad",
     }
     cols = scan.columns
-    return ScanTable(metadata=metadata, rows=_rows(
-        [*(cols[name].tolist() for name in SCAN_COLUMNS[:-1]),
-         scan.class_labels()]))
+    return ScanTable(metadata=metadata, rows=tuple(map(
+        ScanRow, *(cols[name].tolist() for name in SCAN_COLUMNS[:-1]),
+        scan.class_labels())))
 
 
 def grid_table(scan: GridScan) -> ScanTable:
@@ -134,7 +114,7 @@ def diagonal_table(scan: DiagonalScan) -> ScanTable:
 def render_csv(table: ScanTable) -> str:
     head = "".join(f"# {key}={value}\n"
                    for key, value in table.metadata.items())
-    body = "".join(map(_CSV_ROW.__mod__, map(_row_values, table.rows)))
+    body = "".join(map(_CSV_ROW.__mod__, table.rows))
     return head + ",".join(SCAN_COLUMNS) + "\n" + body
 
 
@@ -144,7 +124,7 @@ def render_json(table: ScanTable) -> str:
     metadata = json.dumps(table.metadata, indent=1).replace("\n", "\n ")
     records = "[]"
     if table.rows:
-        *floats, curvature, labels = zip(*map(_row_values, table.rows))
+        *floats, curvature, labels = zip(*table.rows)
         # Float text from the C encoder; no float repr contains ", ".
         texts = [json.dumps(col)[1:-1].split(", ") for col in floats]
         # Undefined curvature is written as null; "NaN" is only ever the
@@ -185,7 +165,8 @@ def _table_from_columns(metadata: dict[str, str],
     if not _LABELS.issuperset(labels):
         bad = next(label for label in labels if label not in _LABELS)
         raise SchemaMismatch(f"{where}: unknown class label {bad!r}")
-    return ScanTable(metadata=metadata, rows=_rows([*floats, labels]))
+    return ScanTable(metadata=metadata,
+                     rows=tuple(map(ScanRow, *floats, labels)))
 
 
 def read_scan_csv(path: str) -> ScanTable:
@@ -242,7 +223,12 @@ def _reject_odd_numbers(cells: list[str], width: int, path: str) -> None:
 
 def read_scan_json(path: str) -> ScanTable:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path}: not JSON: {exc}") from None
+        except RecursionError:  # the decoder's limit on nested values
+            raise SchemaMismatch(f"{path}: JSON nested too deeply") from None
     try:
         metadata = dict(data["metadata"])
         records = data["records"]

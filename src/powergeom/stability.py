@@ -59,8 +59,16 @@ def axis_samples(bounds: Bounds, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _evaluate_points(model: PowerModel, a1: np.ndarray,
-                     a2: np.ndarray) -> dict[str, np.ndarray]:
+def evaluate_points(model: PowerModel, a1: np.ndarray,
+                    a2: np.ndarray) -> dict[str, np.ndarray]:
+    """Geometry columns of the model at the points (a1, a2): the
+    :func:`~powergeom.geometry.geometry_columns` of the jets, plus the
+    ``a1`` and ``a2`` columns themselves.
+
+    The jets are ``batch_slots`` scaled by k, so point i has the bits of
+    ``eval_power_jet(model, a1[i], a2[i])``. Scans and ``verify-paper``
+    both evaluate their points here.
+    """
     slots = backend.batch_slots(model.kind.code, a1, a2)
     slots *= model.k
     cols = geometry_columns(Jet3(*slots.T))
@@ -124,7 +132,7 @@ def scan_grid(model: PowerModel,
     a2_bounds = _check_bounds(a2_bounds, "a2")
     a1 = np.tile(np.array(axis_samples(a1_bounds, n), dtype=np.float64), n)
     a2 = np.repeat(np.array(axis_samples(a2_bounds, n), dtype=np.float64), n)
-    cols = _evaluate_points(model, a1, a2)
+    cols = evaluate_points(model, a1, a2)
     return GridScan(model=model, a1_bounds=a1_bounds, a2_bounds=a2_bounds,
                     n=n, columns=cols)
 
@@ -137,7 +145,7 @@ def scan_diagonal(model: PowerModel,
         raise ValueError(f"need at least 2 samples, got {n}")
     bounds = _check_bounds(bounds, "diagonal")
     a = np.array(axis_samples(bounds, n), dtype=np.float64)
-    cols = _evaluate_points(model, a, a)
+    cols = evaluate_points(model, a, a)
     return DiagonalScan(model=model, bounds=bounds, n=n, columns=cols)
 
 

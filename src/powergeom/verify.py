@@ -9,9 +9,9 @@ of the point's jet, and records the worst relative deviation.
 The draws are taken in chunks of at most :data:`CHUNK`, sized from the
 samples still needed and the usable share seen so far. A chunk is
 evaluated column-wise: the tables over shared power tables
-(:class:`~powergeom.expressions.Powers`) and the jets through
-:func:`~powergeom.backend.batch_slots` scaled by k, the route the scans
-take, which gives each point the bits of ``eval_power_jet``. The chunk is
+(:class:`~powergeom.expressions.Powers`) and the geometry through
+:func:`~powergeom.stability.evaluate_points`, the evaluator the scans
+use, which gives each point the bits of ``eval_power_jet``. The chunk is
 then walked in draw order, so every result field has the bits of
 evaluating one draw at a time; the tests keep that loop as the reference.
 
@@ -23,7 +23,8 @@ resampled. When the draws run out (``1000 * samples`` of them) before
 not VERIFIED, and a note gives the shortfall. Discrepancies never abort,
 and transcriptions are never patched to force agreement: surfacing them
 is the harness's whole job. The equal-angle identities measured here
-(:func:`_diagonal_identities`) are also what ``verify-self`` checks.
+(:func:`_diagonal_identities`, all diagonal points in one
+``evaluate_points`` call) are also what ``verify-self`` checks.
 
 Reports carry no timestamps or environment detail, so reruns with the same
 seed are byte-identical.
@@ -42,8 +43,8 @@ import numpy as np
 from . import backend, geometry
 from .errors import DegenerateMetric
 from .expressions import PaperQuantity, Powers, poly_sum, quantities_for
-from .jets import Jet3
-from .models import FlowKind, PowerModel, eval_power_jet
+from .models import FlowKind, PowerModel
+from .stability import axis_samples, evaluate_points
 
 #: VERIFIED when max relative deviation stays at or below this.
 VERIFY_TOL = 1e-6
@@ -63,19 +64,6 @@ DEFAULT_BOUNDS = (-1.4, 1.4)
 CHUNK = 1024
 
 _DEGEN_CODE = geometry.CLASS_ORDER.index(geometry.StabilityClass.DEGENERATE)
-
-
-def _autodiff_value(target: str, model: PowerModel,
-                    a1: float, a2: float) -> float:
-    """``g11``, ``g12``, ``g22``, ``det`` or ``curvature`` from the jet at
-    (a1, a2); a degenerate point's curvature raises DegenerateMetric."""
-    cols = geometry.geometry_columns(eval_power_jet(model, a1, a2))
-    if (target == "curvature" and geometry.CLASS_ORDER[cols["codes"]]
-            is geometry.StabilityClass.DEGENERATE):
-        raise DegenerateMetric(
-            f"metric determinant {cols['det']!r} at {(a1, a2)} is "
-            "degenerate; curvature undefined")
-    return cols[target]
 
 
 @dataclass(frozen=True)
@@ -191,16 +179,10 @@ def _draw(stream, size: int) -> np.ndarray:
 
 def _autodiff_columns(target: str, model: PowerModel, a1: np.ndarray,
                       a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``target`` of the jets at the points (a1, a2), and where it is
-    defined: everywhere, except at degenerate points for ``curvature``.
-
-    Element i has the bits of ``_autodiff_value(target, model, a1[i],
-    a2[i])``: the scans' route, ``batch_slots`` scaled by k, gives the same
-    slots as ``eval_power_jet``.
-    """
-    slots = backend.batch_slots(model.kind.code, a1, a2)
-    slots *= model.k
-    cols = geometry.geometry_columns(Jet3(*slots.T))
+    """``target`` of the geometry at the points (a1, a2), from
+    :func:`~powergeom.stability.evaluate_points`, and where it is
+    defined: everywhere, except at degenerate points for ``curvature``."""
+    cols = evaluate_points(model, a1, a2)
     if target == "curvature":
         defined = cols["codes"] != _DEGEN_CODE
     else:
@@ -291,17 +273,22 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
 
 
 def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str, ...]]:
-    """Derived equal-angle facts, measured and reported per model."""
-    from .stability import axis_samples  # local import avoids a cycle
+    """Derived equal-angle facts, measured and reported per model.
 
+    All diagonal points are evaluated in one ``evaluate_points`` call;
+    the residuals are then taken point by point in Python floats. A
+    degenerate point's curvature raises DegenerateMetric.
+    """
     k = model.k
     out: dict[str, float] = {}
     notes: list[str] = []
     samples = [a for a in axis_samples(DEFAULT_BOUNDS, 101) if abs(a) >= 0.05]
+    a_col = np.array(samples)
+    cols = evaluate_points(model, a_col, a_col)
+    dets = cols["det"].tolist()
     if model.kind is FlowKind.REAL:
         worst = 0.0
-        for a in samples:
-            det = _autodiff_value("det", model, a, a)
+        for a, det in zip(samples, dets):
             sec = 1.0 / math.cos(a)
             worst = max(worst, abs(det) / (k * k * sec**8))
         out["real_diagonal_det_max_scaled"] = worst
@@ -311,15 +298,20 @@ def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str
             "diagonal point is degenerate; a banded nonzero diagonal "
             "determinant profile is not a property of this surface")
     elif model.kind is FlowKind.IMAGINARY:
+        degenerate = np.flatnonzero(cols["codes"] == _DEGEN_CODE)
+        if degenerate.size:
+            i = int(degenerate[0])
+            raise DegenerateMetric(
+                f"metric determinant {dets[i]!r} at "
+                f"{(samples[i], samples[i])} is degenerate; curvature "
+                "undefined")
         worst = 0.0
-        for a in samples:
-            r = _autodiff_value("curvature", model, a, a)
+        for r in cols["curvature"].tolist():
             worst = max(worst, abs(r))
         out["imaginary_diagonal_curvature_max_abs"] = worst
     else:
         worst = 0.0
-        for a in samples:
-            det = _autodiff_value("det", model, a, a)
+        for a, det in zip(samples, dets):
             sec = 1.0 / math.cos(a)
             expected = -4.0 * k * k * sec**4 * math.tan(a) ** 2
             worst = max(worst,

@@ -6,7 +6,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +37,7 @@ IMAG = PowerModel(FlowKind.IMAGINARY)
 
 def rows_equal(a, b):
     for ra, rb in zip(a, b):
-        ta, tb = astuple(ra), astuple(rb)
+        ta, tb = tuple(ra), tuple(rb)
         for fa, fb in zip(ta[:-1], tb[:-1]):
             if math.isnan(fa) and math.isnan(fb):
                 continue
@@ -88,6 +87,21 @@ class TestCsvRoundTrip:
         back = read_scan(str(path))
         assert back.metadata == table.metadata
         assert rows_equal(back.rows, table.rows)
+
+    def test_rows_are_tuples_in_column_order(self, tmp_path):
+        tables = [grid_table(scan_grid(IMAG, (-1.2, 1.2), n=5)),
+                  diagonal_table(scan_diagonal(IMAG, (-1.0, 1.0), n=7))]
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"scan.{fmt}"
+            write_table(tables[0], str(path), fmt)
+            tables.append(
+                (read_scan_csv if fmt == "csv" else read_scan_json)(
+                    str(path)))
+        for table in tables:
+            for row in table.rows:
+                assert isinstance(row, tuple)
+                assert row == (row.a1, row.a2, row.value, row.g11, row.g12,
+                               row.g22, row.det, row.curvature, row.label)
 
     def test_render_deterministic(self):
         scan = scan_grid(IMAG, (-0.7, 0.7), n=5)
@@ -196,7 +210,7 @@ def _tables(label, metadata):
 
 
 def _float_bits(table):
-    return [(tuple(float(x).hex() for x in astuple(r)[:-1]), r.label)
+    return [(tuple(float(x).hex() for x in tuple(r)[:-1]), r.label)
             for r in table.rows]
 
 
@@ -319,6 +333,21 @@ class TestReaderStrictness:
             read_scan_csv(str(path))
         assert str(info.value).startswith(
             f"{path}: column {name!r}: {text!r} is not a number as written")
+
+    def test_json_nested_too_deeply_names_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a":' * 100000)
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == f"{path}: JSON nested too deeply"
+
+    def test_truncated_json_names_file(self, tmp_path):
+        path = _write_scan(tmp_path, "json")
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value).startswith(f"{path}: not JSON: ")
 
     def test_messages_for_one_bad_field(self, tmp_path):
         path = _write_scan(tmp_path, "csv")

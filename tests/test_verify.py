@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from powergeom import backend, expressions, verify
+from powergeom import backend, expressions, geometry, verify
 from powergeom.cli import main
 from powergeom.errors import DegenerateMetric, DenominatorZero
 from powergeom.expressions import (
@@ -19,13 +19,29 @@ from powergeom.expressions import (
     TrigPolynomial,
     reconstruct_quantity,
 )
-from powergeom.models import FlowKind, PowerModel
+from powergeom.models import FlowKind, PowerModel, eval_power_jet
 from powergeom.selfcheck import run_self_checks
-from powergeom.verify import _autodiff_value, verify_against_autodiff
+from powergeom.stability import axis_samples, evaluate_points
+from powergeom.verify import _diagonal_identities, verify_against_autodiff
 
 REAL = PowerModel(FlowKind.REAL)
 IMAG = PowerModel(FlowKind.IMAGINARY)
 COMP = PowerModel(FlowKind.COMPLEX)
+
+DEGEN = geometry.StabilityClass.DEGENERATE
+
+
+def point_value(target, model, a1, a2):
+    """``target`` from the one jet at (a1, a2), independent of the column
+    route under test; a degenerate point's curvature raises
+    DegenerateMetric."""
+    cols = geometry.geometry_columns(eval_power_jet(model, a1, a2))
+    if (target == "curvature"
+            and geometry.CLASS_ORDER[cols["codes"]] is DEGEN):
+        raise DegenerateMetric(
+            f"metric determinant {cols['det']!r} at {(a1, a2)} is "
+            "degenerate; curvature undefined")
+    return cols[target]
 
 
 @pytest.fixture(scope="module")
@@ -205,10 +221,22 @@ class TestDerivedIdentities:
     def test_degenerate_curvature_raises_instead_of_reading_nan(self):
         """A degenerate point has no curvature to compare: the sample loop
         resamples it and the diagonal identities do not skip it."""
-        with pytest.raises(DegenerateMetric,
-                           match=r"at \(0\.0, 0\.0\) is degenerate"):
-            _autodiff_value("curvature", REAL, 0.0, 0.0)
-        assert _autodiff_value("det", REAL, 0.0, 0.0) == 0.0
+        with pytest.raises(
+                DegenerateMetric,
+                match=r"^metric determinant -1\.611161577369241e-11 at "
+                      r"\(-1\.4, -1\.4\) is degenerate; curvature "
+                      r"undefined$"):
+            _diagonal_identities(PowerModel(FlowKind.IMAGINARY, v=1e-4))
+        origin = np.zeros(1)
+        cols = evaluate_points(REAL, origin, origin)
+        assert cols["det"].tolist() == [0.0]
+        assert geometry.CLASS_ORDER[int(cols["codes"][0])] is DEGEN
+        assert math.isnan(cols["curvature"][0])
+        _, defined = verify._autodiff_columns("curvature", REAL, origin,
+                                              origin)
+        assert defined.tolist() == [False]
+        _, defined = verify._autodiff_columns("det", REAL, origin, origin)
+        assert defined.tolist() == [True]
 
     def test_repaired_exponent_annotations_travel_with_quantities(self, reports):
         by_id = {c.quantity_id: c for c in reports[FlowKind.REAL].checks}
@@ -261,7 +289,7 @@ def reference_check_quantity(q, model, samples, seed):
             resampled += 1
             continue
         try:
-            auto = _autodiff_value(q.target, model, a1, a2)
+            auto = point_value(q.target, model, a1, a2)
         except DegenerateMetric:
             resampled += 1
             continue
@@ -297,6 +325,28 @@ def reference_check_quantity(q, model, samples, seed):
         repairs=tuple(q.repair_annotations()), notes=notes)
 
 
+def reference_diagonal_identities(model):
+    """The equal-angle identities one point and one jet at a time."""
+    k = model.k
+    samples = [a for a in axis_samples(verify.DEFAULT_BOUNDS, 101)
+               if abs(a) >= 0.05]
+    worst = 0.0
+    for a in samples:
+        if model.kind is FlowKind.REAL:
+            det = point_value("det", model, a, a)
+            sec = 1.0 / math.cos(a)
+            worst = max(worst, abs(det) / (k * k * sec**8))
+        elif model.kind is FlowKind.IMAGINARY:
+            worst = max(worst, abs(point_value("curvature", model, a, a)))
+        else:
+            det = point_value("det", model, a, a)
+            sec = 1.0 / math.cos(a)
+            expected = -4.0 * k * k * sec**4 * math.tan(a) ** 2
+            worst = max(worst,
+                        abs(det - expected) / max(1.0, abs(expected)))
+    return worst
+
+
 def _exact(value):
     """A value with its type, floats as ``float.hex``, for bitwise
     comparison (a numpy scalar leaking into a report shows as a type)."""
@@ -327,6 +377,15 @@ class TestChunkedSampling:
             got = verify._check_quantity(q, model, samples, seed)
             want = reference_check_quantity(q, model, samples, seed)
             assert exact_fields(got) == exact_fields(want), q.id
+
+    @pytest.mark.parametrize("v,r0", SCALES)
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_diagonal_identities_match_one_point_at_a_time(self, kind, v,
+                                                           r0):
+        model = PowerModel(kind, v=v, r0=r0)
+        identities, _ = _diagonal_identities(model)
+        (got,) = identities.values()
+        assert _exact(got) == _exact(reference_diagonal_identities(model))
 
     def test_first_maximum_wins_across_chunks(self, monkeypatch):
         """Every draw ties (table value 1, jet value 2): the worst point is
