@@ -6,6 +6,7 @@ its determinant and scalar curvature, classifies stability over grids, and
 verifies the tabulated closed-form expansions against the jet engine.
 """
 
+from .backend import Jet3
 from .errors import (
     BadDomain,
     DanglingBranch,
@@ -23,18 +24,6 @@ from .geometry import (
     StabilityClass,
     geometry_report,
     scalar_curvature_oracle,
-)
-from .jets import (
-    Jet3,
-    jet_apply_univariate,
-    jet_const,
-    jet_cos,
-    jet_div,
-    jet_linear,
-    jet_mul,
-    jet_seed,
-    jet_sin,
-    jet_tan,
 )
 from .models import (
     BranchParams,
@@ -76,15 +65,6 @@ __all__ = [
     "eval_power",
     "eval_power_jet",
     "geometry_report",
-    "jet_apply_univariate",
-    "jet_const",
-    "jet_cos",
-    "jet_div",
-    "jet_linear",
-    "jet_mul",
-    "jet_seed",
-    "jet_sin",
-    "jet_tan",
     "load_bus_network",
     "phase_angles",
     "scalar_curvature_oracle",

@@ -9,10 +9,15 @@ point on floats; bisection and single-point reports use it.
 verification harness's samples, in blocks of ``BLOCK`` points so that the
 temporaries stay small at any grid size.
 
-The kernel is the jet composition of :mod:`powergeom.jets` written out:
-the seed jets of a1 and a2 through ``tan``, ``u = tan a1 - tan a2``, the
-reciprocal of ``1 + u*u`` and, per flow, its product with ``u`` or
-``1 + u``. It performs every IEEE operation of that composition, in the
+A :class:`Jet3` holds a field value and every partial derivative up to
+third order in the two angles, ten raw partials with each mixed one
+stored once; the metric and curvature read their slots directly.
+
+The kernel is a generic jet composition written out, the one that
+``tests/jet_reference.py`` keeps as its reference: the seed jets of a1
+and a2 through ``tan``, ``u = tan a1 - tan a2``, the reciprocal of
+``1 + u*u`` and, per flow, its product with ``u`` or ``1 + u``. It
+performs every IEEE operation of that composition, in the
 same order and association, including the products with the seeds'
 exact ``0.0`` slots: they set the signs of zero slots (the real flow's
 ``f2`` is ``-0.0`` on the equal-angle line). Only products with the
@@ -28,11 +33,11 @@ the blocks split.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DivisionByNearZero
-from .jets import DIV_GUARD, Jet3
 
 KIND_REAL = 0
 KIND_IMAGINARY = 1
@@ -41,11 +46,30 @@ KIND_COMPLEX = 2
 #: Points per column-wise evaluation in :func:`batch_slots`.
 BLOCK = 4096
 
+#: Absolute guard on a division's denominator value. The flow surfaces are
+#: never evaluated at tan poles, so a smaller magnitude means a blowup that
+#: should surface as a typed error instead of inf/nan slots.
+DIV_GUARD = 1e-14
+
+
+class Jet3(NamedTuple):
+    """Value and partials up to third order of a scalar field of (a1, a2)."""
+
+    f: float
+    f1: float
+    f2: float
+    f11: float
+    f12: float
+    f22: float
+    f111: float
+    f112: float
+    f122: float
+    f222: float
+
 
 def _check_denominator(den) -> None:
     """Reject a denominator value (a float, or each element of a column)
-    within :data:`~powergeom.jets.DIV_GUARD` of zero, as
-    :func:`~powergeom.jets.jet_reciprocal` does."""
+    within :data:`DIV_GUARD` of zero."""
     if isinstance(den, float):
         bad = den if abs(den) <= DIV_GUARD else None
     else:
@@ -61,7 +85,7 @@ def _slots(code: int, t1, t2) -> Jet3:
     ``t2 = tan a2``: floats for one point, equal-length columns for many.
     """
     # Derivatives of tan at a1 and a2: sec^2, 2 tan sec^2 and
-    # 2 sec^2 (sec^2 + 2 tan^2), as in jets.tan_derivatives.
+    # 2 sec^2 (sec^2 + 2 tan^2), as in jet_reference.tan_derivatives.
     s1 = 1.0 + t1 * t1
     s2 = 1.0 + t2 * t2
     q1 = 2.0 * t1 * s1
@@ -75,9 +99,10 @@ def _slots(code: int, t1, t2) -> Jet3:
     q2z = q2 * 0.0
     c1z = c1 * 0.0
     c2z = c2 * 0.0
-    # u = x + -1.0 * y slot by slot (jets.jet_linear), where x and y are
-    # the jets of tan a1 and tan a2: tan's derivatives applied to the seeds
-    # (jets.jet_apply_univariate), x = (t1, s1, o1, q1 + o1, q1z + o1, ...).
+    # u = x + -1.0 * y slot by slot (jet_reference.jet_linear), where x
+    # and y are the jets of tan a1 and tan a2: tan's derivatives applied
+    # to the seeds (jet_apply_univariate),
+    # x = (t1, s1, o1, q1 + o1, q1z + o1, ...).
     # Each parenthesized group below is one slot of x or of y.
     u = t1 + -1.0 * t2
     u1 = s1 + -1.0 * o2
@@ -106,7 +131,7 @@ def _slots(code: int, t1, t2) -> Jet3:
     d222 = 0.0 + (u222 * u + 3.0 * u22 * u2 + 3.0 * u2 * u22 + u * u222)
     _check_denominator(d)
     # v = 1/d by the chain rule, with the derivatives r, e1, e2, e3 of
-    # 1/x at d (jets.reciprocal_derivatives).
+    # 1/x at d (jet_reference.reciprocal_derivatives).
     r = 1.0 / d
     r2 = r * r
     r3 = r2 * r

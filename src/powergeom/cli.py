@@ -176,12 +176,22 @@ def _cmd_verify_self(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with its quotes doubled, when it
+    holds a comma, a quote or a line break. (``csv.writer`` with a ``\\n``
+    line terminator leaves a lone ``\\r`` unquoted, and a reader rejects
+    the record.)"""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_bus_power(args) -> int:
     net = load_bus_network(args.network)
     injections = bus_injections(net)
     if args.format == "csv":
         lines = ["bus,p,q"]
-        lines += [f"{bus.id},{scan_io.format_float(inj.p)},"
+        lines += [f"{_csv_field(bus.id)},{scan_io.format_float(inj.p)},"
                   f"{scan_io.format_float(inj.q)}"
                   for bus, inj in zip(net.buses, injections)]
         text = "\n".join(lines) + "\n"

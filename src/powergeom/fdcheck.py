@@ -23,7 +23,7 @@ import functools
 from decimal import Context, Decimal, localcontext
 from typing import Sequence
 
-from .jets import Jet3
+from .backend import Jet3
 from .models import PowerModel, eval_power_jet, unit_surface
 
 PRECISION = 45

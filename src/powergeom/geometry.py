@@ -1,7 +1,7 @@
 """Fluctuation metric, determinant, and scalar curvature of a 2-angle surface.
 
 The metric is the Hessian of the surface: its components are second
-partials read straight off a :class:`~powergeom.jets.Jet3`. Positive
+partials read straight off a :class:`~powergeom.backend.Jet3`. Positive
 diagonal components with positive determinant mean stable Gaussian
 fluctuations; a vanishing determinant collapses the fluctuation volume and
 makes the curvature undefined there.
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .backend import Jet3
 from .errors import DegenerateMetric
-from .jets import Jet3
 
 #: Relative degeneracy tolerance: |det| at or below
 #: DEGEN_TOL * max(1, metric_inf_norm^2) counts as degenerate. Relative to

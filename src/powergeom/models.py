@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import backend
+from .backend import Jet3
 from .errors import DanglingBranch, DomainError, ZeroResistance
-from .jets import Jet3, jet_scale
 
 HALF_PI = math.pi / 2.0
 
@@ -123,7 +123,9 @@ def eval_power_jet(model: PowerModel, a1: float, a2: float) -> Jet3:
     """Jet of the flow surface at (a1, a2); the f slot equals eval_power."""
     a1 = check_angle(a1)
     a2 = check_angle(a2)
-    return jet_scale(backend.unit_slots(model.kind.code, a1, a2), model.k)
+    k = model.k
+    slots = backend.unit_slots(model.kind.code, a1, a2)
+    return Jet3(*(k * s for s in slots))
 
 
 class PhaseAngles(NamedTuple):

@@ -172,7 +172,10 @@ def _table_from_columns(metadata: dict[str, str],
 def read_scan_csv(path: str) -> ScanTable:
     """Parse a scan CSV written by :func:`write_table`; schema-checked."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from None
     metadata: dict[str, str] = {}
     for line in lines:
         if line[:1] == "#":

@@ -29,9 +29,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import backend
+from .backend import Jet3
 from .errors import BadDomain
 from .geometry import CLASS_LABELS, determinant, geometry_columns
-from .jets import Jet3
 from .models import HALF_PI, PowerModel
 
 DEFAULT_BOUNDS = (-1.55, 1.55)

@@ -1,58 +1,22 @@
-"""Third-order forward jets in two variables.
+"""Generic third-order jet algebra in two variables, the tests' reference.
 
-A :class:`Jet3` bundles a scalar field value with every partial derivative
-up to third order with respect to two coordinates, ten numbers in total.
-Mixed partials are stored once (``f12`` covers both differentiation orders),
-and arithmetic propagates all slots exactly, so downstream metric and
-curvature formulas read derivatives off directly with no symbolic algebra
-and no finite-difference noise.
+A :class:`~powergeom.backend.Jet3` holds a field value and its raw partial
+derivatives up to third order in two coordinates. The functions here
+propagate all ten slots exactly: Leibniz for products, the chain rule
+(Faa di Bruno) for a univariate outer function. Slots hold raw partials,
+not Taylor coefficients; the formulas carry the combinatorial factors.
 
-The engine is fixed at two variables and order three, which is exactly what
-the fluctuation metric and its scalar curvature consume. Slots hold raw
-partial derivatives, not Taylor coefficients; the Leibniz and chain-rule
-formulas below carry the combinatorial factors.
-
-All jets are immutable values and every operation is a pure function, so
-evaluation is safe from any number of threads.
-
-This is the general-purpose jet library, and the reference the flow
-kernel is tested against: ``powergeom.backend`` evaluates the flow
-surfaces with one straight-line kernel that writes out the composition of
-:func:`jet_seed`, :func:`jet_tan`, :func:`jet_linear`, :func:`jet_mul` and
-:func:`jet_reciprocal` operation for operation, and the tests require the
-two to agree bit for bit. Slots may also hold equal-length ndarrays, one
-element per point: :func:`jet_linear`, :func:`jet_scale`, :func:`jet_mul`
-and :func:`jet_apply_univariate` are plain arithmetic and run elementwise
-with the same bits per element as on floats.
+``powergeom.backend._slots`` writes out the composition in
+:func:`reference_slots` operation for operation, and the tests require
+the two to agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-from .errors import DivisionByNearZero
-
-#: Absolute guard on a division's denominator value. The flow surfaces are
-#: never evaluated at tan poles, so a smaller magnitude means a blowup that
-#: should surface as a typed error instead of inf/nan slots.
-DIV_GUARD = 1e-14
-
-
-class Jet3(NamedTuple):
-    """Value and partials up to third order of a scalar field of (a1, a2)."""
-
-    f: float
-    f1: float
-    f2: float
-    f11: float
-    f12: float
-    f22: float
-    f111: float
-    f112: float
-    f122: float
-    f222: float
-
+from powergeom.backend import DIV_GUARD, KIND_IMAGINARY, KIND_REAL, Jet3
+from powergeom.errors import DivisionByNearZero
 
 #: Derivatives (g, g', g'', g''') of a univariate outer function at a point.
 UnivariateJet = tuple
@@ -94,22 +58,6 @@ def jet_linear(a: Jet3, b: Jet3, alpha: float, beta: float) -> Jet3:
         alpha * a.f112 + beta * b.f112,
         alpha * a.f122 + beta * b.f122,
         alpha * a.f222 + beta * b.f222,
-    )
-
-
-def jet_scale(a: Jet3, factor: float) -> Jet3:
-    """Every slot multiplied by ``factor``."""
-    return Jet3(
-        factor * a.f,
-        factor * a.f1,
-        factor * a.f2,
-        factor * a.f11,
-        factor * a.f12,
-        factor * a.f22,
-        factor * a.f111,
-        factor * a.f112,
-        factor * a.f122,
-        factor * a.f222,
     )
 
 
@@ -185,25 +133,30 @@ def jet_reciprocal(b: Jet3) -> Jet3:
     return jet_apply_univariate(reciprocal_derivatives(1.0 / b.f), b)
 
 
-def jet_div(a: Jet3, b: Jet3) -> Jet3:
-    """Quotient jet ``a/b``, computed as ``a * (1/b)``."""
-    return jet_mul(a, jet_reciprocal(b))
-
-
 def jet_tan(u: Jet3) -> Jet3:
     """Tangent of a jet."""
     return jet_apply_univariate(tan_derivatives(math.tan(u.f)), u)
 
 
-def jet_sin(u: Jet3) -> Jet3:
-    """Sine of a jet."""
-    s = math.sin(u.f)
-    c = math.cos(u.f)
-    return jet_apply_univariate((s, c, -s, -c), u)
+_ONE = jet_const(1.0)
 
 
-def jet_cos(u: Jet3) -> Jet3:
-    """Cosine of a jet."""
-    s = math.sin(u.f)
-    c = math.cos(u.f)
-    return jet_apply_univariate((c, -s, -c, s), u)
+def reference_slots(code: int, a1: float, a2: float) -> Jet3:
+    """Unit-scale jet of flow ``code`` by the generic composition: seeds
+    through ``tan``, u = tan a1 - tan a2, the reciprocal of 1 + u*u, then
+    u or 1 + u times it."""
+    u = jet_linear(jet_tan(jet_seed(1, a1)), jet_tan(jet_seed(2, a2)),
+                   1.0, -1.0)
+    inv = jet_reciprocal(jet_linear(_ONE, jet_mul(u, u), 1.0, 1.0))
+    if code == KIND_REAL:
+        return inv
+    if code == KIND_IMAGINARY:
+        return jet_mul(u, inv)
+    return jet_mul(jet_linear(_ONE, u, 1.0, 1.0), inv)
+
+
+def paraboloid(a1: float, a2: float) -> Jet3:
+    """Synthetic quadratic field a1^2 + a2^2."""
+    x = jet_seed(1, a1)
+    y = jet_seed(2, a2)
+    return jet_linear(jet_mul(x, x), jet_mul(y, y), 1.0, 1.0)

@@ -1,5 +1,5 @@
 """Slot kernel: per-point and column-wise jets must equal, bit for bit,
-the jet composition of ``powergeom.jets`` that the kernel writes out."""
+the jet composition of ``jet_reference`` that the kernel writes out."""
 
 import math
 
@@ -8,36 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powergeom import backend, jets
+from jet_reference import jet_reciprocal, reference_slots
+from powergeom import backend
+from powergeom.backend import DIV_GUARD, Jet3
 from powergeom.errors import DivisionByNearZero
-from powergeom.jets import Jet3
 from powergeom.stability import DEFAULT_BOUNDS, axis_samples
 
 CODES = (backend.KIND_REAL, backend.KIND_IMAGINARY, backend.KIND_COMPLEX)
 BLOCK = backend.BLOCK
 
-_ONE = jets.jet_const(1.0)
 _EDGE_LIMIT = math.pi / 2 - 1e-6
 
 #: Signed zeros, the smallest subnormal, tiny normals and the angles next
 #: to the tan pole; every ordered pair of them is tested, a1 == a2 too.
 EDGE = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
         _EDGE_LIMIT, -_EDGE_LIMIT, 0.5, -1.25)
-
-
-def reference_slots(code, a1, a2):
-    """Unit-scale jet by the generic composition: seeds through ``tan``,
-    u = tan a1 - tan a2, the reciprocal of 1 + u*u, then u or 1 + u times
-    it."""
-    u = jets.jet_linear(jets.jet_tan(jets.jet_seed(1, a1)),
-                        jets.jet_tan(jets.jet_seed(2, a2)), 1.0, -1.0)
-    inv = jets.jet_reciprocal(
-        jets.jet_linear(_ONE, jets.jet_mul(u, u), 1.0, 1.0))
-    if code == backend.KIND_REAL:
-        return inv
-    if code == backend.KIND_IMAGINARY:
-        return jets.jet_mul(u, inv)
-    return jets.jet_mul(jets.jet_linear(_ONE, u, 1.0, 1.0), inv)
 
 
 def assert_matches_reference(code, a1, a2):
@@ -151,10 +136,10 @@ class TestInputChecks:
             backend.unit_slots(backend.KIND_REAL, *point)
 
     def test_denominator_guard_matches_scalar(self):
-        guard = jets.DIV_GUARD
+        guard = DIV_GUARD
         for near in (0.0, -0.0, 0.5 * guard, -guard, guard):
             with pytest.raises(DivisionByNearZero) as generic:
-                jets.jet_reciprocal(Jet3(near, *([0.5] * 9)))
+                jet_reciprocal(Jet3(near, *([0.5] * 9)))
             with pytest.raises(DivisionByNearZero) as kernel:
                 backend._check_denominator(near)
             assert str(kernel.value) == str(generic.value)
@@ -162,6 +147,6 @@ class TestInputChecks:
                 backend._check_denominator(np.array([1.5, near, -2.0]))
         values = [2.0 * guard, -3.0 * guard, 0.75, -4.0, math.nan]
         for v in values:
-            jets.jet_reciprocal(Jet3(v, *([0.5] * 9)))
+            jet_reciprocal(Jet3(v, *([0.5] * 9)))
             backend._check_denominator(v)
         backend._check_denominator(np.array(values))

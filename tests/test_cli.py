@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, files, determinism, units."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 import powergeom
 from powergeom import backend, cli
 from powergeom.cli import main
-from powergeom.scan_io import read_scan_csv
+from powergeom.scan_io import format_float, read_scan_csv
 
 
 def run(argv, capsys):
@@ -232,6 +234,29 @@ class TestBusPower:
         code, _, err = run(["bus-power", "/nonexistent/net.json"], capsys)
         assert code == 1
 
+    def test_csv_quotes_ids_that_need_it(self, tmp_path, capsys):
+        ids = ["a,b", "c\nd", 'e"f', "g\rh", "plain"]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({
+            "buses": [{"id": i, "vmag": 1.0, "delta": 0.1 * n}
+                      for n, i in enumerate(ids)],
+            "branches": [{"from": a, "to": b, "ymag": 1.0, "g": 1.0,
+                          "b": 0.5, "a": 0.2}
+                         for a, b in zip(ids, ids[1:])],
+        }))
+        code, stdout, _ = run(["bus-power", str(path), "--format", "csv"],
+                              capsys)
+        assert code == 0
+        code, js, _ = run(["bus-power", str(path)], capsys)
+        want = [[inj["bus"], inj["p"], inj["q"]]
+                for inj in json.loads(js)["injections"]]
+        rows = list(csv.reader(io.StringIO(stdout, newline="")))
+        assert rows[0] == ["bus", "p", "q"]
+        assert [[b, float(p), float(q)] for b, p, q in rows[1:]] == want
+        _, p, q = want[-1]
+        assert stdout.endswith(
+            f"\nplain,{format_float(p)},{format_float(q)}\n")
+
     @pytest.mark.parametrize("text,problem", [
         ('{"buses": 5}', "'buses' must be a list of objects, got 5"),
         ("[]", "network must be a JSON object, got list"),
@@ -294,6 +319,15 @@ class TestPlotScript:
         code, _, err = run(["plot-script", str(bad)], capsys)
         assert code == 1
         assert "header" in err
+
+    def test_non_utf8_scan_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run(["scan", "--model", "real", "--n", "3", "--out", str(out)],
+            capsys)
+        out.write_bytes(out.read_bytes() + b"\xff\n")
+        code, _, err = run(["plot-script", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {out}: not UTF-8 text: ")
 
 
 def _strict_json(text):

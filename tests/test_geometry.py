@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jet_reference import paraboloid
+from powergeom.backend import Jet3
 from powergeom.errors import DegenerateMetric
 from powergeom.fdcheck import PRECISION, central_difference, decimal_tan
 from powergeom.geometry import (
@@ -21,20 +23,12 @@ from powergeom.geometry import (
     is_degenerate,
     scalar_curvature_oracle,
 )
-from powergeom.jets import Jet3, jet_linear, jet_mul, jet_seed
 from powergeom.models import (FlowKind, PowerModel, eval_power_jet,
                               unit_surface)
 
 REAL = PowerModel(FlowKind.REAL)
 IMAG = PowerModel(FlowKind.IMAGINARY)
 COMP = PowerModel(FlowKind.COMPLEX)
-
-
-def paraboloid(a1: float, a2: float) -> Jet3:
-    """Synthetic quadratic field a1^2 + a2^2."""
-    x = jet_seed(1, a1)
-    y = jet_seed(2, a2)
-    return jet_linear(jet_mul(x, x), jet_mul(y, y), 1.0, 1.0)
 
 
 def at(model, a1, a2):
@@ -179,6 +173,37 @@ class TestDiagonalIdentities:
             sec = 1.0 / math.cos(a)
             expected = -4.0 * k2 * sec**4 * math.tan(a) ** 2
             assert abs(det - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+def surface_slopes(kind, u):
+    """f'(u) and f''(u) of the unit surface f = models.unit_surface."""
+    den = 1.0 + u * u
+    real = (-2.0 * u / den**2, (6.0 * u * u - 2.0) / den**3)
+    imag = ((1.0 - u * u) / den**2, 2.0 * u * (u * u - 3.0) / den**3)
+    if kind is FlowKind.REAL:
+        return real
+    if kind is FlowKind.IMAGINARY:
+        return imag
+    return real[0] + imag[0], real[1] + imag[1]
+
+
+class TestFactoredDeterminant:
+    """The surface is f(u) with u = tan a1 - tan a2, so by the chain rule
+    det = 2 s1 s2 f'(u) D with D = f''(u)(t1 s2 - t2 s1) - 2 f'(u) t1 t2,
+    where t_i = tan a_i and s_i = 1 + t_i^2."""
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_kernel_determinant_matches_factored_form(self, kind):
+        model = PowerModel(kind)
+        assert model.k == 1.0
+        for a1, a2 in random_points(61, 3000, -1.5, 1.5):
+            m = at(model, a1, a2)
+            t1, t2 = math.tan(a1), math.tan(a2)
+            s1, s2 = 1.0 + t1 * t1, 1.0 + t2 * t2
+            f1, f2 = surface_slopes(kind, t1 - t2)
+            d = f2 * (t1 * s2 - t2 * s1) - 2.0 * f1 * t1 * t2
+            scale = max(m["g11"] ** 2, m["g12"] ** 2, m["g22"] ** 2)
+            assert abs(m["det"] - 2.0 * s1 * s2 * f1 * d) <= 1e-13 * scale
 
 
 class TestScaleCovariance:

@@ -349,6 +349,13 @@ class TestReaderStrictness:
             read_scan(str(path))
         assert str(info.value).startswith(f"{path}: not JSON: ")
 
+    def test_non_utf8_csv_names_file(self, tmp_path):
+        path = _write_scan(tmp_path, "csv")
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+
     def test_messages_for_one_bad_field(self, tmp_path):
         path = _write_scan(tmp_path, "csv")
         lines = path.read_text().split("\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jet_reference import jet_linear, jet_mul, jet_seed, paraboloid
 from powergeom import backend
 from powergeom.errors import BadDomain
 from powergeom.geometry import (
@@ -13,7 +14,6 @@ from powergeom.geometry import (
     geometry_columns,
     geometry_report,
 )
-from powergeom.jets import jet_linear, jet_mul, jet_seed
 from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import grid_table, render_csv
 from powergeom.stability import (
@@ -29,12 +29,6 @@ from powergeom.stability import (
 REAL = PowerModel(FlowKind.REAL)
 IMAG = PowerModel(FlowKind.IMAGINARY)
 COMP = PowerModel(FlowKind.COMPLEX)
-
-
-def paraboloid(a1, a2):
-    x = jet_seed(1, a1)
-    y = jet_seed(2, a2)
-    return jet_linear(jet_mul(x, x), jet_mul(y, y), 1.0, 1.0)
 
 
 class TestClassifyPoint:
@@ -218,6 +212,20 @@ class TestLocateTransitions:
 
 
 class TestClassificationInvariance:
+    @pytest.mark.parametrize("n", [33, 64, 256])
+    def test_transpose_relations(self, n):
+        """Swapping a1 and a2 negates u. The real flow is even in u, so
+        its class map is symmetric; the imaginary flow is odd, so its
+        metric changes sign and STABLE and NEGDEF trade places."""
+        real = scan_grid(REAL, n=n).columns["codes"].reshape(n, n)
+        assert (real == real.T).all()
+        stable = CLASS_ORDER.index(StabilityClass.STABLE)
+        negdef = CLASS_ORDER.index(StabilityClass.NEGATIVE_DEFINITE)
+        swap = np.arange(len(CLASS_ORDER))
+        swap[[stable, negdef]] = negdef, stable
+        imag = scan_grid(IMAG, n=n).columns["codes"].reshape(n, n)
+        assert (imag == swap[imag.T]).all()
+
     def test_rescaling_k_preserves_every_class(self):
         # signs of g11, g22 and det are homogeneous in k > 0
         for kind in FlowKind:
