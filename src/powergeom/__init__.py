@@ -12,7 +12,6 @@ from .errors import (
     DanglingBranch,
     DegenerateMetric,
     DenominatorZero,
-    DivisionByNearZero,
     DomainError,
     PowergeomError,
     SchemaMismatch,
@@ -50,7 +49,6 @@ __all__ = [
     "DanglingBranch",
     "DegenerateMetric",
     "DenominatorZero",
-    "DivisionByNearZero",
     "DomainError",
     "FlowKind",
     "GeometryReport",

@@ -1,9 +1,9 @@
 """Unit-scale jets of the flow surfaces, per point or per point array.
 
 One straight-line kernel, :func:`_slots`, computes the third-order jet of
-a flow surface from ``tan a1`` and ``tan a2``. It is plain arithmetic on
-local variables, so it runs on Python floats for one point and
-elementwise on ndarray columns for many. ``unit_slots`` evaluates one
+a :class:`FlowKind` surface from ``tan a1`` and ``tan a2``. It is plain
+arithmetic on local variables, so it runs on Python floats for one point
+and elementwise on ndarray columns for many. ``unit_slots`` evaluates one
 point on floats; bisection and single-point reports use it.
 ``batch_slots`` evaluates flat point arrays for the scans and the
 verification harness's samples, in blocks of ``BLOCK`` points so that the
@@ -32,24 +32,30 @@ the blocks split.
 
 from __future__ import annotations
 
+import enum
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivisionByNearZero
-
-KIND_REAL = 0
-KIND_IMAGINARY = 1
-KIND_COMPLEX = 2
-
 #: Points per column-wise evaluation in :func:`batch_slots`.
 BLOCK = 4096
 
-#: Absolute guard on a division's denominator value. The flow surfaces are
-#: never evaluated at tan poles, so a smaller magnitude means a blowup that
-#: should surface as a typed error instead of inf/nan slots.
-DIV_GUARD = 1e-14
+
+class FlowKind(enum.Enum):
+    """Which flow surface a model evaluates."""
+
+    REAL = "real"
+    IMAGINARY = "imaginary"
+    COMPLEX = "complex"
+
+    @classmethod
+    def parse(cls, text: str) -> "FlowKind":
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown flow kind {text!r}; expected real, "
+                             "imaginary or complex") from None
 
 
 class Jet3(NamedTuple):
@@ -67,21 +73,8 @@ class Jet3(NamedTuple):
     f222: float
 
 
-def _check_denominator(den) -> None:
-    """Reject a denominator value (a float, or each element of a column)
-    within :data:`DIV_GUARD` of zero."""
-    if isinstance(den, float):
-        bad = den if abs(den) <= DIV_GUARD else None
-    else:
-        near = np.abs(den) <= DIV_GUARD
-        bad = den[near][0] if near.any() else None
-    if bad is not None:
-        raise DivisionByNearZero(
-            f"denominator value {bad!r} within guard {DIV_GUARD!r}")
-
-
-def _slots(code: int, t1, t2) -> Jet3:
-    """Unit-scale (k=1) jet of flow ``code`` from ``t1 = tan a1`` and
+def _slots(kind: FlowKind, t1, t2) -> Jet3:
+    """Unit-scale (k=1) jet of flow ``kind`` from ``t1 = tan a1`` and
     ``t2 = tan a2``: floats for one point, equal-length columns for many.
     """
     # Derivatives of tan at a1 and a2: sec^2, 2 tan sec^2 and
@@ -129,9 +122,8 @@ def _slots(code: int, t1, t2) -> Jet3:
     d122 = 0.0 + (u122 * u + u22 * u1 + 2.0 * u12 * u2 + 2.0 * u2 * u12
                   + u1 * u22 + u * u122)
     d222 = 0.0 + (u222 * u + 3.0 * u22 * u2 + 3.0 * u2 * u22 + u * u222)
-    _check_denominator(d)
-    # v = 1/d by the chain rule, with the derivatives r, e1, e2, e3 of
-    # 1/x at d (jet_reference.reciprocal_derivatives).
+    # v = 1/d (d >= 1: the angles, so their tans, are finite) by the chain
+    # rule; r, e1, e2, e3: jet_reference.reciprocal_derivatives at d.
     r = 1.0 / d
     r2 = r * r
     r3 = r2 * r
@@ -149,25 +141,19 @@ def _slots(code: int, t1, t2) -> Jet3:
     v122 = (e3 * d1 * d2 * d2 + e2 * (d22 * d1 + 2.0 * d12 * d2)
             + e1 * d122)
     v222 = e3 * d2 * d2 * d2 + 3.0 * e2 * d2 * d22 + e1 * d222
-    if code == KIND_REAL:
+    if kind is FlowKind.REAL:
         return Jet3(r, v1, v2, v11, v12, v22, v111, v112, v122, v222)
     # The other flows are m * v, the Leibniz product, with m = u or 1 + u.
-    if code == KIND_IMAGINARY:
+    if kind is FlowKind.IMAGINARY:
         m, m1, m2, m11, m12, m22, m111, m112, m122, m222 = (
             u, u1, u2, u11, u12, u22, u111, u112, u122, u222)
-    elif code == KIND_COMPLEX:
+    elif kind is FlowKind.COMPLEX:
         m = 1.0 + u
-        m1 = 0.0 + u1
-        m2 = 0.0 + u2
-        m11 = 0.0 + u11
-        m12 = 0.0 + u12
-        m22 = 0.0 + u22
-        m111 = 0.0 + u111
-        m112 = 0.0 + u112
-        m122 = 0.0 + u122
-        m222 = 0.0 + u222
+        m1, m2, m11, m12, m22, m111, m112, m122, m222 = (
+            0.0 + u1, 0.0 + u2, 0.0 + u11, 0.0 + u12, 0.0 + u22,
+            0.0 + u111, 0.0 + u112, 0.0 + u122, 0.0 + u222)
     else:
-        raise ValueError(f"unknown flow kind code {code!r}")
+        raise ValueError(f"unknown flow kind {kind!r}")
     return Jet3(
         m * r,
         m1 * r + m * v1,
@@ -184,12 +170,12 @@ def _slots(code: int, t1, t2) -> Jet3:
     )
 
 
-def unit_slots(code: int, a1: float, a2: float) -> Jet3:
-    """Unit-scale (k=1) jet of flow ``code`` at the point (a1, a2)."""
+def unit_slots(kind: FlowKind, a1: float, a2: float) -> Jet3:
+    """Unit-scale (k=1) jet of flow ``kind`` at the point (a1, a2)."""
     if not (math.isfinite(a1) and math.isfinite(a2)):
         bad = a2 if math.isfinite(a1) else a1
         raise ValueError(f"seed value must be finite, got {bad!r}")
-    return _slots(code, math.tan(a1), math.tan(a2))
+    return _slots(kind, math.tan(a1), math.tan(a2))
 
 
 def per_element(fn, a: np.ndarray) -> np.ndarray:
@@ -200,18 +186,18 @@ def per_element(fn, a: np.ndarray) -> np.ndarray:
                        count=a.shape[0])
 
 
-def batch_slots(code: int, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+def batch_slots(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Unit-scale jets for flat point arrays as an ``(n, 10)`` array.
 
-    Row i equals ``unit_slots(code, a1[i], a2[i])`` bit for bit, and the
+    Row i equals ``unit_slots(kind, a1[i], a2[i])`` bit for bit, and the
     inputs are rejected where that would reject a point.
     """
+    if not isinstance(kind, FlowKind):
+        raise ValueError(f"unknown flow kind {kind!r}")
     a1 = np.ascontiguousarray(a1, dtype=np.float64)
     a2 = np.ascontiguousarray(a2, dtype=np.float64)
     if a1.shape != a2.shape or a1.ndim != 1:
         raise ValueError("batch_slots expects matching 1-d point arrays")
-    if code not in (KIND_REAL, KIND_IMAGINARY, KIND_COMPLEX):
-        raise ValueError(f"unknown flow kind code {code!r}")
     bad = ~(np.isfinite(a1) & np.isfinite(a2))
     if bad.any():
         i = int(np.argmax(bad))
@@ -221,7 +207,7 @@ def batch_slots(code: int, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     out = np.empty((n, 10), dtype=np.float64)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
-        jet = _slots(code, per_element(math.tan, a1[start:stop]),
+        jet = _slots(kind, per_element(math.tan, a1[start:stop]),
                      per_element(math.tan, a2[start:stop]))
         for j, column in enumerate(jet):
             out[start:stop, j] = column

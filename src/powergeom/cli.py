@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_paper)
 
     p = sub.add_parser("verify-self", help="run the invariant self-checks")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100,
+                   help="points per sampled check; above 100 acts as 100")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify_self)
 

@@ -5,10 +5,6 @@ class PowergeomError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class DivisionByNearZero(PowergeomError):
-    """Jet division whose denominator value sits inside the guard band."""
-
-
 class DomainError(PowergeomError):
     """Angle too close to an odd multiple of pi/2 for the flow surfaces."""
 

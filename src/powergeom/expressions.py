@@ -151,6 +151,15 @@ class PaperQuantity:
     denominators: tuple[TrigPolynomial, ...]
     notes: tuple[str, ...] = ()
 
+    def prefactor_value(self, c1, c2, v: float, r0: float):
+        """:meth:`Prefactor.value`; an overflow names the quantity."""
+        try:
+            return self.prefactor.value(c1, c2, v, r0)
+        except OverflowError:
+            pf = self.prefactor
+            raise ValueError(f"{self.id}: prefactor V^{pf.e_v} R0^{pf.e_r0} "
+                             f"overflows at V={v!r}, R0={r0!r}") from None
+
     def denominator_mass(self) -> int:
         return sum(p.coefficient_mass for p in self.denominators)
 
@@ -171,7 +180,7 @@ def reconstruct_quantity(q: PaperQuantity, a1: float, a2: float,
     if abs(den) <= DENOM_TOL * q.denominator_mass():
         raise DenominatorZero(
             f"{q.id}: denominator {den!r} vanishes at ({a1!r}, {a2!r})")
-    return q.prefactor.value(c1, c2, v, r0) * num / den
+    return q.prefactor_value(c1, c2, v, r0) * num / den
 
 
 def _poly(name: str, table_name: str) -> TrigPolynomial:

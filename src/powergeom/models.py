@@ -18,48 +18,19 @@ as written, including the simultaneous |Y| and (G, B) factors.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import backend
-from .backend import Jet3
+from .backend import FlowKind, Jet3
 from .errors import DanglingBranch, DomainError, ZeroResistance
 
 HALF_PI = math.pi / 2.0
 
 #: Angles closer than this to an odd multiple of pi/2 are rejected.
 DOMAIN_GUARD = 1e-6
-
-
-class FlowKind(enum.Enum):
-    """Which flow surface a model evaluates."""
-
-    REAL = "real"
-    IMAGINARY = "imaginary"
-    COMPLEX = "complex"
-
-    @property
-    def code(self) -> int:
-        return _KIND_CODES[self]
-
-    @classmethod
-    def parse(cls, text: str) -> "FlowKind":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown flow kind {text!r}; expected real, imaginary or complex"
-            ) from None
-
-
-_KIND_CODES = {
-    FlowKind.REAL: backend.KIND_REAL,
-    FlowKind.IMAGINARY: backend.KIND_IMAGINARY,
-    FlowKind.COMPLEX: backend.KIND_COMPLEX,
-}
 
 
 @dataclass(frozen=True)
@@ -124,8 +95,7 @@ def eval_power_jet(model: PowerModel, a1: float, a2: float) -> Jet3:
     a1 = check_angle(a1)
     a2 = check_angle(a2)
     k = model.k
-    slots = backend.unit_slots(model.kind.code, a1, a2)
-    return Jet3(*(k * s for s in slots))
+    return Jet3(*(k * s for s in backend.unit_slots(model.kind, a1, a2)))
 
 
 class PhaseAngles(NamedTuple):

@@ -43,6 +43,8 @@ _LABELS = frozenset(CLASS_LABELS)
 #: whitespace and non-ASCII characters (such as other scripts' digits).
 _ODD_NUMBER = re.compile(r"[_\s]|[^\x00-\x7f]")
 _ODD_ASCII = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
+#: ``n`` as the writers write it: >= 2, in at most 18 digits for ``int``.
+_COUNT = re.compile("[2-9]|[1-9][0-9]{1,17}")
 
 #: One CSV data row: the eight floats with 17 significant digits, then
 #: the class label.
@@ -165,6 +167,15 @@ def _table_from_columns(metadata: dict[str, str],
     if not _LABELS.issuperset(labels):
         bad = next(label for label in labels if label not in _LABELS)
         raise SchemaMismatch(f"{where}: unknown class label {bad!r}")
+    command, n = metadata.get("command"), metadata.get("n")
+    if command not in ("scan", "diagonal") or not (
+            isinstance(n, str) and _COUNT.fullmatch(n)):
+        raise SchemaMismatch(f"{where}: command={command!r}, n={n!r} is not "
+                             "a scan or diagonal of n >= 2 points")
+    want = int(n) ** 2 if command == "scan" else int(n)
+    if len(labels) != want:
+        raise SchemaMismatch(f"{where}: {len(labels)} rows, but a "
+                             f"{command} of n={n} has {want}")
     return ScanTable(metadata=metadata,
                      rows=tuple(map(ScanRow, *floats, labels)))
 

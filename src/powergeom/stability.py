@@ -69,7 +69,7 @@ def evaluate_points(model: PowerModel, a1: np.ndarray,
     ``eval_power_jet(model, a1[i], a2[i])``. Scans and ``verify-paper``
     both evaluate their points here.
     """
-    slots = backend.batch_slots(model.kind.code, a1, a2)
+    slots = backend.batch_slots(model.kind, a1, a2)
     slots *= model.k
     cols = geometry_columns(Jet3(*slots.T))
     cols["a1"] = a1
@@ -178,11 +178,10 @@ class TransitionSet:
 
 def det_function(model: PowerModel) -> Callable[[float, float], float]:
     """Continuous metric determinant of a model, for root refinement."""
-    code = model.kind.code
-    k = model.k
+    kind, k = model.kind, model.k
 
     def det_at(a1: float, a2: float) -> float:
-        s = backend.unit_slots(code, a1, a2)
+        s = backend.unit_slots(kind, a1, a2)
         return determinant(k * s.f11, k * s.f12, k * s.f22)
 
     return det_at

@@ -239,7 +239,7 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
             if rows.size:
                 auto[rows] = values[defined]
                 num = poly_sum(q.numerators, c1, s1, c2, s2)
-                pf = q.prefactor.value(c1, c2, model.v, model.r0)
+                pf = q.prefactor_value(c1, c2, model.v, model.r0)
                 recon[rows] = (pf * num / den)[rows]
             dev = np.abs(recon - auto) / np.maximum(1.0, np.abs(auto))
         usable = np.flatnonzero(np.isfinite(auto) & np.isfinite(recon))

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 
-from powergeom.backend import DIV_GUARD, KIND_IMAGINARY, KIND_REAL, Jet3
-from powergeom.errors import DivisionByNearZero
+from powergeom.backend import FlowKind, Jet3
+
+#: :func:`jet_reciprocal` rejects a denominator value this close to zero.
+DIV_GUARD = 1e-14
 
 #: Derivatives (g, g', g'', g''') of a univariate outer function at a point.
 UnivariateJet = tuple
@@ -125,10 +127,10 @@ def tan_derivatives(t) -> UnivariateJet:
 
 
 def jet_reciprocal(b: Jet3) -> Jet3:
-    """Jet of ``1/b``; raises :class:`DivisionByNearZero` inside
+    """Jet of ``1/b``; raises :class:`ZeroDivisionError` inside
     :data:`DIV_GUARD`."""
     if abs(b.f) <= DIV_GUARD:
-        raise DivisionByNearZero(
+        raise ZeroDivisionError(
             f"denominator value {b.f!r} within guard {DIV_GUARD!r}")
     return jet_apply_univariate(reciprocal_derivatives(1.0 / b.f), b)
 
@@ -141,16 +143,16 @@ def jet_tan(u: Jet3) -> Jet3:
 _ONE = jet_const(1.0)
 
 
-def reference_slots(code: int, a1: float, a2: float) -> Jet3:
-    """Unit-scale jet of flow ``code`` by the generic composition: seeds
+def reference_slots(kind: FlowKind, a1: float, a2: float) -> Jet3:
+    """Unit-scale jet of flow ``kind`` by the generic composition: seeds
     through ``tan``, u = tan a1 - tan a2, the reciprocal of 1 + u*u, then
     u or 1 + u times it."""
     u = jet_linear(jet_tan(jet_seed(1, a1)), jet_tan(jet_seed(2, a2)),
                    1.0, -1.0)
     inv = jet_reciprocal(jet_linear(_ONE, jet_mul(u, u), 1.0, 1.0))
-    if code == KIND_REAL:
+    if kind is FlowKind.REAL:
         return inv
-    if code == KIND_IMAGINARY:
+    if kind is FlowKind.IMAGINARY:
         return jet_mul(u, inv)
     return jet_mul(jet_linear(_ONE, u, 1.0, 1.0), inv)
 

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 import powergeom
-from powergeom import backend
+from powergeom import backend, errors, models
 
 
 def test_every_exported_name_resolves():
@@ -21,3 +21,16 @@ def test_jet_algebra_is_not_public():
     assert [n for n in powergeom.__all__ if n.startswith("jet_")] == []
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("powergeom.jets")
+
+
+def test_flow_kind_is_the_kernels():
+    assert powergeom.FlowKind is backend.FlowKind is models.FlowKind
+
+
+def test_kernel_int_codes_and_guard_are_gone():
+    assert not hasattr(powergeom, "DivisionByNearZero")
+    assert "DivisionByNearZero" not in powergeom.__all__
+    assert not hasattr(errors, "DivisionByNearZero")
+    for name in ("KIND_REAL", "KIND_IMAGINARY", "KIND_COMPLEX", "DIV_GUARD"):
+        assert not hasattr(backend, name), name
+    assert not hasattr(powergeom.FlowKind.REAL, "code")

@@ -188,6 +188,17 @@ class TestVerifyPaper:
         assert by_id["DET_I"]["status"] == "DISCREPANT"
         assert by_id["CURV_I"]["status"] == "VERIFIED"
 
+    @pytest.mark.parametrize("v,r0", [("1e100", "1e100"),
+                                      ("1e-100", "1e-200")])
+    def test_prefactor_overflow_names_the_quantity(self, v, r0, capsys):
+        code, stdout, stderr = run(["verify-paper", "--model", "real",
+                                    "--v", v, "--r0", r0, "--samples", "5"],
+                                   capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (f"error: DET_R: prefactor V^4 R0^-2 overflows at "
+                          f"V={float(v)!r}, R0={float(r0)!r}\n")
+
     def test_text_format_to_stdout(self, capsys):
         code, stdout, _ = run(["verify-paper", "--model", "complex",
                                "--samples", "25", "--format", "text"], capsys)

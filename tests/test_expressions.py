@@ -137,6 +137,13 @@ class TestReconstruction:
         scaled = reconstruct_quantity(q, 0.4, -0.2, v=3.0, r0=2.0)
         assert scaled == pytest.approx(base * 9.0 / 2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("v,r0", [(1e100, 1e100), (1e-100, 1e-200)])
+    def test_prefactor_overflow_names_the_quantity(self, v, r0):
+        with pytest.raises(ValueError) as info:
+            reconstruct_quantity(quantity("DET_R"), 0.4, -0.2, v=v, r0=r0)
+        assert str(info.value) == (f"DET_R: prefactor V^4 R0^-2 overflows "
+                                   f"at V={v!r}, R0={r0!r}")
+
     def test_denominator_zero_raises_with_location(self):
         poly = TrigPolynomial(name="vanishing", terms=((1, 0, 1, 0, 0),))
         q = PaperQuantity(

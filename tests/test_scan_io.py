@@ -239,8 +239,10 @@ class TestByteIdentity:
             assert render_json(table) == reference_json(table)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_tables(st.sampled_from(CLASS_LABELS),
-                   st.just({"format": FORMAT_TAG, "command": "scan"})))
+    @given(st.lists(_row(st.sampled_from(CLASS_LABELS)), min_size=2,
+                    max_size=12).map(lambda rows: ScanTable(
+                        {"format": FORMAT_TAG, "command": "diagonal",
+                         "n": str(len(rows))}, tuple(rows))))
     def test_round_trip_bits(self, tmp_path_factory, table):
         folder = tmp_path_factory.mktemp("round-trip")
         for name in ("t.csv", "t.json"):
@@ -370,6 +372,90 @@ class TestReaderStrictness:
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaMismatch, match="bad record: 'g12'"):
             read_scan_json(str(path))
+
+
+class TestRowCount:
+    """A scan file holds n^2 rows (n on a diagonal) for its metadata n."""
+
+    @pytest.mark.parametrize("edit", ["drop", "duplicate"])
+    @pytest.mark.parametrize("command", ["scan", "diagonal"])
+    def test_csv_row_dropped_or_duplicated(self, tmp_path, command, edit):
+        if command == "scan":
+            table = grid_table(scan_grid(IMAG, (-1.0, 1.0), n=3))
+        else:
+            table = diagonal_table(scan_diagonal(IMAG, (-1.0, 1.0), n=9))
+        path = tmp_path / "scan.csv"
+        write_table(table, str(path), "csv")
+        lines = path.read_text().split("\n")
+        if edit == "drop":
+            del lines[-2]
+        else:
+            lines.insert(-2, lines[-2])
+        path.write_text("\n".join(lines))
+        got = 8 if edit == "drop" else 10
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        n = "3" if command == "scan" else "9"
+        assert str(info.value) == (f"{path}: {got} rows, but a {command} "
+                                   f"of n={n} has 9")
+
+    def test_json_record_removed(self, tmp_path):
+        path = _write_scan(tmp_path, "json")
+        data = json.loads(path.read_text())
+        data["records"].pop(4)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == f"{path}: 8 rows, but a scan of n=3 has 9"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [None, "", "three", "3.0", "03", "+3",
+                                   " 3", "1", "0", "-3", "\u0663",
+                                   "1" * 19])
+    def test_n_missing_or_not_a_count(self, tmp_path, fmt, n):
+        path = _write_scan(tmp_path, fmt)
+        if fmt == "csv":
+            line = "" if n is None else f"# n={n}\n"
+            path.write_text(path.read_text().replace("# n=3\n", line))
+        else:
+            data = json.loads(path.read_text())
+            if n is None:
+                del data["metadata"]["n"]
+            else:
+                data["metadata"]["n"] = n
+            path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == (f"{path}: command='scan', n={n!r} is not "
+                                   "a scan or diagonal of n >= 2 points")
+
+    def test_json_n_must_be_text(self, tmp_path):
+        path = _write_scan(tmp_path, "json")
+        data = json.loads(path.read_text())
+        data["metadata"]["n"] = 3
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatch, match="'scan', n=3 is not a scan"):
+            read_scan(str(path))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [None, "grid", "Scan"])
+    def test_command_must_be_scan_or_diagonal(self, tmp_path, fmt, command):
+        path = _write_scan(tmp_path, fmt)
+        if fmt == "csv":
+            line = "" if command is None else f"# command={command}\n"
+            path.write_text(path.read_text().replace("# command=scan\n",
+                                                     line))
+        else:
+            data = json.loads(path.read_text())
+            if command is None:
+                del data["metadata"]["command"]
+            else:
+                data["metadata"]["command"] = command
+            path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == (f"{path}: command={command!r}, n='3' is "
+                                   "not a scan or diagonal of n >= 2 points")
 
 
 class TestReaderChoice:
