@@ -1,33 +1,25 @@
 """Unit-scale jets of the flow surfaces, per point or per point array.
 
 One straight-line kernel, :func:`_slots`, computes the third-order jet of
-a :class:`FlowKind` surface from ``tan a1`` and ``tan a2``. It is plain
-arithmetic on local variables, so it runs on Python floats for one point
-and elementwise on ndarray columns for many. ``unit_slots`` evaluates one
-point on floats; bisection and single-point reports use it.
-``batch_slots`` evaluates flat point arrays for the scans and the
-verification harness's samples, in blocks of ``BLOCK`` points so that the
-temporaries stay small at any grid size.
-
-A :class:`Jet3` holds a field value and every partial derivative up to
-third order in the two angles, ten raw partials with each mixed one
-stored once; the metric and curvature read their slots directly.
-
-The kernel is a generic jet composition written out, the one that
-``tests/jet_reference.py`` keeps as its reference: the seed jets of a1
-and a2 through ``tan``, ``u = tan a1 - tan a2``, the reciprocal of
-``1 + u*u`` and, per flow, its product with ``u`` or ``1 + u``. It
-performs every IEEE operation of that composition, in the
-same order and association, including the products with the seeds'
-exact ``0.0`` slots: they set the signs of zero slots (the real flow's
-``f2`` is ``-0.0`` on the equal-angle line). Only products with the
-seeds' exact ``1.0`` are left out, since ``x * 1.0 == x`` for every
-double. The tests check the kernel against that composition bit for bit.
-
-Both paths run the same function on the same operands, and ``tan`` comes
+a :class:`FlowKind` surface from ``tan a1`` and ``tan a2``: a
+:class:`Jet3`, the value and its ten raw partials up to third order in
+the two angles, each mixed one stored once. It is plain arithmetic on
+local variables. ``unit_slots`` runs it on floats for one point
+(bisection, single-point reports); ``batch_slots`` runs it elementwise on
+ndarray columns for the scans and the verification samples, in blocks of
+``BLOCK`` points so that the temporaries stay small. Both take ``tan``
 from ``math.tan`` per element (``np.tan`` rounds differently at some
-points), so they give the same bits for every point regardless of where
-the blocks split.
+points), so they give the same bits wherever the blocks split.
+
+The kernel gives the bits, signed zeros included, of the jet composition
+in ``tests/jet_reference.py`` (seeds through ``tan``, ``u = tan a1 -
+tan a2``, ``1/(1 + u*u)``, then ``u`` or ``1 + u`` times it) without the
+operations of known exact result. u's mixed partials are ``+0.0`` and
+build no term. The rules, true at every finite angle (``s >= 1``,
+``c > 0``, ``r = 1/d > 0``): ``x + -0.0`` and ``x * 1.0`` equal ``x``;
+``0.0 + x`` equals ``x`` unless ``x`` is ``-0.0``, which a sum with a
+nonzero term never is; adding ``±0.0`` to a sum whose running value
+starts at ``+0.0`` changes nothing; nonzero terms keep order and grouping.
 """
 
 from __future__ import annotations
@@ -85,42 +77,21 @@ def _slots(kind: FlowKind, t1, t2) -> Jet3:
     q2 = 2.0 * t2 * s2
     c1 = 2.0 * s1 * (s1 + 2.0 * t1 * t1)
     c2 = 2.0 * s2 * (s2 + 2.0 * t2 * t2)
-    # Their products with the seeds' zero slots.
-    o1 = s1 * 0.0
-    o2 = s2 * 0.0
-    q1z = q1 * 0.0
-    q2z = q2 * 0.0
-    c1z = c1 * 0.0
-    c2z = c2 * 0.0
-    # u = x + -1.0 * y slot by slot (jet_reference.jet_linear), where x
-    # and y are the jets of tan a1 and tan a2: tan's derivatives applied
-    # to the seeds (jet_apply_univariate),
-    # x = (t1, s1, o1, q1 + o1, q1z + o1, ...).
-    # Each parenthesized group below is one slot of x or of y.
-    u = t1 + -1.0 * t2
-    u1 = s1 + -1.0 * o2
-    u2 = o1 + -1.0 * s2
-    u11 = (q1 + o1) + -1.0 * (q2z * 0.0 + o2)
-    u12 = (q1z + o1) + -1.0 * (q2z + o2)
-    u22 = (q1z * 0.0 + o1) + -1.0 * (q2 + o2)
-    u111 = ((c1 + 3.0 * q1 * 0.0 + o1)
-            + -1.0 * (c2z * 0.0 * 0.0 + 3.0 * q2 * 0.0 * 0.0 + o2))
-    u112 = (c1z + q1z + o1) + -1.0 * (c2z * 0.0 + q2z + o2)
-    u122 = (c1z * 0.0 + q1z + o1) + -1.0 * (c2z + q2z + o2)
-    u222 = ((c1z * 0.0 * 0.0 + 3.0 * q1 * 0.0 * 0.0 + o1)
-            + -1.0 * (c2 + 3.0 * q2 * 0.0 + o2))
-    # d = 1 + u*u: the constant one's slots plus the Leibniz square.
+    # u = tan a1 - tan a2 has no mixed partials: u12, u112 and u122 are
+    # +0.0, and every term built from them is left out below.
+    u, u1, u2 = t1 - t2, s1, -s2
+    u11, u22, u111, u222 = q1 + 0.0, 0.0 - q2, c1, -c2
+    # d = 1 + u*u: the constant one's slots plus the Leibniz square. A
+    # sum with a nonzero term, 2*u1*u1 say, needs no 0.0 +.
     d = 1.0 + u * u
     d1 = 0.0 + (u1 * u + u * u1)
     d2 = 0.0 + (u2 * u + u * u2)
-    d11 = 0.0 + (u11 * u + 2.0 * u1 * u1 + u * u11)
-    d12 = 0.0 + (u12 * u + u1 * u2 + u2 * u1 + u * u12)
-    d22 = 0.0 + (u22 * u + 2.0 * u2 * u2 + u * u22)
+    d11 = u11 * u + 2.0 * u1 * u1 + u * u11
+    d12 = u1 * u2 + u2 * u1
+    d22 = u22 * u + 2.0 * u2 * u2 + u * u22
     d111 = 0.0 + (u111 * u + 3.0 * u11 * u1 + 3.0 * u1 * u11 + u * u111)
-    d112 = 0.0 + (u112 * u + u11 * u2 + 2.0 * u12 * u1 + 2.0 * u1 * u12
-                  + u2 * u11 + u * u112)
-    d122 = 0.0 + (u122 * u + u22 * u1 + 2.0 * u12 * u2 + 2.0 * u2 * u12
-                  + u1 * u22 + u * u122)
+    d112 = 0.0 + u11 * u2 + u2 * u11
+    d122 = 0.0 + u22 * u1 + u1 * u22
     d222 = 0.0 + (u222 * u + 3.0 * u22 * u2 + 3.0 * u2 * u22 + u * u222)
     # v = 1/d (d >= 1: the angles, so their tans, are finite) by the chain
     # rule; r, e1, e2, e3: jet_reference.reciprocal_derivatives at d.
@@ -143,30 +114,25 @@ def _slots(kind: FlowKind, t1, t2) -> Jet3:
     v222 = e3 * d2 * d2 * d2 + 3.0 * e2 * d2 * d22 + e1 * d222
     if kind is FlowKind.REAL:
         return Jet3(r, v1, v2, v11, v12, v22, v111, v112, v122, v222)
-    # The other flows are m * v, the Leibniz product, with m = u or 1 + u.
+    # The other flows are m * v, the Leibniz product, with m = u or 1 + u;
+    # both share u's partials, and m12 * r, m112 * r, m122 * r are +0.0.
     if kind is FlowKind.IMAGINARY:
-        m, m1, m2, m11, m12, m22, m111, m112, m122, m222 = (
-            u, u1, u2, u11, u12, u22, u111, u112, u122, u222)
+        m = u
     elif kind is FlowKind.COMPLEX:
         m = 1.0 + u
-        m1, m2, m11, m12, m22, m111, m112, m122, m222 = (
-            0.0 + u1, 0.0 + u2, 0.0 + u11, 0.0 + u12, 0.0 + u22,
-            0.0 + u111, 0.0 + u112, 0.0 + u122, 0.0 + u222)
     else:
         raise ValueError(f"unknown flow kind {kind!r}")
     return Jet3(
         m * r,
-        m1 * r + m * v1,
-        m2 * r + m * v2,
-        m11 * r + 2.0 * m1 * v1 + m * v11,
-        m12 * r + m1 * v2 + m2 * v1 + m * v12,
-        m22 * r + 2.0 * m2 * v2 + m * v22,
-        m111 * r + 3.0 * m11 * v1 + 3.0 * m1 * v11 + m * v111,
-        m112 * r + m11 * v2 + 2.0 * m12 * v1
-        + 2.0 * m1 * v12 + m2 * v11 + m * v112,
-        m122 * r + m22 * v1 + 2.0 * m12 * v2
-        + 2.0 * m2 * v12 + m1 * v22 + m * v122,
-        m222 * r + 3.0 * m22 * v2 + 3.0 * m2 * v22 + m * v222,
+        u1 * r + m * v1,
+        u2 * r + m * v2,
+        u11 * r + 2.0 * u1 * v1 + m * v11,
+        0.0 + u1 * v2 + u2 * v1 + m * v12,
+        u22 * r + 2.0 * u2 * v2 + m * v22,
+        u111 * r + 3.0 * u11 * v1 + 3.0 * u1 * v11 + m * v111,
+        0.0 + u11 * v2 + 2.0 * u1 * v12 + u2 * v11 + m * v112,
+        0.0 + u22 * v1 + 2.0 * u2 * v12 + u1 * v22 + m * v122,
+        u222 * r + 3.0 * u22 * v2 + 3.0 * u2 * v22 + m * v222,
     )
 
 

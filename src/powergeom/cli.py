@@ -56,15 +56,16 @@ def _add_unit_arg(p: argparse.ArgumentParser) -> None:
                    help="unit of input angles (files always store radians)")
 
 
-def _add_domain_args(p: argparse.ArgumentParser) -> None:
+def _add_domain_args(p: argparse.ArgumentParser, second_axis: bool) -> None:
     p.add_argument("--min", type=float, default=DEFAULT_BOUNDS[0],
                    help="axis lower bound (default -1.55 rad)")
     p.add_argument("--max", type=float, default=DEFAULT_BOUNDS[1],
                    help="axis upper bound (default 1.55 rad)")
-    p.add_argument("--min2", type=float, default=None,
-                   help="second-axis lower bound (defaults to --min)")
-    p.add_argument("--max2", type=float, default=None,
-                   help="second-axis upper bound (defaults to --max)")
+    if second_axis:
+        p.add_argument("--min2", type=float, default=None,
+                       help="second-axis lower bound (defaults to --min)")
+        p.add_argument("--max2", type=float, default=None,
+                       help="second-axis upper bound (defaults to --max)")
 
 
 def _angle(value: float, unit: str) -> float:
@@ -88,39 +89,34 @@ def _transition_summary(transitions) -> str:
     return "\n".join(lines)
 
 
+def _write_scan(args, scan, to_table, find_transitions: bool) -> int:
+    """Write ``to_table(scan)`` to ``--out`` and report it."""
+    summary = ""
+    if find_transitions:  # first, so a rejected threshold writes nothing
+        summary = _transition_summary(locate_transitions(
+            scan, spike_threshold=args.spike_threshold))
+    table = to_table(scan)
+    scan_io.write_table(table, args.out, args.format)
+    print(f"wrote {len(table.rows)} records to {args.out}")
+    if summary:
+        print(summary)
+    return 0
+
+
 def _cmd_scan(args) -> int:
-    model = _model_from(args)
     lo1 = _angle(args.min, args.unit)
     hi1 = _angle(args.max, args.unit)
     lo2 = _angle(args.min2, args.unit) if args.min2 is not None else lo1
     hi2 = _angle(args.max2, args.unit) if args.max2 is not None else hi1
-    scan = scan_grid(model, (lo1, hi1), (lo2, hi2), n=args.n)
-    # transitions before the file, so a rejected threshold writes nothing
-    transitions = None
-    if args.spike_threshold is not None:
-        transitions = locate_transitions(scan,
-                                         spike_threshold=args.spike_threshold)
-    table = scan_io.grid_table(scan)
-    scan_io.write_table(table, args.out, args.format)
-    print(f"wrote {len(table.rows)} records to {args.out}")
-    if transitions is not None:
-        print(_transition_summary(transitions))
-    return 0
+    scan = scan_grid(_model_from(args), (lo1, hi1), (lo2, hi2), n=args.n)
+    return _write_scan(args, scan, scan_io.grid_table,
+                       args.spike_threshold is not None)
 
 
 def _cmd_diagonal(args) -> int:
-    model = _model_from(args)
-    lo = _angle(args.min, args.unit)
-    hi = _angle(args.max, args.unit)
-    scan = scan_diagonal(model, (lo, hi), n=args.n)
-    # transitions before the file, so a rejected threshold writes nothing
-    transitions = locate_transitions(scan,
-                                     spike_threshold=args.spike_threshold)
-    table = scan_io.diagonal_table(scan)
-    scan_io.write_table(table, args.out, args.format)
-    print(f"wrote {len(table.rows)} records to {args.out}")
-    print(_transition_summary(transitions))
-    return 0
+    bounds = (_angle(args.min, args.unit), _angle(args.max, args.unit))
+    scan = scan_diagonal(_model_from(args), bounds, n=args.n)
+    return _write_scan(args, scan, scan_io.diagonal_table, True)
 
 
 def _cmd_classify(args) -> int:
@@ -225,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="grid scan of the geometry")
     _add_model_args(p)
-    _add_domain_args(p)
+    _add_domain_args(p, second_axis=True)
     _add_unit_arg(p)
     p.add_argument("--n", type=int, default=64, help="samples per axis")
     p.add_argument("--out", required=True, help="output file")
@@ -236,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagonal", help="scan along the equal-angle line")
     _add_model_args(p)
-    p.add_argument("--min", type=float, default=DEFAULT_BOUNDS[0])
-    p.add_argument("--max", type=float, default=DEFAULT_BOUNDS[1])
+    _add_domain_args(p, second_axis=False)
     _add_unit_arg(p)
     p.add_argument("--n", type=int, default=101, help="number of samples")
     p.add_argument("--out", required=True, help="output file")

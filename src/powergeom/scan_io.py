@@ -28,9 +28,12 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import SchemaMismatch
 from .geometry import CLASS_LABELS
-from .stability import DEFAULT_GUARD, Bounds, DiagonalScan, GridScan
+from .stability import (DEFAULT_GUARD, Bounds, DiagonalScan, GridScan,
+                        axis_samples)
 
 SCAN_COLUMNS = ("a1", "a2", "value", "g11", "g12", "g22",
                 "det", "curvature", "class")
@@ -176,8 +179,40 @@ def _table_from_columns(metadata: dict[str, str],
     if len(labels) != want:
         raise SchemaMismatch(f"{where}: {len(labels)} rows, but a "
                              f"{command} of n={n} has {want}")
+    _check_redundancy(metadata, floats, where)
     return ScanTable(metadata=metadata,
                      rows=tuple(map(ScanRow, *floats, labels)))
+
+
+def _check_redundancy(metadata: dict[str, str],
+                      floats: Sequence[Sequence[float]], where: str) -> None:
+    """a1, a2 are the metadata bounds' ``axis_samples`` (tiled, repeated on
+    a scan) and det is ``g11*g22 - g12*g12`` or nan with it, bit for bit."""
+    n = int(metadata["n"])
+    a1, a2, _, g11, g12, g22, det = map(np.array, floats[:7])
+    rules = []
+    for name, col in (("a1", a1), ("a2", a2)):
+        ends = metadata.get(f"{name}_min"), metadata.get(f"{name}_max")
+        try:
+            bounds = tuple(map(float, ends))
+        except (TypeError, ValueError):
+            raise SchemaMismatch(f"{where}: {name} bounds {ends} are not "
+                                 "numbers") from None
+        axis = np.array(axis_samples(bounds, n)).view(np.uint64)
+        if metadata["command"] == "scan":
+            col = col.reshape(n, n)
+            axis = axis if name == "a1" else axis[:, None]
+        rules.append((col.view(np.uint64) == axis, f"{name} is not the axis "
+                      f"sample of the metadata bounds {bounds!r}"))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan compared
+        want = g11 * g22 - g12 * g12
+    rules.append(((want.view(np.uint64) == det.view(np.uint64))
+                  | (np.isnan(want) & np.isnan(det)),
+                  "det is not g11*g22 - g12*g12"))
+    for ok, rule in rules:
+        if not ok.all():
+            row = int(np.argmin(ok.ravel())) + 1
+            raise SchemaMismatch(f"{where}: row {row}: {rule}")
 
 
 def read_scan_csv(path: str) -> ScanTable:
@@ -214,14 +249,17 @@ def read_scan_csv(path: str) -> ScanTable:
     cells = text.split(",") if rows else []
     if not text.isascii() or any(c in text for c in _ODD_ASCII):
         _reject_odd_numbers(cells, width, path)
+    # Free the text before the rows are built: it keeps the peak down.
+    del lines, data, rows, text
     floats = []
     for i, name in enumerate(SCAN_COLUMNS[:-1]):
         try:
             floats.append(list(map(float, cells[i::width])))
         except ValueError as exc:
             raise SchemaMismatch(f"{path}: column {name!r}: {exc}") from None
-    return _table_from_columns(metadata, floats, cells[width - 1::width],
-                               path)
+    labels = cells[width - 1::width]
+    del cells
+    return _table_from_columns(metadata, floats, labels, path)
 
 
 def _reject_odd_numbers(cells: list[str], width: int, path: str) -> None:
@@ -252,6 +290,7 @@ def read_scan_json(path: str) -> ScanTable:
     try:
         *columns, labels = [[rec[name] for rec in records]
                             for name in SCAN_COLUMNS]
+        del data, records  # as in read_scan_csv
         for name, col in zip(SCAN_COLUMNS, columns):
             wrong = set(map(type, col)) & {str, bool}
             if wrong:
@@ -260,9 +299,8 @@ def read_scan_json(path: str) -> ScanTable:
                     f"{wrong.pop().__name__}, not a number")
         if None in columns[7]:  # null curvature: undefined
             columns[7] = [math.nan if c is None else c for c in columns[7]]
-        return _table_from_columns(
-            metadata, [list(map(float, col)) for col in columns], labels,
-            path)
+        columns = [list(map(float, col)) for col in columns]
+        return _table_from_columns(metadata, columns, labels, path)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: bad record: {exc}") from None
 

@@ -6,9 +6,10 @@ propagate all ten slots exactly: Leibniz for products, the chain rule
 (Faa di Bruno) for a univariate outer function. Slots hold raw partials,
 not Taylor coefficients; the formulas carry the combinatorial factors.
 
-``powergeom.backend._slots`` writes out the composition in
-:func:`reference_slots` operation for operation, and the tests require
-the two to agree bit for bit.
+``powergeom.backend._slots`` gives the bits of the composition in
+:func:`reference_slots`, with the operations of known exact result left
+out (``backend``'s docstring lists the rules), and the tests require the
+two to agree bit for bit.
 """
 
 from __future__ import annotations

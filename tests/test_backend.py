@@ -59,6 +59,8 @@ def random_points(seed, n, lo=-1.57, hi=1.57):
 
 _angles = st.floats(min_value=-_EDGE_LIMIT, max_value=_EDGE_LIMIT,
                     allow_nan=False, allow_infinity=False)
+_tiny = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+                  st.floats(min_value=-1e-150, max_value=1e-150))
 
 
 @each_flow
@@ -68,6 +70,18 @@ class TestKernelAgainstReference:
                               _angles.map(lambda a: (a, a))),
                     min_size=1, max_size=8))
     def test_drawn_points(self, kind, points):
+        assert_matches_reference(kind, *zip(*points))
+
+    # |a| <= 1e-150, subnormals and signed zeros: the m*v products
+    # underflow to signed zeros, where a term the kernel leaves out could
+    # change the sign of a slot.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.tuples(_tiny, _tiny), _tiny.map(lambda a: (a, a)),
+        st.tuples(_tiny, st.sampled_from((-math.inf, math.inf))).map(
+            lambda p: (p[0], math.nextafter(*p)))),
+        min_size=1, max_size=8))
+    def test_tiny_angles(self, kind, points):
         assert_matches_reference(kind, *zip(*points))
 
     def test_edge_points(self, kind):

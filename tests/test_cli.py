@@ -381,6 +381,8 @@ class TestScaleRange:
                     assert code == 0, argv
                     assert _strict_json(out)["class"] in (
                         "STABLE", "NEGDEF", "INDEF", "DEGEN")
+                elif code == 0 and command[0] in ("scan", "diagonal"):
+                    assert read_scan_csv(command[-1]).rows, argv
 
 
 class TestOutOfMemory:

@@ -23,6 +23,7 @@ import pytest
 
 from powergeom.cli import main
 from powergeom.models import FlowKind, PowerModel
+from powergeom.scan_io import read_scan
 from powergeom.stability import locate_transitions, scan_diagonal, scan_grid
 
 FLOWS = ("real", "imaginary", "complex")
@@ -143,6 +144,18 @@ ROOTS_GOLDEN = {
     ("complex", "grid"): (442, "777bc429a40c9f3eec0728ee01ef61cf93f83e31b589abf42724ac1ea997fb15"),
     ("complex", "diagonal"): (1, "1c540ebbbb3dc674f922feea387141093be29c06640e230b0208974160f2a903"),
 }
+
+
+SCAN_CASES = [case for case in CASES if case[1][0] in ("scan", "diagonal")]
+
+
+@pytest.mark.parametrize("name,argv", [case[:2] for case in SCAN_CASES],
+                         ids=[case[0] for case in SCAN_CASES])
+def test_golden_scan_files_read_back(name, argv, tmp_path):
+    """Every golden scan file passes the reader's redundancy rules."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(read_scan(str(out)).rows) > 0
 
 
 def roots_digest(transitions):

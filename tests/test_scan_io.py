@@ -30,7 +30,7 @@ from powergeom.scan_io import (
     render_json,
     write_table,
 )
-from powergeom.stability import scan_diagonal, scan_grid
+from powergeom.stability import axis_samples, scan_diagonal, scan_grid
 
 IMAG = PowerModel(FlowKind.IMAGINARY)
 
@@ -209,6 +209,24 @@ def _tables(label, metadata):
                      st.lists(_row(label), max_size=12).map(tuple))
 
 
+@st.composite
+def _diagonal_tables(draw):
+    """Diagonals of 2 to 12 rows with any doubles where a scan file has no
+    redundancy: a1 and a2 are the axis samples of the bounds, and det is
+    g11*g22 - g12*g12."""
+    lo, hi = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+    n = draw(st.integers(2, 12))
+    rows = []
+    for a in axis_samples((lo, hi), n):
+        value, g11, g12, g22, curvature = (draw(_doubles) for _ in range(5))
+        rows.append(ScanRow(a, a, value, g11, g12, g22, g11 * g22 - g12 * g12,
+                            curvature, draw(st.sampled_from(CLASS_LABELS))))
+    bounds = {f"{axis}_{end}": format_float(x) for axis in ("a1", "a2")
+              for end, x in (("min", lo), ("max", hi))}
+    return ScanTable({"format": FORMAT_TAG, "command": "diagonal",
+                      "n": str(n), **bounds}, tuple(rows))
+
+
 def _float_bits(table):
     return [(tuple(float(x).hex() for x in tuple(r)[:-1]), r.label)
             for r in table.rows]
@@ -239,10 +257,7 @@ class TestByteIdentity:
             assert render_json(table) == reference_json(table)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.lists(_row(st.sampled_from(CLASS_LABELS)), min_size=2,
-                    max_size=12).map(lambda rows: ScanTable(
-                        {"format": FORMAT_TAG, "command": "diagonal",
-                         "n": str(len(rows))}, tuple(rows))))
+    @given(_diagonal_tables())
     def test_round_trip_bits(self, tmp_path_factory, table):
         folder = tmp_path_factory.mktemp("round-trip")
         for name in ("t.csv", "t.json"):
@@ -458,6 +473,123 @@ class TestRowCount:
                                    "not a scan or diagonal of n >= 2 points")
 
 
+def _set_cell(path, fmt, row, name, value):
+    """Write ``value`` into field ``name`` of record ``row`` (from 0) of a
+    scan file: as ``%.17g`` text in a CSV, as a number in a JSON."""
+    if fmt == "csv":
+        lines = path.read_text().split("\n")
+        at = next(i for i, line in enumerate(lines) if line[:1] != "#")
+        cells = lines[at + 1 + row].split(",")
+        cells[SCAN_COLUMNS.index(name)] = format_float(value)
+        lines[at + 1 + row] = ",".join(cells)
+        path.write_text("\n".join(lines))
+    else:
+        data = json.loads(path.read_text())
+        data["records"][row][name] = value
+        path.write_text(json.dumps(data))
+
+
+def _set_metadata(path, fmt, key, value):
+    if fmt == "csv":
+        lines = [line for line in path.read_text().split("\n")
+                 if not line.startswith(f"# {key}=")]
+        if value is not None:
+            lines.insert(0, f"# {key}={value}")
+        path.write_text("\n".join(lines))
+    else:
+        data = json.loads(path.read_text())
+        data["metadata"].pop(key)
+        if value is not None:
+            data["metadata"][key] = value
+        path.write_text(json.dumps(data))
+
+
+each_format = pytest.mark.parametrize("fmt", ["csv", "json"])
+
+
+class TestRedundancy:
+    """det is g11*g22 - g12*g12 and a1, a2 are the axis samples of the
+    metadata bounds, bit for bit, or the file is a SchemaMismatch naming
+    the row."""
+
+    @each_format
+    @pytest.mark.parametrize("name,row", [
+        ("det", 2), ("g11", 2), ("g12", 2), ("g22", 2),
+        ("det", 4),  # the DEGEN row: det +0.0 written as -0
+    ])
+    def test_det_rule(self, tmp_path, fmt, name, row):
+        path = _write_scan(tmp_path, fmt)
+        x = getattr(read_scan(str(path)).rows[row], name)
+        _set_cell(path, fmt, row, name,
+                  -x if x == 0.0 else math.nextafter(x, math.inf))
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == (f"{path}: row {row + 1}: det is not "
+                                   "g11*g22 - g12*g12")
+
+    @each_format
+    @pytest.mark.parametrize("name,row,value", [
+        ("a1", 5, 1.0 + 2 ** -52),  # one ulp off the axis's last sample
+        ("a1", 1, -0.0),            # the middle sample is +0.0
+        ("a2", 7, 0.0),             # a2 steps once every n records
+        ("a2", 0, -0.5),
+    ])
+    def test_axis_rule_on_a_grid(self, tmp_path, fmt, name, row, value):
+        path = _write_scan(tmp_path, fmt)  # axis -1, 0, 1 on both angles
+        _set_cell(path, fmt, row, name, value)
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == (f"{path}: row {row + 1}: {name} is not the "
+                                   "axis sample of the metadata bounds "
+                                   "(-1.0, 1.0)")
+
+    @each_format
+    @pytest.mark.parametrize("name", ["a1", "a2"])
+    def test_axis_rule_on_a_diagonal(self, tmp_path, fmt, name):
+        table = diagonal_table(scan_diagonal(IMAG, (-1.0, 1.0), n=9))
+        path = tmp_path / f"diag.{fmt}"
+        write_table(table, str(path), fmt)
+        _set_cell(path, fmt, 3, name, table.rows[4].a1)  # a1 != a2 there
+        with pytest.raises(SchemaMismatch, match=f"^{path}: row 4: {name} "
+                           "is not the axis sample"):
+            read_scan(str(path))
+
+    @each_format
+    @pytest.mark.parametrize("key,value", [
+        ("a2_max", "0.5"), ("a1_min", "-1.0000000000000002")])
+    def test_axis_rule_against_edited_bounds(self, tmp_path, fmt, key,
+                                             value):
+        path = _write_scan(tmp_path, fmt)
+        _set_metadata(path, fmt, key, value)
+        name = key[:2]
+        row = 4 if key == "a2_max" else 1  # a2 changes from the second run
+        with pytest.raises(SchemaMismatch, match=f"^{path}: row {row}: "
+                           f"{name} is not the axis sample"):
+            read_scan(str(path))
+
+    @each_format
+    @pytest.mark.parametrize("value", [None, "one"])
+    def test_bounds_must_be_numbers(self, tmp_path, fmt, value):
+        path = _write_scan(tmp_path, fmt)
+        _set_metadata(path, fmt, "a1_max", value)
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == (f"{path}: a1 bounds ('-1', {value!r}) are "
+                                   "not numbers")
+
+    @each_format
+    # g11*g22 overflows (the scale defect, ROADMAP item 1) and numpy warns
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_det_where_the_metric_overflows(self, tmp_path, fmt):
+        model = PowerModel(FlowKind.COMPLEX, v=1e76, r0=0.1)
+        table = grid_table(scan_grid(model, n=8))
+        path = tmp_path / f"scan.{fmt}"
+        write_table(table, str(path), fmt)
+        back = read_scan(str(path))
+        assert sum(math.isnan(row.det) for row in back.rows) == 4
+        assert rows_equal(back.rows, table.rows)
+
+
 class TestReaderChoice:
     """read_scan picks the reader from the content, not the file name."""
 
@@ -496,7 +628,8 @@ class TestPlotScript:
         csv_path = tmp_path / "grid.csv"
         write_table(grid_table(scan), str(csv_path), "csv")
         out = emit_plot_script(str(csv_path), field="det")
-        text = open(out).read()
+        with open(out) as fh:
+            text = fh.read()
         assert "imshow" in text
         assert "grid.csv" in text
 
