@@ -12,8 +12,8 @@ result out of range and a scan too large to allocate count as data
 errors), 2 usage error. Angles may be given in degrees with ``--unit
 deg``; files always store radians. All randomized commands take
 ``--seed`` and rerun byte-identically. Scans evaluate their points on
-one thread in blocks of a fixed size, and their bytes do not depend on
-where the blocks split.
+one thread in blocks of a fixed size and write their files in blocks of
+rows, and their bytes do not depend on where the blocks split.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ def _transition_summary(transitions) -> str:
 
 
 def _write_scan(args, scan, to_table, find_transitions: bool) -> int:
-    """Write ``to_table(scan)`` to ``--out`` and report it."""
+    """Write ``to_table(scan)`` to ``--out`` a block of rows at a time and
+    report it; a write that fails part way leaves no file behind."""
     summary = ""
     if find_transitions:  # first, so a rejected threshold writes nothing
         summary = _transition_summary(locate_transitions(

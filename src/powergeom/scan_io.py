@@ -7,26 +7,31 @@ timestamps, no host or thread information) enters the output. The CSV
 carries ``# key=value`` metadata lines above the header row; the JSON
 variant mirrors rows and metadata, with ``null`` for undefined curvature.
 
-A :class:`ScanTable` holds the metadata and one :class:`ScanRow` named
-tuple per point, in column order, so a row is the tuple its writers
-format. Both writers and both readers work column-wise, so every
-float-to-text and text-to-float conversion runs in C: a CSV row is one
-``%``-template applied to the row, a JSON column's float text comes from
-the C encoder (``json.dumps`` of the column as a list), and the readers
-convert whole columns with ``map(float, ...)``. The JSON text is the
-``json.dumps(..., indent=1)`` layout of
-``{"metadata": ..., "records": [...]}``, assembled from those pieces.
+A :class:`ScanTable` holds the metadata and its :class:`ScanRow` named
+tuples in column order: made on demand from the scan's columns in the
+tables of :func:`grid_table` and :func:`diagonal_table`, a tuple in the
+readers' tables. The renderers yield the file text one block of
+:data:`BLOCK_ROWS` rows at a time, and :func:`write_table` writes each
+block as it comes, so a scan file is written in the memory of one block.
+Every float-to-text and text-to-float conversion runs column-wise in C: a
+CSV row is one ``%``-template applied to the row, JSON float text comes
+from the C encoder (``json.dumps`` of a column as a list), a scan's axis
+values are formatted once per axis, and the readers convert whole columns
+with ``map(float, ...)``. The JSON text is the ``json.dumps(...,
+indent=1)`` layout of ``{"metadata": ..., "records": [...]}``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,9 +54,11 @@ _ODD_ASCII = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
 #: ``n`` as the writers write it: >= 2, in at most 18 digits for ``int``.
 _COUNT = re.compile("[2-9]|[1-9][0-9]{1,17}")
 
-#: One CSV data row: the eight floats with 17 significant digits, then
-#: the class label.
-_CSV_ROW = "%.17g," * 8 + "%s\n"
+#: Rows per block the writers render and write at a time.
+BLOCK_ROWS = 1024
+#: One CSV data row: the a1 and a2 text, the six other floats with 17
+#: significant digits, then the class label.
+_CSV_ROW = "%s,%s," + "%.17g," * 6 + "%s\n"
 #: One JSON record at its nesting depth in the ``indent=1`` layout.
 _JSON_RECORD = ("  {\n"
                 + ",\n".join(f'   "{name}": %s' for name in SCAN_COLUMNS)
@@ -82,12 +89,44 @@ class ScanTable:
     """Neutral scan content: ordered metadata plus rows."""
 
     metadata: dict[str, str]
-    rows: tuple[ScanRow, ...]
+    rows: Sequence[ScanRow]
+
+
+class _ScanRows(Sequence):
+    """A scan's rows, made on demand from its columns. ``axes`` holds the
+    axis samples: a1 and a2 of a grid, the one axis of a diagonal."""
+
+    def __init__(self, columns: dict[str, np.ndarray],
+                 axes: tuple[list[float], ...]):
+        self.columns, self.axes = columns, axes
+
+    def __len__(self) -> int:
+        return len(self.columns["codes"])
+
+    def block(self, start: int, stop: int) -> list[list]:
+        """The eight float columns of rows start..stop, then the labels."""
+        cols = self.columns
+        return [cols[name][start:stop].tolist()
+                for name in SCAN_COLUMNS[:-1]] + [
+            list(map(CLASS_LABELS.__getitem__,
+                     cols["codes"][start:stop].tolist()))]
+
+    def __getitem__(self, index):
+        span = range(len(self))[index]  # checks the index, resolves slices
+        if isinstance(span, range):
+            return tuple(map(self.__getitem__, span))
+        return ScanRow(*(col[0] for col in self.block(span, span + 1)))
+
+    def __iter__(self):
+        for start in range(0, len(self), BLOCK_ROWS):
+            yield from map(ScanRow, *self.block(start, start + BLOCK_ROWS))
 
 
 def _scan_table(scan: GridScan | DiagonalScan, command: str,
-                a1_bounds: Bounds, a2_bounds: Bounds) -> ScanTable:
+                *axis_bounds: Bounds) -> ScanTable:
+    """``axis_bounds``: a1 and a2 of a grid, the one axis of a diagonal."""
     model = scan.model
+    a1_bounds, a2_bounds = axis_bounds[0], axis_bounds[-1]
     metadata = {
         "format": FORMAT_TAG,
         "command": command,
@@ -102,10 +141,8 @@ def _scan_table(scan: GridScan | DiagonalScan, command: str,
         "guard": format_float(DEFAULT_GUARD),
         "unit": "rad",
     }
-    cols = scan.columns
-    return ScanTable(metadata=metadata, rows=tuple(map(
-        ScanRow, *(cols[name].tolist() for name in SCAN_COLUMNS[:-1]),
-        scan.class_labels())))
+    axes = tuple(axis_samples(bounds, scan.n) for bounds in axis_bounds)
+    return ScanTable(metadata, _ScanRows(scan.columns, axes))
 
 
 def grid_table(scan: GridScan) -> ScanTable:
@@ -113,47 +150,87 @@ def grid_table(scan: GridScan) -> ScanTable:
 
 
 def diagonal_table(scan: DiagonalScan) -> ScanTable:
-    return _scan_table(scan, "diagonal", scan.bounds, scan.bounds)
+    return _scan_table(scan, "diagonal", scan.bounds)
 
 
-def render_csv(table: ScanTable) -> str:
-    head = "".join(f"# {key}={value}\n"
+def _blocks(rows: Sequence[ScanRow], texts: Callable[..., list[str]]):
+    """Per block of :data:`BLOCK_ROWS` rows: the a1 and a2 text as
+    ``texts`` writes a float column, then the six other float columns and
+    the labels. A scan's axis values are written once, not per row."""
+    scan = isinstance(rows, _ScanRows)
+    axes = [texts(axis) for axis in rows.axes] if scan else ()
+    for start in range(0, len(rows), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(rows))
+        if not scan:
+            a1, a2, *rest = zip(*rows[start:stop])
+            yield texts(a1), texts(a2), rest
+            continue
+        n, span = len(axes[0]), range(start, stop)
+        a1 = [axes[0][i % n] for i in span]  # a1 runs fastest
+        a2 = a1 if len(axes) == 1 else [axes[1][i // n] for i in span]
+        yield a1, a2, rows.block(start, stop)[2:]
+
+
+def _csv_texts(column: Sequence[float]) -> list[str]:
+    return list(map("%.17g".__mod__, column))
+
+
+def _json_texts(column: Sequence[float]) -> list[str]:
+    # Float text from the C encoder; no float repr contains ", ".
+    return json.dumps(column)[1:-1].split(", ")
+
+
+def render_csv(table: ScanTable) -> Iterator[str]:
+    """The CSV text of ``table``: its head, then one piece per block."""
+    yield ("".join(f"# {key}={value}\n"
                    for key, value in table.metadata.items())
-    body = "".join(map(_CSV_ROW.__mod__, table.rows))
-    return head + ",".join(SCAN_COLUMNS) + "\n" + body
+           + ",".join(SCAN_COLUMNS) + "\n")
+    for a1, a2, rest in _blocks(table.rows, _csv_texts):
+        yield "".join(map(_CSV_ROW.__mod__, zip(a1, a2, *rest)))
 
 
-def render_json(table: ScanTable) -> str:
+def render_json(table: ScanTable) -> Iterator[str]:
+    """The JSON text of ``table`` in pieces, one per block of records."""
     # json.dumps(indent=1) never puts a raw newline inside a value, so
     # indenting every line break nests the metadata object one level.
     metadata = json.dumps(table.metadata, indent=1).replace("\n", "\n ")
-    records = "[]"
-    if table.rows:
-        *floats, curvature, labels = zip(*table.rows)
-        # Float text from the C encoder; no float repr contains ", ".
-        texts = [json.dumps(col)[1:-1].split(", ") for col in floats]
+    head = '{\n "metadata": ' + metadata + ',\n "records": '
+    if not table.rows:
+        yield head + "[]\n}\n"
+        return
+    join = head + "[\n"
+    for a1, a2, (*floats, curvature, labels) in _blocks(table.rows,
+                                                        _json_texts):
+        texts = [a1, a2, *map(_json_texts, floats)]
         # Undefined curvature is written as null; "NaN" is only ever the
         # whole token of a nan.
         texts.append(json.dumps(curvature)[1:-1].replace("NaN", "null")
                      .split(", "))
         encoded = {label: json.dumps(label) for label in set(labels)}
         texts.append(map(encoded.__getitem__, labels))
-        records = ("[\n"
-                   + ",\n".join(map(_JSON_RECORD.__mod__, zip(*texts)))
-                   + "\n ]")
-    return ('{\n "metadata": ' + metadata + ',\n "records": ' + records
-            + "\n}\n")
+        yield join + ",\n".join(map(_JSON_RECORD.__mod__, zip(*texts)))
+        join = ",\n"
+    yield "\n ]\n}\n"
 
 
 def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
+    """Write ``table`` to ``path`` block by block; a write that fails
+    part way removes the file rather than leave it truncated."""
     if fmt == "csv":
-        text = render_csv(table)
+        pieces = render_csv(table)
     elif fmt == "json":
-        text = render_json(table)
+        pieces = render_json(table)
     else:
         raise ValueError(f"unknown scan format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        try:
+            for piece in pieces:
+                fh.write(piece)
+        except BaseException:
+            fh.close()
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            raise
 
 
 def _check_format(metadata: dict[str, str], where: str) -> None:

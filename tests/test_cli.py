@@ -416,6 +416,36 @@ class TestVerifySelf:
         assert stderr == "error: samples must be >= 1\n"
 
 
+# Peak resident set (KiB on Linux) of a child that imports the CLI and,
+# given arguments, runs it.
+PEAK_RSS = """
+import resource, sys
+import powergeom.cli
+if sys.argv[1:] and powergeom.cli.main(sys.argv[1:]) != 0:
+    sys.exit(1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_writes_in_bounded_memory(tmp_path, fmt):
+    """A 512-by-512 scan file is written a block of rows at a time: the
+    scan's peak memory exceeds that of the bare import by at most 64 MB,
+    the scan's own columns included."""
+    def peak_kib(*argv):
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
+                              capture_output=True, text=True,
+                              env=_child_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1])
+
+    excess = peak_kib("scan", "--model", "complex", "--n", "512",
+                      "--format", fmt, "--out",
+                      str(tmp_path / f"scan.{fmt}")) - peak_kib()
+    assert excess <= 64 * 1024
+
+
 # What an installer's console script does with a `module:attr` target:
 # load it, then exit with its return value.
 CONSOLE_SCRIPT = """
@@ -427,18 +457,23 @@ sys.exit(target())
 """
 
 
-def test_cli_import_leaves_decimal_unloaded():
-    """`decimal` is for the self-check's oracle only; the CLI's start-up,
-    which every command pays, does not load it."""
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this tree."""
     env = dict(os.environ)
     package_root = str(Path(powergeom.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    """`decimal` is for the self-check's oracle only; the CLI's start-up,
+    which every command pays, does not load it."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, powergeom.cli; print(sorted("
          "{'decimal', 'powergeom.fdcheck'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -459,14 +494,11 @@ def test_console_entry_point(tmp_path):
         scripts = tomllib.load(fh).get("project", {}).get("scripts", {})
     assert "powergeom" in scripts
 
-    env = dict(os.environ)
-    package_root = str(Path(powergeom.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", CONSOLE_SCRIPT, scripts["powergeom"],
          "--version"],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == powergeom.__version__ + "\n"
 

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powergeom import scan_io
+from powergeom.cli import main
 from powergeom.errors import SchemaMismatch
 from powergeom.geometry import CLASS_LABELS, geometry_report
 from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import (
+    BLOCK_ROWS,
     FORMAT_TAG,
     SCAN_COLUMNS,
     ScanRow,
@@ -33,6 +36,11 @@ from powergeom.scan_io import (
 from powergeom.stability import axis_samples, scan_diagonal, scan_grid
 
 IMAG = PowerModel(FlowKind.IMAGINARY)
+
+
+def text(render, table):
+    """The whole file text of a block renderer."""
+    return "".join(render(table))
 
 
 def rows_equal(a, b):
@@ -105,8 +113,9 @@ class TestCsvRoundTrip:
 
     def test_render_deterministic(self):
         scan = scan_grid(IMAG, (-0.7, 0.7), n=5)
-        assert render_csv(grid_table(scan)) == render_csv(grid_table(scan))
-        assert render_json(grid_table(scan)) == render_json(grid_table(scan))
+        for render in (render_csv, render_json):
+            assert (text(render, grid_table(scan))
+                    == text(render, grid_table(scan)))
 
     def test_schema_mismatch_on_foreign_csv(self, tmp_path):
         path = tmp_path / "foreign.csv"
@@ -238,14 +247,14 @@ class TestByteIdentity:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_tables(_text, st.dictionaries(_text, _text, max_size=4)))
     def test_arbitrary_tables(self, table):
-        assert render_csv(table) == reference_csv(table)
-        assert render_json(table) == reference_json(table)
+        assert text(render_csv, table) == reference_csv(table)
+        assert text(render_json, table) == reference_json(table)
 
     def test_empty_table_and_metadata(self):
         for table in (ScanTable({}, ()), ScanTable({"format": FORMAT_TAG},
                                                    ())):
-            assert render_csv(table) == reference_csv(table)
-            assert render_json(table) == reference_json(table)
+            assert text(render_csv, table) == reference_csv(table)
+            assert text(render_json, table) == reference_json(table)
 
     @pytest.mark.parametrize("kind", list(FlowKind))
     def test_scans(self, kind):
@@ -253,8 +262,8 @@ class TestByteIdentity:
         for table in (grid_table(scan_grid(model, (-1.2, 0.9), (-0.4, 1.4),
                                            n=17)),
                       diagonal_table(scan_diagonal(model, n=33))):
-            assert render_csv(table) == reference_csv(table)
-            assert render_json(table) == reference_json(table)
+            assert text(render_csv, table) == reference_csv(table)
+            assert text(render_json, table) == reference_json(table)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_diagonal_tables())
@@ -266,6 +275,94 @@ class TestByteIdentity:
             back = read_scan(path)
             assert back.metadata == table.metadata
             assert _float_bits(back) == _float_bits(table)
+
+
+FORMATS = (("csv", render_csv, reference_csv),
+           ("json", render_json, reference_json))
+
+
+class TestBlockJoins:
+    """Files rendered and written a block at a time have the bytes of the
+    whole-table reference writers at every block join, for tables made
+    from a scan's columns and for the tables read back from their files."""
+
+    @staticmethod
+    def _same(got, want):
+        """``got == want``, or where they part; pytest's own diff of two
+        long texts takes minutes."""
+        if got == want:
+            return
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        raise AssertionError(f"texts part at {at}: {got[at - 80:at + 80]!r}"
+                             f" != {want[at - 80:at + 80]!r}")
+
+    def _check(self, table, tmp_path):
+        blocks = -(-len(table.rows) // BLOCK_ROWS)
+        for fmt, render, reference in FORMATS:
+            want = reference(table)
+            assert len(list(render(table))) == blocks + 1  # head or tail
+            self._same(text(render, table), want)
+            path = tmp_path / f"table.{fmt}"
+            write_table(table, str(path), fmt)
+            written = path.read_bytes().decode("utf-8")
+            self._same(written, want)
+            if fmt == "json":
+                json.loads(written)
+            self._same(text(render, read_scan(str(path))), want)
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1])
+    def test_diagonal_around_one_block(self, tmp_path, n):
+        model = PowerModel(FlowKind.REAL, v=1.3, r0=0.7)  # nan curvature
+        self._check(diagonal_table(scan_diagonal(model, (-1.2, 0.9), n=n)),
+                    tmp_path)
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_grid_over_three_blocks_and_a_part(self, tmp_path, kind):
+        n = math.isqrt(3 * BLOCK_ROWS) + 1
+        assert n * n > 3 * BLOCK_ROWS and n * n % BLOCK_ROWS
+        scan = scan_grid(PowerModel(kind, v=1.3, r0=0.7), (-1.2, 0.9),
+                         (-0.4, 1.4), n=n)
+        self._check(grid_table(scan), tmp_path)
+
+
+class TestScanBackedRows:
+    """A scan's table makes its rows from the columns on demand."""
+
+    def test_len_index_slice_and_iteration(self):
+        scan = scan_grid(IMAG, (-1.2, 0.9), n=40)  # 1600 rows, two blocks
+        rows = grid_table(scan).rows
+        want = tuple(map(ScanRow, *(scan.columns[name].tolist()
+                                    for name in SCAN_COLUMNS[:-1]),
+                         scan.class_labels()))
+        assert len(rows) == len(want)
+        assert tuple(rows) == want
+        assert [rows[i] for i in (0, 1023, 1024, -1)] == [
+            want[i] for i in (0, 1023, 1024, -1)]
+        assert rows[1020:1030] == want[1020:1030]
+        assert all(type(x) is float for x in rows[5][:-1])
+        with pytest.raises(IndexError):
+            rows[len(want)]
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_truncated_file_is_left(self, tmp_path, monkeypatch, capsys,
+                                       fmt):
+        blocks = scan_io._blocks
+
+        def second_block_fails(rows, texts):
+            pieces = blocks(rows, texts)
+            yield next(pieces)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(scan_io, "_blocks", second_block_fails)
+        path = tmp_path / f"scan.{fmt}"
+        assert main(["scan", "--model", "imaginary", "--n", "64",
+                     "--format", fmt, "--out", str(path)]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert not path.exists()
 
 
 def _write_scan(tmp_path, fmt):
@@ -588,6 +685,47 @@ class TestRedundancy:
         back = read_scan(str(path))
         assert sum(math.isnan(row.det) for row in back.rows) == 4
         assert rows_equal(back.rows, table.rows)
+
+
+@st.composite
+def _mutated(draw, blob):
+    """``blob`` after one to three truncations, byte flips, deletions or
+    insertions."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, max(len(blob) - 1, 0)))
+        edit = draw(st.sampled_from(("truncate", "flip", "delete",
+                                     "insert")))
+        if edit == "truncate":
+            blob = blob[:at]
+        elif edit == "flip" and blob:
+            mask = draw(st.integers(1, 255))
+            blob = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+        elif edit == "delete":
+            blob = blob[:at] + blob[at + draw(st.integers(1, 16)):]
+        else:
+            blob = blob[:at] + draw(st.binary(min_size=1, max_size=16)) + (
+                blob[at:])
+    return blob
+
+
+class TestByteMutations:
+    """Whatever bytes a scan file is mutated into, ``read_scan`` returns a
+    table or raises a SchemaMismatch that names the file; nothing else."""
+
+    @each_format
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_table_or_schema_mismatch(self, tmp_path_factory, fmt, data):
+        path = tmp_path_factory.getbasetemp() / f"mutated.{fmt}"
+        write_table(grid_table(scan_grid(PowerModel(FlowKind.COMPLEX),
+                                         (-1.0, 1.0), n=6)), str(path), fmt)
+        path.write_bytes(data.draw(_mutated(path.read_bytes())))
+        try:
+            table = read_scan(str(path))
+        except SchemaMismatch as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert isinstance(table, ScanTable)
 
 
 class TestReaderChoice:

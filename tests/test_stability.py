@@ -81,8 +81,8 @@ class TestScanGrid:
         assert labels - {"STABLE"}
 
     def test_rescan_is_byte_identical(self):
-        a = render_csv(grid_table(scan_grid(COMP, n=16)))
-        b = render_csv(grid_table(scan_grid(COMP, n=16)))
+        a = "".join(render_csv(grid_table(scan_grid(COMP, n=16))))
+        b = "".join(render_csv(grid_table(scan_grid(COMP, n=16))))
         assert a == b
 
     def test_block_split_does_not_change_content(self, monkeypatch):
