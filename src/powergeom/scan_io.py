@@ -7,18 +7,20 @@ timestamps, no host or thread information) enters the output. The CSV
 carries ``# key=value`` metadata lines above the header row; the JSON
 variant mirrors rows and metadata, with ``null`` for undefined curvature.
 
-A :class:`ScanTable` holds the metadata and its :class:`ScanRow` named
-tuples in column order: made on demand from the scan's columns in the
-tables of :func:`grid_table` and :func:`diagonal_table`, a tuple in the
-readers' tables. The renderers yield the file text one block of
-:data:`BLOCK_ROWS` rows at a time, and :func:`write_table` writes each
-block as it comes, so a scan file is written in the memory of one block.
-Every float-to-text and text-to-float conversion runs column-wise in C: a
-CSV row is one ``%``-template applied to the row, JSON float text comes
-from the C encoder (``json.dumps`` of a column as a list), a scan's axis
-values are formatted once per axis, and the readers convert whole columns
-with ``map(float, ...)``. The JSON text is the ``json.dumps(...,
-indent=1)`` layout of ``{"metadata": ..., "records": [...]}``.
+A :class:`ScanTable` holds the metadata and its rows: :class:`ScanRow`
+named tuples in column order, made on demand from float64 columns and
+int8 class codes (the scan's own in the tables of :func:`grid_table` and
+:func:`diagonal_table`, the parsed ones in the readers' tables) and the
+axis samples of the metadata bounds. The renderers yield the file text
+one block of :data:`BLOCK_ROWS` rows at a time, and :func:`write_table`
+writes each block as it comes, so a scan file is written in the memory of
+one block. Every float-to-text and text-to-float conversion runs
+column-wise in C: a CSV row is one ``%``-template applied to the row, JSON
+float text comes from the C encoder (``json.dumps`` of a column as a
+list), the axis values are formatted once per axis, and the readers
+convert whole columns with ``map(float, ...)``. The JSON text is the
+``json.dumps(..., indent=1)`` layout of ``{"metadata": ..., "records":
+[...]}``.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import SchemaMismatch
+from .errors import BadDomain, SchemaMismatch
 from .geometry import CLASS_LABELS
 from .stability import (DEFAULT_GUARD, Bounds, DiagonalScan, GridScan,
-                        axis_samples)
+                        _check_bounds, axis_samples)
 
 SCAN_COLUMNS = ("a1", "a2", "value", "g11", "g12", "g22",
                 "det", "curvature", "class")
 FORMAT_TAG = "powergeom-scan-v1"
 
-#: Class labels a scan file may carry.
-_LABELS = frozenset(CLASS_LABELS)
+#: The class code of each label a scan file may carry.
+_CODES = {label: code for code, label in enumerate(CLASS_LABELS)}
 
 #: Text ``float()`` reads but no writer produces: ``_`` digit separators,
 #: whitespace and non-ASCII characters (such as other scripts' digits).
@@ -89,11 +91,11 @@ class ScanTable:
     """Neutral scan content: ordered metadata plus rows."""
 
     metadata: dict[str, str]
-    rows: Sequence[ScanRow]
+    rows: _ScanRows
 
 
 class _ScanRows(Sequence):
-    """A scan's rows, made on demand from its columns. ``axes`` holds the
+    """A table's rows, made on demand from its columns. ``axes`` holds the
     axis samples: a1 and a2 of a grid, the one axis of a diagonal."""
 
     def __init__(self, columns: dict[str, np.ndarray],
@@ -123,10 +125,8 @@ class _ScanRows(Sequence):
 
 
 def _scan_table(scan: GridScan | DiagonalScan, command: str,
-                *axis_bounds: Bounds) -> ScanTable:
-    """``axis_bounds``: a1 and a2 of a grid, the one axis of a diagonal."""
+                a1_bounds: Bounds, a2_bounds: Bounds) -> ScanTable:
     model = scan.model
-    a1_bounds, a2_bounds = axis_bounds[0], axis_bounds[-1]
     metadata = {
         "format": FORMAT_TAG,
         "command": command,
@@ -141,8 +141,8 @@ def _scan_table(scan: GridScan | DiagonalScan, command: str,
         "guard": format_float(DEFAULT_GUARD),
         "unit": "rad",
     }
-    axes = tuple(axis_samples(bounds, scan.n) for bounds in axis_bounds)
-    return ScanTable(metadata, _ScanRows(scan.columns, axes))
+    return ScanTable(metadata,
+                     _ScanRows(scan.columns, _axes(metadata, command)))
 
 
 def grid_table(scan: GridScan) -> ScanTable:
@@ -150,25 +150,42 @@ def grid_table(scan: GridScan) -> ScanTable:
 
 
 def diagonal_table(scan: DiagonalScan) -> ScanTable:
-    return _scan_table(scan, "diagonal", scan.bounds)
+    return _scan_table(scan, "diagonal", scan.bounds, scan.bounds)
 
 
-def _blocks(rows: Sequence[ScanRow], texts: Callable[..., list[str]]):
+def _axes(metadata: dict[str, str], where: str) -> tuple[list[float], ...]:
+    """The axis samples of a table's metadata bounds: a1 and a2 of a scan,
+    the one axis of a diagonal. Bounds no scan can have are a
+    SchemaMismatch that names ``where`` and the axis; a scan's never are."""
+    bounds = []
+    for name in ("a1", "a2"):
+        ends = metadata.get(f"{name}_min"), metadata.get(f"{name}_max")
+        try:
+            bounds.append(_check_bounds(tuple(map(float, ends)), name))
+        except (TypeError, ValueError):
+            raise SchemaMismatch(f"{where}: {name} bounds {ends} are not "
+                                 "numbers") from None
+        except BadDomain as exc:
+            raise SchemaMismatch(f"{where}: {exc}") from None
+    if metadata["command"] == "diagonal":
+        if bounds[1] != bounds[0]:
+            raise SchemaMismatch(f"{where}: diagonal a2 bounds {bounds[1]!r}"
+                                 f" differ from its a1 bounds {bounds[0]!r}")
+        del bounds[1]
+    return tuple(axis_samples(axis, int(metadata["n"])) for axis in bounds)
+
+
+def _blocks(rows: _ScanRows, texts: Callable[..., list[str]]):
     """Per block of :data:`BLOCK_ROWS` rows: the a1 and a2 text as
     ``texts`` writes a float column, then the six other float columns and
-    the labels. A scan's axis values are written once, not per row."""
-    scan = isinstance(rows, _ScanRows)
-    axes = [texts(axis) for axis in rows.axes] if scan else ()
+    the labels. The axis values are written once, not per row."""
+    axes = [texts(axis) for axis in rows.axes]
+    n = len(axes[0])
     for start in range(0, len(rows), BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, len(rows))
-        if not scan:
-            a1, a2, *rest = zip(*rows[start:stop])
-            yield texts(a1), texts(a2), rest
-            continue
-        n, span = len(axes[0]), range(start, stop)
+        span = range(start, min(start + BLOCK_ROWS, len(rows)))
         a1 = [axes[0][i % n] for i in span]  # a1 runs fastest
         a2 = a1 if len(axes) == 1 else [axes[1][i // n] for i in span]
-        yield a1, a2, rows.block(start, stop)[2:]
+        yield a1, a2, rows.block(span.start, span.stop)[2:]
 
 
 def _csv_texts(column: Sequence[float]) -> list[str]:
@@ -194,11 +211,7 @@ def render_json(table: ScanTable) -> Iterator[str]:
     # json.dumps(indent=1) never puts a raw newline inside a value, so
     # indenting every line break nests the metadata object one level.
     metadata = json.dumps(table.metadata, indent=1).replace("\n", "\n ")
-    head = '{\n "metadata": ' + metadata + ',\n "records": '
-    if not table.rows:
-        yield head + "[]\n}\n"
-        return
-    join = head + "[\n"
+    join = '{\n "metadata": ' + metadata + ',\n "records": [\n'
     for a1, a2, (*floats, curvature, labels) in _blocks(table.rows,
                                                         _json_texts):
         texts = [a1, a2, *map(_json_texts, floats)]
@@ -241,12 +254,17 @@ def _check_format(metadata: dict[str, str], where: str) -> None:
 
 
 def _table_from_columns(metadata: dict[str, str],
-                        floats: Sequence[Sequence[float]],
+                        floats: Sequence[np.ndarray],
                         labels: Sequence[str], where: str) -> ScanTable:
-    """Rows from eight parsed float columns and the label column."""
-    if not _LABELS.issuperset(labels):
-        bad = next(label for label in labels if label not in _LABELS)
-        raise SchemaMismatch(f"{where}: unknown class label {bad!r}")
+    """The table of eight parsed float columns and the label column, if
+    they hold a scan: known labels, n or n**2 rows, and a1, a2 and det as
+    a scan file's redundancy fixes them, bit for bit."""
+    try:
+        codes = np.fromiter(map(_CODES.__getitem__, labels), np.int8,
+                            len(labels))
+    except KeyError as exc:
+        raise SchemaMismatch(
+            f"{where}: unknown class label {exc.args[0]!r}") from None
     command, n = metadata.get("command"), metadata.get("n")
     if command not in ("scan", "diagonal") or not (
             isinstance(n, str) and _COUNT.fullmatch(n)):
@@ -256,40 +274,28 @@ def _table_from_columns(metadata: dict[str, str],
     if len(labels) != want:
         raise SchemaMismatch(f"{where}: {len(labels)} rows, but a "
                              f"{command} of n={n} has {want}")
-    _check_redundancy(metadata, floats, where)
-    return ScanTable(metadata=metadata,
-                     rows=tuple(map(ScanRow, *floats, labels)))
-
-
-def _check_redundancy(metadata: dict[str, str],
-                      floats: Sequence[Sequence[float]], where: str) -> None:
-    """a1, a2 are the metadata bounds' ``axis_samples`` (tiled, repeated on
-    a scan) and det is ``g11*g22 - g12*g12`` or nan with it, bit for bit."""
-    n = int(metadata["n"])
-    a1, a2, _, g11, g12, g22, det = map(np.array, floats[:7])
+    columns = dict(zip(SCAN_COLUMNS, floats), codes=codes)
+    axes = _axes(metadata, where)
+    runs = int(n) if command == "scan" else 1  # of each axis's n samples
     rules = []
-    for name, col in (("a1", a1), ("a2", a2)):
-        ends = metadata.get(f"{name}_min"), metadata.get(f"{name}_max")
-        try:
-            bounds = tuple(map(float, ends))
-        except (TypeError, ValueError):
-            raise SchemaMismatch(f"{where}: {name} bounds {ends} are not "
-                                 "numbers") from None
-        axis = np.array(axis_samples(bounds, n)).view(np.uint64)
-        if metadata["command"] == "scan":
-            col = col.reshape(n, n)
-            axis = axis if name == "a1" else axis[:, None]
-        rules.append((col.view(np.uint64) == axis, f"{name} is not the axis "
-                      f"sample of the metadata bounds {bounds!r}"))
+    for name, axis, spread in (("a1", axes[0], np.tile),  # a1 runs fastest
+                               ("a2", axes[-1], np.repeat)):
+        want = spread(axis, runs).view(np.uint64)
+        bounds = tuple(float(metadata[f"{name}_{end}"]) for end in ("min",
+                                                                    "max"))
+        rules.append((columns[name].view(np.uint64) == want, f"{name} is not "
+                      f"the axis sample of the metadata bounds {bounds!r}"))
+    g11, g12, g22, det = map(columns.get, ("g11", "g12", "g22", "det"))
     with np.errstate(over="ignore", invalid="ignore"):  # inf, nan compared
-        want = g11 * g22 - g12 * g12
-    rules.append(((want.view(np.uint64) == det.view(np.uint64))
-                  | (np.isnan(want) & np.isnan(det)),
+        product = g11 * g22 - g12 * g12
+    rules.append(((product.view(np.uint64) == det.view(np.uint64))
+                  | (np.isnan(product) & np.isnan(det)),
                   "det is not g11*g22 - g12*g12"))
     for ok, rule in rules:
         if not ok.all():
             row = int(np.argmin(ok.ravel())) + 1
             raise SchemaMismatch(f"{where}: row {row}: {rule}")
+    return ScanTable(metadata, _ScanRows(columns, axes))
 
 
 def read_scan_csv(path: str) -> ScanTable:
@@ -325,29 +331,23 @@ def read_scan_csv(path: str) -> ScanTable:
     text = ",".join(rows)
     cells = text.split(",") if rows else []
     if not text.isascii() or any(c in text for c in _ODD_ASCII):
-        _reject_odd_numbers(cells, width, path)
-    # Free the text before the rows are built: it keeps the peak down.
+        for i, cell in enumerate(cells):  # text only float() accepts
+            if i % width != width - 1 and _ODD_NUMBER.search(cell):
+                raise SchemaMismatch(
+                    f"{path}: column {SCAN_COLUMNS[i % width]!r}: {cell!r} "
+                    "is not a number as written (underscore, whitespace or "
+                    "non-ASCII text)")
+    # Free the text before the columns are built: it keeps the peak down.
     del lines, data, rows, text
     floats = []
     for i, name in enumerate(SCAN_COLUMNS[:-1]):
         try:
-            floats.append(list(map(float, cells[i::width])))
+            floats.append(np.fromiter(map(float, cells[i::width]), float))
         except ValueError as exc:
             raise SchemaMismatch(f"{path}: column {name!r}: {exc}") from None
     labels = cells[width - 1::width]
     del cells
     return _table_from_columns(metadata, floats, labels, path)
-
-
-def _reject_odd_numbers(cells: list[str], width: int, path: str) -> None:
-    """Raise SchemaMismatch for the first number cell holding text that
-    only ``float()`` accepts; labels are checked against the known set."""
-    for i, cell in enumerate(cells):
-        if i % width != width - 1 and _ODD_NUMBER.search(cell):
-            raise SchemaMismatch(
-                f"{path}: column {SCAN_COLUMNS[i % width]!r}: {cell!r} is "
-                "not a number as written (underscore, whitespace or "
-                "non-ASCII text)")
 
 
 def read_scan_json(path: str) -> ScanTable:
@@ -376,7 +376,7 @@ def read_scan_json(path: str) -> ScanTable:
                     f"{wrong.pop().__name__}, not a number")
         if None in columns[7]:  # null curvature: undefined
             columns[7] = [math.nan if c is None else c for c in columns[7]]
-        columns = [list(map(float, col)) for col in columns]
+        columns = [np.fromiter(map(float, col), float) for col in columns]
         return _table_from_columns(metadata, columns, labels, path)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: bad record: {exc}") from None

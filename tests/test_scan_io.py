@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,8 @@ from powergeom.scan_io import (
     render_json,
     write_table,
 )
-from powergeom.stability import axis_samples, scan_diagonal, scan_grid
+from powergeom.stability import (DiagonalScan, GridScan, axis_samples,
+                                  scan_diagonal, scan_grid)
 
 IMAG = PowerModel(FlowKind.IMAGINARY)
 
@@ -208,32 +210,38 @@ _text = st.one_of(
     st.text())
 
 
-def _row(label):
-    return st.builds(ScanRow, _doubles, _doubles, _doubles, _doubles,
-                     _doubles, _doubles, _doubles, _doubles, label)
-
-
-def _tables(label, metadata):
-    return st.builds(ScanTable, metadata,
-                     st.lists(_row(label), max_size=12).map(tuple))
-
-
 @st.composite
-def _diagonal_tables(draw):
-    """Diagonals of 2 to 12 rows with any doubles where a scan file has no
-    redundancy: a1 and a2 are the axis samples of the bounds, and det is
-    g11*g22 - g12*g12."""
-    lo, hi = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
-    n = draw(st.integers(2, 12))
-    rows = []
-    for a in axis_samples((lo, hi), n):
-        value, g11, g12, g22, curvature = (draw(_doubles) for _ in range(5))
-        rows.append(ScanRow(a, a, value, g11, g12, g22, g11 * g22 - g12 * g12,
-                            curvature, draw(st.sampled_from(CLASS_LABELS))))
-    bounds = {f"{axis}_{end}": format_float(x) for axis in ("a1", "a2")
-              for end, x in (("min", lo), ("max", hi))}
-    return ScanTable({"format": FORMAT_TAG, "command": "diagonal",
-                      "n": str(n), **bounds}, tuple(rows))
+def _scan_tables(draw, extra_metadata=st.just({})):
+    """Tables of grids and diagonals of 2 to 12 points per axis, made by
+    ``grid_table`` and ``diagonal_table``, with any doubles where a scan
+    file has no redundancy: value, g11, g12, g22 and curvature. a1 and a2
+    are the axis samples of the bounds, det is g11*g22 - g12*g12, and the
+    labels are any classes. ``extra_metadata`` adds keys after the scan's."""
+    n, grid = draw(st.integers(2, 12)), draw(st.booleans())
+    bounds = [tuple(sorted(draw(st.lists(st.floats(-1.5, 1.5), min_size=2,
+                                         max_size=2, unique=True))))
+              for _ in range(1 + grid)]
+    axes = [np.array(axis_samples(b, n)) for b in bounds]
+    size = n * n if grid else n
+    value, g11, g12, g22, curvature = (
+        np.array(draw(st.lists(_doubles, min_size=size, max_size=size)))
+        for _ in range(5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = g11 * g22 - g12 * g12
+    columns = {
+        "a1": np.tile(axes[0], n) if grid else axes[0],
+        "a2": np.repeat(axes[1], n) if grid else axes[0],
+        "value": value, "g11": g11, "g12": g12, "g22": g22, "det": det,
+        "curvature": curvature,
+        "codes": np.array(draw(st.lists(
+            st.integers(0, len(CLASS_LABELS) - 1), min_size=size,
+            max_size=size)), np.int8)}
+    model = PowerModel(draw(st.sampled_from(list(FlowKind))))
+    table = (grid_table(GridScan(model, *bounds, n, columns)) if grid else
+             diagonal_table(DiagonalScan(model, *bounds, n, columns)))
+    for key, text in draw(extra_metadata).items():
+        table.metadata.setdefault(key, text)
+    return table
 
 
 def _float_bits(table):
@@ -245,16 +253,10 @@ class TestByteIdentity:
     """The column-wise writers give the bytes of the row-by-row ones."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_tables(_text, st.dictionaries(_text, _text, max_size=4)))
+    @given(_scan_tables(st.dictionaries(_text, _text, max_size=4)))
     def test_arbitrary_tables(self, table):
         assert text(render_csv, table) == reference_csv(table)
         assert text(render_json, table) == reference_json(table)
-
-    def test_empty_table_and_metadata(self):
-        for table in (ScanTable({}, ()), ScanTable({"format": FORMAT_TAG},
-                                                   ())):
-            assert text(render_csv, table) == reference_csv(table)
-            assert text(render_json, table) == reference_json(table)
 
     @pytest.mark.parametrize("kind", list(FlowKind))
     def test_scans(self, kind):
@@ -266,7 +268,7 @@ class TestByteIdentity:
             assert text(render_json, table) == reference_json(table)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_diagonal_tables())
+    @given(_scan_tables())
     def test_round_trip_bits(self, tmp_path_factory, table):
         folder = tmp_path_factory.mktemp("round-trip")
         for name in ("t.csv", "t.json"):
@@ -277,6 +279,7 @@ class TestByteIdentity:
             assert _float_bits(back) == _float_bits(table)
 
 
+each_format = pytest.mark.parametrize("fmt", ["csv", "json"])
 FORMATS = (("csv", render_csv, reference_csv),
            ("json", render_json, reference_json))
 
@@ -328,22 +331,40 @@ class TestBlockJoins:
 
 
 class TestScanBackedRows:
-    """A scan's table makes its rows from the columns on demand."""
+    """A table makes its rows from its columns on demand: a scan's table
+    and the tables read back from its files alike."""
 
-    def test_len_index_slice_and_iteration(self):
-        scan = scan_grid(IMAG, (-1.2, 0.9), n=40)  # 1600 rows, two blocks
-        rows = grid_table(scan).rows
+    @staticmethod
+    def _check(rows, scan):
         want = tuple(map(ScanRow, *(scan.columns[name].tolist()
                                     for name in SCAN_COLUMNS[:-1]),
                          scan.class_labels()))
         assert len(rows) == len(want)
         assert tuple(rows) == want
-        assert [rows[i] for i in (0, 1023, 1024, -1)] == [
-            want[i] for i in (0, 1023, 1024, -1)]
-        assert rows[1020:1030] == want[1020:1030]
-        assert all(type(x) is float for x in rows[5][:-1])
-        with pytest.raises(IndexError):
-            rows[len(want)]
+        at = (0, 1023, 1024, -1, -1024, -1025, -len(want))
+        assert [rows[i] for i in at] == [want[i] for i in at]
+        for span in (slice(1020, 1030), slice(-3, None), slice(None, 5, 2),
+                     slice(1030, 1020, -3)):
+            assert rows[span] == want[span]
+        assert all(type(x) is float for row in rows for x in row[:-1])
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+
+    def test_len_index_slice_and_iteration(self):
+        scan = scan_grid(IMAG, (-1.2, 0.9), n=40)  # 1600 rows, two blocks
+        self._check(grid_table(scan).rows, scan)
+
+    @each_format
+    def test_read_back_rows(self, tmp_path, monkeypatch, fmt):
+        scan = scan_grid(IMAG, (-1.2, 0.9), n=40)
+        path = tmp_path / f"scan.{fmt}"
+        write_table(grid_table(scan), str(path), fmt)
+        with monkeypatch.context() as patch:
+            patch.setattr(scan_io, "ScanRow", None)  # a reader makes no row
+            rows = read_scan(str(path)).rows
+        assert type(rows) is type(grid_table(scan).rows)
+        self._check(rows, scan)
 
 
 class TestFailedWrite:
@@ -601,9 +622,6 @@ def _set_metadata(path, fmt, key, value):
         path.write_text(json.dumps(data))
 
 
-each_format = pytest.mark.parametrize("fmt", ["csv", "json"])
-
-
 class TestRedundancy:
     """det is g11*g22 - g12*g12 and a1, a2 are the axis samples of the
     metadata bounds, bit for bit, or the file is a SchemaMismatch naming
@@ -673,6 +691,32 @@ class TestRedundancy:
             read_scan(str(path))
         assert str(info.value) == (f"{path}: a1 bounds ('-1', {value!r}) are "
                                    "not numbers")
+
+    @each_format
+    @pytest.mark.parametrize("a1,a2,rule", [
+        ((math.nan,) * 2, (math.nan,) * 2,
+         "a1 bounds must satisfy lo < hi, got (nan, nan)"),
+        ((1.0, -1.0), (1.0, -1.0),
+         "a1 bounds must satisfy lo < hi, got (1.0, -1.0)"),
+        ((-1.0, 1.0), (-1.56, 1.0),
+         "a2 bounds (-1.56, 1.0) reach within 0.02 rad of +-pi/2"),
+        ((-1.0, 1.0), (-0.5, 0.5), "diagonal a2 bounds (-0.5, 0.5) differ "
+         "from its a1 bounds (-1.0, 1.0)"),
+    ])
+    def test_bounds_no_scan_can_have(self, tmp_path, fmt, a1, a2, rule):
+        """A diagonal whose a1 and a2 are the axis samples of bounds that
+        scan_diagonal rejects."""
+        path = tmp_path / f"diag.{fmt}"
+        write_table(diagonal_table(scan_diagonal(IMAG, (-1.0, 1.0), n=3)),
+                    str(path), fmt)
+        for name, bounds in (("a1", a1), ("a2", a2)):
+            _set_metadata(path, fmt, f"{name}_min", format_float(bounds[0]))
+            _set_metadata(path, fmt, f"{name}_max", format_float(bounds[1]))
+            for row, x in enumerate(axis_samples(bounds, 3)):
+                _set_cell(path, fmt, row, name, x)
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == f"{path}: {rule}"
 
     @each_format
     # g11*g22 overflows (the scale defect, ROADMAP item 1) and numpy warns
