@@ -1,5 +1,5 @@
-"""Scan serialization: CSV and JSON writers, the matching re-reader, and
-the standalone plot-script emitter.
+"""Scan serialization: CSV and JSON writers, the reader, and the
+standalone plot-script emitter.
 
 Numbers are written with 17 significant digits so every float round-trips
 exactly and reruns can be compared byte for byte; nothing volatile (no
@@ -8,53 +8,62 @@ carries ``# key=value`` metadata lines above the header row; the JSON
 variant mirrors rows and metadata, with ``null`` for undefined curvature.
 
 A :class:`ScanTable` holds the metadata and its rows: :class:`ScanRow`
-named tuples in column order, made on demand from float64 columns and
-int8 class codes (the scan's own in the tables of :func:`grid_table` and
-:func:`diagonal_table`, the parsed ones in the readers' tables) and the
-axis samples of the metadata bounds. The renderers yield the file text
-one block of :data:`BLOCK_ROWS` rows at a time, and :func:`write_table`
-writes each block as it comes, so a scan file is written in the memory of
-one block. Every float-to-text and text-to-float conversion runs
-column-wise in C: a CSV row is one ``%``-template applied to the row, JSON
-float text comes from the C encoder (``json.dumps`` of a column as a
-list), the axis values are formatted once per axis, and the readers
-convert whole columns with ``map(float, ...)``. The JSON text is the
-``json.dumps(..., indent=1)`` layout of ``{"metadata": ..., "records":
-[...]}``.
+named tuples in column order, made on demand from a scan's float64
+columns and int8 class codes and the axis samples of its bounds. The
+renderers yield the file text one block of :data:`BLOCK_ROWS` rows at a
+time, and :func:`write_table` writes each block as it comes, so a scan
+file is written in the memory of one block. A CSV row is one
+``%``-template applied to the row, JSON float text comes from the C
+encoder (``json.dumps`` of a column as a list), and the axis values are
+formatted once per axis. The JSON text is the ``json.dumps(...,
+indent=1)`` layout of ``{"metadata": ..., "records": [...]}``.
+
+A scan file is a pure function of its metadata (flow, V, R0, bounds, n
+and command), so the reader parses nothing else. It reads the metadata
+from the file's head and checks it, re-runs the scan it names, and
+compares the text the writer gives that scan with the file, one block at
+a time. The first byte that differs is a :class:`SchemaMismatch` naming
+its offset, row and column. A file the reader accepts is byte for byte
+what ``scan``/``diagonal`` writes, the table it returns is the re-scan's,
+and reading takes the memory of the scan's columns and one block,
+whatever the file holds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BadDomain, SchemaMismatch
 from .geometry import CLASS_LABELS
+from .models import FlowKind, PowerModel
 from .stability import (DEFAULT_GUARD, Bounds, DiagonalScan, GridScan,
-                        _check_bounds, axis_samples)
+                        _check_bounds, axis_samples, scan_diagonal, scan_grid)
 
 SCAN_COLUMNS = ("a1", "a2", "value", "g11", "g12", "g22",
                 "det", "curvature", "class")
 FORMAT_TAG = "powergeom-scan-v1"
 
-#: The class code of each label a scan file may carry.
-_CODES = {label: code for code, label in enumerate(CLASS_LABELS)}
-
-#: Text ``float()`` reads but no writer produces: ``_`` digit separators,
-#: whitespace and non-ASCII characters (such as other scripts' digits).
-_ODD_NUMBER = re.compile(r"[_\s]|[^\x00-\x7f]")
-_ODD_ASCII = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
 #: ``n`` as the writers write it: >= 2, in at most 18 digits for ``int``.
 _COUNT = re.compile("[2-9]|[1-9][0-9]{1,17}")
+#: Bytes of a file the readers take its metadata from; a writer's
+#: metadata head is a few hundred.
+_HEAD_BYTES = 1 << 16
+#: The shortest CSV row: eight 1-character numbers, eight commas, a
+#: 5-character label and the line break. JSON records are longer, so no
+#: scan file holds more rows than its size over this.
+_MIN_ROW_BYTES = 22
+#: The opening of a scan JSON object, up to its metadata object.
+_JSON_KEY = re.compile(r'\{\s*"metadata"\s*:\s*')
+#: What ends a JSON head and opens its records.
+_RECORDS = '\n "records": [\n'
 
 #: Rows per block the writers render and write at a time.
 BLOCK_ROWS = 1024
@@ -105,11 +114,12 @@ class _ScanRows(Sequence):
     def __len__(self) -> int:
         return len(self.columns["codes"])
 
-    def block(self, start: int, stop: int) -> list[list]:
-        """The eight float columns of rows start..stop, then the labels."""
+    def block(self, start: int, stop: int,
+              names: Sequence[str] = SCAN_COLUMNS[:-1]) -> list[list]:
+        """The float columns ``names`` of rows start..stop, then the
+        labels."""
         cols = self.columns
-        return [cols[name][start:stop].tolist()
-                for name in SCAN_COLUMNS[:-1]] + [
+        return [cols[name][start:stop].tolist() for name in names] + [
             list(map(CLASS_LABELS.__getitem__,
                      cols["codes"][start:stop].tolist()))]
 
@@ -141,8 +151,10 @@ def _scan_table(scan: GridScan | DiagonalScan, command: str,
         "guard": format_float(DEFAULT_GUARD),
         "unit": "rad",
     }
-    return ScanTable(metadata,
-                     _ScanRows(scan.columns, _axes(metadata, command)))
+    axes = [axis_samples(a1_bounds, scan.n)]
+    if command == "scan":
+        axes.append(axis_samples(a2_bounds, scan.n))
+    return ScanTable(metadata, _ScanRows(scan.columns, tuple(axes)))
 
 
 def grid_table(scan: GridScan) -> ScanTable:
@@ -151,28 +163,6 @@ def grid_table(scan: GridScan) -> ScanTable:
 
 def diagonal_table(scan: DiagonalScan) -> ScanTable:
     return _scan_table(scan, "diagonal", scan.bounds, scan.bounds)
-
-
-def _axes(metadata: dict[str, str], where: str) -> tuple[list[float], ...]:
-    """The axis samples of a table's metadata bounds: a1 and a2 of a scan,
-    the one axis of a diagonal. Bounds no scan can have are a
-    SchemaMismatch that names ``where`` and the axis; a scan's never are."""
-    bounds = []
-    for name in ("a1", "a2"):
-        ends = metadata.get(f"{name}_min"), metadata.get(f"{name}_max")
-        try:
-            bounds.append(_check_bounds(tuple(map(float, ends)), name))
-        except (TypeError, ValueError):
-            raise SchemaMismatch(f"{where}: {name} bounds {ends} are not "
-                                 "numbers") from None
-        except BadDomain as exc:
-            raise SchemaMismatch(f"{where}: {exc}") from None
-    if metadata["command"] == "diagonal":
-        if bounds[1] != bounds[0]:
-            raise SchemaMismatch(f"{where}: diagonal a2 bounds {bounds[1]!r}"
-                                 f" differ from its a1 bounds {bounds[0]!r}")
-        del bounds[1]
-    return tuple(axis_samples(axis, int(metadata["n"])) for axis in bounds)
 
 
 def _blocks(rows: _ScanRows, texts: Callable[..., list[str]]):
@@ -185,16 +175,18 @@ def _blocks(rows: _ScanRows, texts: Callable[..., list[str]]):
         span = range(start, min(start + BLOCK_ROWS, len(rows)))
         a1 = [axes[0][i % n] for i in span]  # a1 runs fastest
         a2 = a1 if len(axes) == 1 else [axes[1][i // n] for i in span]
-        yield a1, a2, rows.block(span.start, span.stop)[2:]
+        yield a1, a2, rows.block(span.start, span.stop,
+                                 SCAN_COLUMNS[2:-1])
 
 
 def _csv_texts(column: Sequence[float]) -> list[str]:
     return list(map("%.17g".__mod__, column))
 
 
-def _json_texts(column: Sequence[float]) -> list[str]:
-    # Float text from the C encoder; no float repr contains ", ".
-    return json.dumps(column)[1:-1].split(", ")
+def _json_texts(column: Sequence[float], nan: str = "NaN") -> list[str]:
+    # Float text from the C encoder, with ``nan`` for a nan; no float repr
+    # contains ", ", and "NaN" is only ever the whole token of a nan.
+    return json.dumps(column)[1:-1].replace("NaN", nan).split(", ")
 
 
 def render_csv(table: ScanTable) -> Iterator[str]:
@@ -211,14 +203,12 @@ def render_json(table: ScanTable) -> Iterator[str]:
     # json.dumps(indent=1) never puts a raw newline inside a value, so
     # indenting every line break nests the metadata object one level.
     metadata = json.dumps(table.metadata, indent=1).replace("\n", "\n ")
-    join = '{\n "metadata": ' + metadata + ',\n "records": [\n'
+    join = '{\n "metadata": ' + metadata + "," + _RECORDS
     for a1, a2, (*floats, curvature, labels) in _blocks(table.rows,
                                                         _json_texts):
-        texts = [a1, a2, *map(_json_texts, floats)]
-        # Undefined curvature is written as null; "NaN" is only ever the
-        # whole token of a nan.
-        texts.append(json.dumps(curvature)[1:-1].replace("NaN", "null")
-                     .split(", "))
+        # Undefined curvature is written as null.
+        texts = [a1, a2, *map(_json_texts, floats),
+                 _json_texts(curvature, "null")]
         encoded = {label: json.dumps(label) for label in set(labels)}
         texts.append(map(encoded.__getitem__, labels))
         yield join + ",\n".join(map(_JSON_RECORD.__mod__, zip(*texts)))
@@ -246,140 +236,143 @@ def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
             raise
 
 
-def _check_format(metadata: dict[str, str], where: str) -> None:
-    tag = metadata.get("format")
-    if tag != FORMAT_TAG:
-        raise SchemaMismatch(
-            f"{where}: missing or foreign format tag {tag!r}")
-
-
-def _table_from_columns(metadata: dict[str, str],
-                        floats: Sequence[np.ndarray],
-                        labels: Sequence[str], where: str) -> ScanTable:
-    """The table of eight parsed float columns and the label column, if
-    they hold a scan: known labels, n or n**2 rows, and a1, a2 and det as
-    a scan file's redundancy fixes them, bit for bit."""
-    try:
-        codes = np.fromiter(map(_CODES.__getitem__, labels), np.int8,
-                            len(labels))
-    except KeyError as exc:
-        raise SchemaMismatch(
-            f"{where}: unknown class label {exc.args[0]!r}") from None
-    command, n = metadata.get("command"), metadata.get("n")
-    if command not in ("scan", "diagonal") or not (
-            isinstance(n, str) and _COUNT.fullmatch(n)):
-        raise SchemaMismatch(f"{where}: command={command!r}, n={n!r} is not "
-                             "a scan or diagonal of n >= 2 points")
-    want = int(n) ** 2 if command == "scan" else int(n)
-    if len(labels) != want:
-        raise SchemaMismatch(f"{where}: {len(labels)} rows, but a "
-                             f"{command} of n={n} has {want}")
-    columns = dict(zip(SCAN_COLUMNS, floats), codes=codes)
-    axes = _axes(metadata, where)
-    runs = int(n) if command == "scan" else 1  # of each axis's n samples
-    rules = []
-    for name, axis, spread in (("a1", axes[0], np.tile),  # a1 runs fastest
-                               ("a2", axes[-1], np.repeat)):
-        want = spread(axis, runs).view(np.uint64)
-        bounds = tuple(float(metadata[f"{name}_{end}"]) for end in ("min",
-                                                                    "max"))
-        rules.append((columns[name].view(np.uint64) == want, f"{name} is not "
-                      f"the axis sample of the metadata bounds {bounds!r}"))
-    g11, g12, g22, det = map(columns.get, ("g11", "g12", "g22", "det"))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan compared
-        product = g11 * g22 - g12 * g12
-    rules.append(((product.view(np.uint64) == det.view(np.uint64))
-                  | (np.isnan(product) & np.isnan(det)),
-                  "det is not g11*g22 - g12*g12"))
-    for ok, rule in rules:
-        if not ok.all():
-            row = int(np.argmin(ok.ravel())) + 1
-            raise SchemaMismatch(f"{where}: row {row}: {rule}")
-    return ScanTable(metadata, _ScanRows(columns, axes))
-
-
-def read_scan_csv(path: str) -> ScanTable:
-    """Parse a scan CSV written by :func:`write_table`; schema-checked."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from None
+def _csv_metadata(head: str, where: str) -> dict[str, str]:
+    """The ``# key=value`` lines above the header row of a CSV head."""
     metadata: dict[str, str] = {}
-    for line in lines:
+    for line in head.split("\n"):
         if line[:1] == "#":
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 metadata[key.strip()] = value
-    data = [line for line in lines if line and line[:1] != "#"]
-    if not data:
-        raise SchemaMismatch(f"{path}: no header row found")
-    if tuple(data[0].split(",")) != SCAN_COLUMNS:
-        raise SchemaMismatch(
-            f"{path}: header {data[0]!r} does not match "
-            f"{','.join(SCAN_COLUMNS)!r}")
-    _check_format(metadata, path)
-    rows = data[1:]
-    width = len(SCAN_COLUMNS)
-    if set(map(str.count, rows, repeat(","))) - {width - 1}:
-        got = next(n + 1 for n in map(str.count, rows, repeat(","))
-                   if n != width - 1)
-        raise SchemaMismatch(f"{path}: expected {width} fields, got {got}")
-    # Every row has `width` fields, so column i is every width-th cell
-    # from cell i on.
-    text = ",".join(rows)
-    cells = text.split(",") if rows else []
-    if not text.isascii() or any(c in text for c in _ODD_ASCII):
-        for i, cell in enumerate(cells):  # text only float() accepts
-            if i % width != width - 1 and _ODD_NUMBER.search(cell):
+        elif line:
+            if tuple(line.split(",")) != SCAN_COLUMNS:
                 raise SchemaMismatch(
-                    f"{path}: column {SCAN_COLUMNS[i % width]!r}: {cell!r} "
-                    "is not a number as written (underscore, whitespace or "
-                    "non-ASCII text)")
-    # Free the text before the columns are built: it keeps the peak down.
-    del lines, data, rows, text
-    floats = []
-    for i, name in enumerate(SCAN_COLUMNS[:-1]):
+                    f"{where}: header {line!r} does not match "
+                    f"{','.join(SCAN_COLUMNS)!r}")
+            return metadata
+    raise SchemaMismatch(f"{where}: no header row found")
+
+
+def _json_metadata(head: str, where: str) -> dict:
+    """The ``"metadata"`` object that opens a JSON head."""
+    key = _JSON_KEY.match(head)
+    if not key:
+        raise SchemaMismatch(f"{where}: not a scan JSON object")
+    try:
+        metadata = json.JSONDecoder().raw_decode(head, key.end())[0]
+    except ValueError as exc:
+        raise SchemaMismatch(f"{where}: not JSON: {exc}") from None
+    except RecursionError:  # the decoder's limit on nested values
+        raise SchemaMismatch(f"{where}: JSON nested too deeply") from None
+    if not isinstance(metadata, dict):
+        raise SchemaMismatch(f"{where}: not a scan JSON object")
+    return metadata
+
+
+def _rescan(metadata: dict, size: int, where: str) -> ScanTable:
+    """The table ``scan`` or ``diagonal`` writes for ``metadata``, if it
+    names one: the format tag, the command and n, bounds a scan can have,
+    a scan no larger than ``size`` bytes can hold, and a power model."""
+    tag = metadata.get("format")
+    if tag != FORMAT_TAG:
+        raise SchemaMismatch(
+            f"{where}: missing or foreign format tag {tag!r}")
+    command, n = metadata.get("command"), metadata.get("n")
+    if command not in ("scan", "diagonal") or not (
+            isinstance(n, str) and _COUNT.fullmatch(n)):
+        raise SchemaMismatch(f"{where}: command={command!r}, n={n!r} is not "
+                             "a scan or diagonal of n >= 2 points")
+    bounds = []
+    for name in ("a1", "a2"):
+        ends = metadata.get(f"{name}_min"), metadata.get(f"{name}_max")
         try:
-            floats.append(np.fromiter(map(float, cells[i::width]), float))
-        except ValueError as exc:
-            raise SchemaMismatch(f"{path}: column {name!r}: {exc}") from None
-    labels = cells[width - 1::width]
-    del cells
-    return _table_from_columns(metadata, floats, labels, path)
+            bounds.append(_check_bounds(tuple(map(float, ends)), name))
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaMismatch(f"{where}: {name} bounds {ends} are not "
+                                 "numbers") from None
+        except BadDomain as exc:
+            raise SchemaMismatch(f"{where}: {exc}") from None
+    if command == "diagonal" and bounds[1] != bounds[0]:
+        raise SchemaMismatch(f"{where}: diagonal a2 bounds {bounds[1]!r}"
+                             f" differ from its a1 bounds {bounds[0]!r}")
+    n = int(n)
+    rows = n * n if command == "scan" else n
+    if rows > size // _MIN_ROW_BYTES:
+        raise SchemaMismatch(f"{where}: a {command} of n={n} has {rows} "
+                             f"rows, more than {size} bytes can hold")
+    fields = tuple(map(metadata.get, ("model", "v", "r0")))
+    try:
+        model = PowerModel(FlowKind(fields[0]), *map(float, fields[1:]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaMismatch(f"{where}: model, v, r0 = {fields} is not a "
+                             f"power model: {exc}") from None
+    # Metadata of an extreme scale overflows the metric; the file's bytes
+    # are compared all the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if command == "scan":
+            return grid_table(scan_grid(model, *bounds, n))
+        return diagonal_table(scan_diagonal(model, bounds[0], n))
+
+
+def _position(piece: str, at: int, k: int, rows: int, is_json: bool) -> str:
+    """Where character ``at`` of rendered piece ``k`` of a table of
+    ``rows`` rows lies: the head, a row (from 1) and column, or after the
+    last row."""
+    if not is_json:
+        if k == 0:
+            return "head"
+        row = (k - 1) * BLOCK_ROWS + piece.count("\n", 0, at)
+        column = piece.count(",", piece.rfind("\n", 0, at) + 1, at)
+    else:  # eleven lines a record: {, the nine fields, }
+        if k == 0:
+            start = piece.index(_RECORDS) + len(_RECORDS)
+            if at < start:
+                return "head"
+            line = piece.count("\n", start, at)
+        else:  # the piece opens with the line break after a }
+            line = (min(k * BLOCK_ROWS, rows) * 11 - 1
+                    + piece.count("\n", 0, at))
+        row, field = divmod(line, 11)
+        if row == rows:
+            return "after the last row"
+        column = min(max(field - 1, 0), len(SCAN_COLUMNS) - 1)
+    return f"row {row + 1}, column {SCAN_COLUMNS[column]}"
+
+
+def _read(path: str, is_json: bool) -> ScanTable:
+    """The table of a scan file, re-scanned from its metadata head and
+    compared with the file one rendered block at a time."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEAD_BYTES).decode("utf-8", "replace")
+        metadata = (_json_metadata if is_json else _csv_metadata)(head, path)
+        table = _rescan(metadata, os.fstat(fh.fileno()).st_size, path)
+        fh.seek(0)
+        offset = 0
+        for k, piece in enumerate((render_json if is_json else render_csv)(
+                table)):
+            want = piece.encode()
+            got = fh.read(len(want))
+            if got != want:  # a difference, or the file ends early
+                at = next((i for i, (a, b) in enumerate(zip(got, want))
+                           if a != b), len(got))
+                where = _position(piece, at, k, len(table.rows), is_json)
+                break
+            offset += len(want)
+        else:
+            if not fh.read(1):
+                return table
+            at, where = 0, "after the last row"
+    raise SchemaMismatch(f"{path}: byte {offset + at} ({where}) differs from "
+                         f"what {metadata['command']} writes for its metadata")
+
+
+def read_scan_csv(path: str) -> ScanTable:
+    return _read(path, False)
 
 
 def read_scan_json(path: str) -> ScanTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise SchemaMismatch(f"{path}: not JSON: {exc}") from None
-        except RecursionError:  # the decoder's limit on nested values
-            raise SchemaMismatch(f"{path}: JSON nested too deeply") from None
-    try:
-        metadata = dict(data["metadata"])
-        records = data["records"]
-    except (KeyError, TypeError):
-        raise SchemaMismatch(f"{path}: not a scan JSON object") from None
-    _check_format(metadata, path)
-    try:
-        *columns, labels = [[rec[name] for rec in records]
-                            for name in SCAN_COLUMNS]
-        del data, records  # as in read_scan_csv
-        for name, col in zip(SCAN_COLUMNS, columns):
-            wrong = set(map(type, col)) & {str, bool}
-            if wrong:
-                raise SchemaMismatch(
-                    f"{path}: bad record: {name!r} holds a "
-                    f"{wrong.pop().__name__}, not a number")
-        if None in columns[7]:  # null curvature: undefined
-            columns[7] = [math.nan if c is None else c for c in columns[7]]
-        columns = [np.fromiter(map(float, col), float) for col in columns]
-        return _table_from_columns(metadata, columns, labels, path)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaMismatch(f"{path}: bad record: {exc}") from None
+    return _read(path, True)
 
 
 def _is_json(path: str) -> bool:
@@ -391,10 +384,8 @@ def _is_json(path: str) -> bool:
 
 def read_scan(path: str) -> ScanTable:
     """Dispatch on content, whatever the file's name: JSON when it starts
-    with ``{``, else the CSV reader."""
-    if _is_json(path):
-        return read_scan_json(path)
-    return read_scan_csv(path)
+    with ``{``, else CSV."""
+    return _read(path, _is_json(path))
 
 
 _PLOT_TEMPLATE = '''\

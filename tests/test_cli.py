@@ -317,12 +317,13 @@ class TestPlotScript:
         run(["scan", "--model", "real", "--n", "4", "--out", str(out)],
             capsys)
         lines = out.read_text().split("\n")
+        at = len("\n".join(lines[:-2])) + 1  # where the last row starts
         lines[-2] = "abc" + lines[-2][lines[-2].index(","):]
         out.write_text("\n".join(lines))
         code, _, err = run(["plot-script", str(out)], capsys)
         assert code == 1
-        assert err == (f"error: {out}: column 'a1': could not convert "
-                       "string to float: 'abc'\n")
+        assert err == (f"error: {out}: byte {at} (row 16, column a1) differs "
+                       "from what scan writes for its metadata\n")
 
     def test_foreign_schema_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -335,10 +336,12 @@ class TestPlotScript:
         out = tmp_path / "g.csv"
         run(["scan", "--model", "real", "--n", "3", "--out", str(out)],
             capsys)
+        size = len(out.read_bytes())
         out.write_bytes(out.read_bytes() + b"\xff\n")
         code, _, err = run(["plot-script", str(out)], capsys)
         assert code == 1
-        assert err.startswith(f"error: {out}: not UTF-8 text: ")
+        assert err == (f"error: {out}: byte {size} (after the last row) "
+                       "differs from what scan writes for its metadata\n")
 
 
 def _strict_json(text):
@@ -416,34 +419,52 @@ class TestVerifySelf:
         assert stderr == "error: samples must be >= 1\n"
 
 
-# Peak resident set (KiB on Linux) of a child that imports the CLI and,
-# given arguments, runs it.
+# Peak resident set (KiB) of a child that imports the CLI and, given
+# arguments, runs it; given "read" and a path, it reads that scan file with
+# read_scan instead. It is the child's own VmHWM: Linux carries ru_maxrss
+# across exec, so that would start from the test process's resident set.
 PEAK_RSS = """
-import resource, sys
+import sys
 import powergeom.cli
-if sys.argv[1:] and powergeom.cli.main(sys.argv[1:]) != 0:
+if sys.argv[1:2] == ["read"]:
+    powergeom.scan_io.read_scan(sys.argv[2])
+elif sys.argv[1:] and powergeom.cli.main(sys.argv[1:]) != 0:
     sys.exit(1)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def _peak_kib(*argv):
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
+                          capture_output=True, text=True,
+                          env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_writes_in_bounded_memory(tmp_path, fmt):
     """A 512-by-512 scan file is written a block of rows at a time: the
     scan's peak memory exceeds that of the bare import by at most 64 MB,
     the scan's own columns included."""
-    def peak_kib(*argv):
-        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
-                              capture_output=True, text=True,
-                              env=_child_env(), timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1])
-
-    excess = peak_kib("scan", "--model", "complex", "--n", "512",
-                      "--format", fmt, "--out",
-                      str(tmp_path / f"scan.{fmt}")) - peak_kib()
+    excess = _peak_kib("scan", "--model", "complex", "--n", "512",
+                       "--format", fmt, "--out",
+                       str(tmp_path / f"scan.{fmt}")) - _peak_kib()
     assert excess <= 64 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_reads_in_bounded_memory(tmp_path, fmt):
+    """A 512-by-512 scan file is read back a block of rows at a time: the
+    reader's peak memory exceeds that of the bare import by at most 64 MB,
+    the re-scanned columns included."""
+    path = str(tmp_path / f"scan.{fmt}")
+    assert main(["scan", "--model", "complex", "--n", "512", "--format", fmt,
+                 "--out", path]) == 0
+    assert _peak_kib("read", path) - _peak_kib() <= 64 * 1024
 
 
 # What an installer's console script does with a `module:attr` target:

@@ -2,10 +2,13 @@
 row-by-row reference writers, reader strictness, plot-script emission."""
 
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,11 +247,6 @@ def _scan_tables(draw, extra_metadata=st.just({})):
     return table
 
 
-def _float_bits(table):
-    return [(tuple(float(x).hex() for x in tuple(r)[:-1]), r.label)
-            for r in table.rows]
-
-
 class TestByteIdentity:
     """The column-wise writers give the bytes of the row-by-row ones."""
 
@@ -267,16 +265,51 @@ class TestByteIdentity:
             assert text(render_csv, table) == reference_csv(table)
             assert text(render_json, table) == reference_json(table)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_doubles, min_size=1, max_size=40))
+    def test_float_text_round_trips_bits(self, column):
+        """Each double's CSV and JSON text reads back with its bits; a nan
+        reads back as a nan, and as null from curvature's JSON text."""
+        def bits(xs):
+            return ["nan" if math.isnan(x) else float(x).hex() for x in xs]
+        want = bits(column)
+        assert bits(map(float, scan_io._csv_texts(column))) == want
+        assert bits(map(json.loads, scan_io._json_texts(column))) == want
+        nulls = list(map(json.loads, scan_io._json_texts(column, "null")))
+        assert [x is None for x in nulls] == list(map(math.isnan, column))
+        assert bits(x for x in nulls if x is not None) == [
+            b for b in want if b != "nan"]
+
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_scan_tables())
-    def test_round_trip_bits(self, tmp_path_factory, table):
+    @given(data=st.data())
+    def test_round_trip_bits(self, tmp_path_factory, data):
+        """``read_scan`` of a written grid or diagonal has the metadata and,
+        bit for bit, the columns of the scan."""
+        draw = data.draw
+        model = PowerModel(draw(st.sampled_from(list(FlowKind))),
+                           draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)))
+        bounds = tuple(sorted(draw(st.lists(st.floats(-1.5, 1.5), min_size=2,
+                                            max_size=2, unique=True))))
+        n = draw(st.integers(2, 12))
+        if draw(st.booleans()):
+            bounds2 = tuple(sorted(draw(st.lists(
+                st.floats(-1.5, 1.5), min_size=2, max_size=2, unique=True))))
+            scan = scan_grid(model, bounds, bounds2, n)
+            table = grid_table(scan)
+        else:
+            scan = scan_diagonal(model, bounds, n)
+            table = diagonal_table(scan)
         folder = tmp_path_factory.mktemp("round-trip")
-        for name in ("t.csv", "t.json"):
-            path = str(folder / name)
-            write_table(table, path, name[2:])
+        for fmt in ("csv", "json"):
+            path = str(folder / f"t.{fmt}")
+            write_table(table, path, fmt)
             back = read_scan(path)
             assert back.metadata == table.metadata
-            assert _float_bits(back) == _float_bits(table)
+            columns = back.rows.columns
+            assert columns.keys() == scan.columns.keys()
+            for name, column in scan.columns.items():
+                assert columns[name].dtype == column.dtype
+                assert columns[name].tobytes() == column.tobytes(), name
 
 
 each_format = pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -393,6 +426,53 @@ def _write_scan(tmp_path, fmt):
     return path
 
 
+def _write_json(path, data):
+    """``data`` in the writers' JSON layout."""
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def _where(text, at):
+    """Where character ``at`` of a writer's scan text lies, found line by
+    line: the head, a row (from 1) and column, or after the last row."""
+    head, row, start = True, 0, 0
+    for line in text.splitlines(keepends=True):
+        if head:
+            where = "head"
+            head = line != ' "records": [\n' and not line.startswith("a1,")
+        elif text[:1] == "{":  # "  {", nine '   "name": x' lines, "  }"
+            if line.startswith("  {"):
+                row, column = row + 1, "a1"
+            elif line.startswith('   "'):
+                column = line.split('"')[1]
+            elif line.startswith("  }"):
+                column = "class"
+            else:
+                column = None
+            where = (f"row {row}, column {column}" if column
+                     else "after the last row")
+        else:
+            row += 1
+            column = SCAN_COLUMNS[line.count(",", 0, at - start)]
+            where = f"row {row}, column {column}"
+        if at < start + len(line):
+            return where
+        start += len(line)
+    return "after the last row"
+
+
+def _differs(path, before, where=None, command="scan"):
+    """The reader's message for ``path``, edited from the writer's bytes
+    ``before``: the offset of the first byte that differs, and where it
+    lies in ``before`` (by :func:`_where` unless given)."""
+    after = path.read_bytes()
+    at = next((i for i, (a, b) in enumerate(zip(before, after)) if a != b),
+              min(len(before), len(after)))
+    if where is None:
+        where = _where(before.decode(), at)
+    return (f"{path}: byte {at} ({where}) differs from what {command} "
+            "writes for its metadata")
+
+
 class TestReaderStrictness:
     @pytest.mark.parametrize("line", ["", "# format=powergeom-scan-v0\n"])
     def test_csv_format_tag(self, tmp_path, line):
@@ -416,30 +496,33 @@ class TestReaderStrictness:
 
     def test_csv_unknown_label(self, tmp_path):
         path = _write_scan(tmp_path, "csv")
+        before = path.read_bytes()
         lines = path.read_text().split("\n")
         lines[-3] = lines[-3].rsplit(",", 1)[0] + ",BOGUS"
         path.write_text("\n".join(lines))
-        with pytest.raises(SchemaMismatch, match="'BOGUS'"):
+        with pytest.raises(SchemaMismatch) as info:
             read_scan_csv(str(path))
+        assert str(info.value) == _differs(path, before, "row 8, column class")
 
-    @pytest.mark.parametrize("field,value,match", [
-        ("class", "BOGUS", "unknown class label 'BOGUS'"),
-        ("class", 7, "unknown class label 7"),
-        ("a1", "1.5", "'a1' holds a str"),
-        ("a2", True, "'a2' holds a bool"),
-        ("curvature", "nan", "'curvature' holds a str"),
+    @pytest.mark.parametrize("field,value", [
+        ("class", "BOGUS"), ("class", 7), ("a1", "1.5"), ("a2", True),
+        ("curvature", "nan"),
     ])
-    def test_json_bad_field(self, tmp_path, field, value, match):
+    def test_json_bad_field(self, tmp_path, field, value):
         path = _write_scan(tmp_path, "json")
+        before = path.read_bytes()
         data = json.loads(path.read_text())
         data["records"][4][field] = value
-        path.write_text(json.dumps(data))
-        with pytest.raises(SchemaMismatch, match=match):
+        _write_json(path, data)
+        with pytest.raises(SchemaMismatch) as info:
             read_scan_json(str(path))
+        assert str(info.value) == _differs(path, before,
+                                           f"row 5, column {field}")
 
     @pytest.mark.parametrize("column", [0, 5, 7])
     def test_csv_non_number_names_file_and_column(self, tmp_path, column):
         path = _write_scan(tmp_path, "csv")
+        before = path.read_bytes()
         lines = path.read_text().split("\n")
         cells = lines[-4].split(",")
         cells[column] = "abc"
@@ -448,8 +531,8 @@ class TestReaderStrictness:
         name = SCAN_COLUMNS[column]
         with pytest.raises(SchemaMismatch) as info:
             read_scan_csv(str(path))
-        assert str(info.value) == (f"{path}: column {name!r}: could not "
-                                   "convert string to float: 'abc'")
+        assert str(info.value) == _differs(path, before,
+                                           f"row 7, column {name}")
 
     @pytest.mark.parametrize("text", ["1_5", " -0.5 ", "\t0.25", "\x0b0.5",
                                       "\u0661.5", "0.5\u2003"])
@@ -458,6 +541,7 @@ class TestReaderStrictness:
                                                 text):
         float(text)  # Python reads it; the scan reader must not
         path = _write_scan(tmp_path, "csv")
+        before = path.read_bytes()
         lines = path.read_text(encoding="utf-8").split("\n")
         cells = lines[-4].split(",")
         cells[column] = text
@@ -466,45 +550,58 @@ class TestReaderStrictness:
         name = SCAN_COLUMNS[column]
         with pytest.raises(SchemaMismatch) as info:
             read_scan_csv(str(path))
-        assert str(info.value).startswith(
-            f"{path}: column {name!r}: {text!r} is not a number as written")
+        assert str(info.value) == _differs(path, before,
+                                           f"row 7, column {name}")
 
     def test_json_nested_too_deeply_names_file(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"a":' * 100000)
         with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
+        assert str(info.value) == f"{path}: not a scan JSON object"
+
+    def test_json_metadata_nested_too_deeply_names_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"metadata": ' + '{"a":' * 100000)
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
         assert str(info.value) == f"{path}: JSON nested too deeply"
 
     def test_truncated_json_names_file(self, tmp_path):
         path = _write_scan(tmp_path, "json")
+        before = path.read_bytes()
         text = path.read_text()
         path.write_text(text[:len(text) // 2])
         with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
-        assert str(info.value).startswith(f"{path}: not JSON: ")
+        assert str(info.value) == _differs(path, before)
+        assert f" byte {len(text) // 2} (row " in str(info.value)
 
     def test_non_utf8_csv_names_file(self, tmp_path):
         path = _write_scan(tmp_path, "csv")
-        path.write_bytes(path.read_bytes() + b"\xff\n")
+        before = path.read_bytes()
+        path.write_bytes(before + b"\xff\n")
         with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
-        assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+        assert str(info.value) == _differs(path, before, "after the last row")
 
     def test_messages_for_one_bad_field(self, tmp_path):
         path = _write_scan(tmp_path, "csv")
+        before = path.read_bytes()
         lines = path.read_text().split("\n")
         lines[-3] += ",extra"
         path.write_text("\n".join(lines))
-        with pytest.raises(SchemaMismatch,
-                           match="expected 9 fields, got 10"):
+        with pytest.raises(SchemaMismatch) as info:
             read_scan_csv(str(path))
+        assert str(info.value) == _differs(path, before, "row 8, column class")
         path = _write_scan(tmp_path, "json")
+        before = path.read_bytes()
         data = json.loads(path.read_text())
         del data["records"][2]["g12"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(SchemaMismatch, match="bad record: 'g12'"):
+        _write_json(path, data)
+        with pytest.raises(SchemaMismatch) as info:
             read_scan_json(str(path))
+        assert str(info.value) == _differs(path, before, "row 3, column g12")
 
 
 class TestRowCount:
@@ -519,27 +616,27 @@ class TestRowCount:
             table = diagonal_table(scan_diagonal(IMAG, (-1.0, 1.0), n=9))
         path = tmp_path / "scan.csv"
         write_table(table, str(path), "csv")
+        before = path.read_bytes()
         lines = path.read_text().split("\n")
         if edit == "drop":
             del lines[-2]
         else:
             lines.insert(-2, lines[-2])
         path.write_text("\n".join(lines))
-        got = 8 if edit == "drop" else 10
         with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
-        n = "3" if command == "scan" else "9"
-        assert str(info.value) == (f"{path}: {got} rows, but a {command} "
-                                   f"of n={n} has 9")
+        where = "row 9, column a1" if edit == "drop" else "after the last row"
+        assert str(info.value) == _differs(path, before, where, command)
 
     def test_json_record_removed(self, tmp_path):
         path = _write_scan(tmp_path, "json")
+        before = path.read_bytes()
         data = json.loads(path.read_text())
         data["records"].pop(4)
-        path.write_text(json.dumps(data))
+        _write_json(path, data)
         with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
-        assert str(info.value) == f"{path}: 8 rows, but a scan of n=3 has 9"
+        assert str(info.value) == _differs(path, before, "row 5, column a1")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [None, "", "three", "3.0", "03", "+3",
@@ -593,7 +690,8 @@ class TestRowCount:
 
 def _set_cell(path, fmt, row, name, value):
     """Write ``value`` into field ``name`` of record ``row`` (from 0) of a
-    scan file: as ``%.17g`` text in a CSV, as a number in a JSON."""
+    scan file: as ``%.17g`` text in a CSV, as a number in a JSON in the
+    writers' layout."""
     if fmt == "csv":
         lines = path.read_text().split("\n")
         at = next(i for i, line in enumerate(lines) if line[:1] != "#")
@@ -604,28 +702,30 @@ def _set_cell(path, fmt, row, name, value):
     else:
         data = json.loads(path.read_text())
         data["records"][row][name] = value
-        path.write_text(json.dumps(data))
+        _write_json(path, data)
 
 
 def _set_metadata(path, fmt, key, value):
+    """Set metadata ``key`` of a scan file to ``value`` where it stands, or
+    remove it if ``value`` is None."""
     if fmt == "csv":
-        lines = [line for line in path.read_text().split("\n")
-                 if not line.startswith(f"# {key}=")]
-        if value is not None:
-            lines.insert(0, f"# {key}={value}")
+        lines = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
+                 for line in path.read_text().split("\n")
+                 if value is not None or not line.startswith(f"# {key}=")]
         path.write_text("\n".join(lines))
     else:
         data = json.loads(path.read_text())
-        data["metadata"].pop(key)
-        if value is not None:
+        if value is None:
+            del data["metadata"][key]
+        else:
             data["metadata"][key] = value
-        path.write_text(json.dumps(data))
+        _write_json(path, data)
 
 
 class TestRedundancy:
     """det is g11*g22 - g12*g12 and a1, a2 are the axis samples of the
     metadata bounds, bit for bit, or the file is a SchemaMismatch naming
-    the row."""
+    the row and column."""
 
     @each_format
     @pytest.mark.parametrize("name,row", [
@@ -634,13 +734,14 @@ class TestRedundancy:
     ])
     def test_det_rule(self, tmp_path, fmt, name, row):
         path = _write_scan(tmp_path, fmt)
+        before = path.read_bytes()
         x = getattr(read_scan(str(path)).rows[row], name)
         _set_cell(path, fmt, row, name,
                   -x if x == 0.0 else math.nextafter(x, math.inf))
         with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
-        assert str(info.value) == (f"{path}: row {row + 1}: det is not "
-                                   "g11*g22 - g12*g12")
+        assert str(info.value) == _differs(path, before,
+                                           f"row {row + 1}, column {name}")
 
     @each_format
     @pytest.mark.parametrize("name,row,value", [
@@ -651,12 +752,12 @@ class TestRedundancy:
     ])
     def test_axis_rule_on_a_grid(self, tmp_path, fmt, name, row, value):
         path = _write_scan(tmp_path, fmt)  # axis -1, 0, 1 on both angles
+        before = path.read_bytes()
         _set_cell(path, fmt, row, name, value)
         with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
-        assert str(info.value) == (f"{path}: row {row + 1}: {name} is not the "
-                                   "axis sample of the metadata bounds "
-                                   "(-1.0, 1.0)")
+        assert str(info.value) == _differs(path, before,
+                                           f"row {row + 1}, column {name}")
 
     @each_format
     @pytest.mark.parametrize("name", ["a1", "a2"])
@@ -664,10 +765,12 @@ class TestRedundancy:
         table = diagonal_table(scan_diagonal(IMAG, (-1.0, 1.0), n=9))
         path = tmp_path / f"diag.{fmt}"
         write_table(table, str(path), fmt)
+        before = path.read_bytes()
         _set_cell(path, fmt, 3, name, table.rows[4].a1)  # a1 != a2 there
-        with pytest.raises(SchemaMismatch, match=f"^{path}: row 4: {name} "
-                           "is not the axis sample"):
+        with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
+        assert str(info.value) == _differs(path, before,
+                                           f"row 4, column {name}", "diagonal")
 
     @each_format
     @pytest.mark.parametrize("key,value", [
@@ -678,9 +781,16 @@ class TestRedundancy:
         _set_metadata(path, fmt, key, value)
         name = key[:2]
         row = 4 if key == "a2_max" else 1  # a2 changes from the second run
-        with pytest.raises(SchemaMismatch, match=f"^{path}: row {row}: "
-                           f"{name} is not the axis sample"):
+        # What the writer writes for the edited bounds.
+        bounds = {"a1": [-1.0, 1.0], "a2": [-1.0, 1.0]}
+        bounds[name][key.endswith("max")] = float(value)
+        render = render_csv if fmt == "csv" else render_json
+        want = text(render, grid_table(scan_grid(IMAG, *bounds.values(),
+                                                 n=3)))
+        with pytest.raises(SchemaMismatch) as info:
             read_scan(str(path))
+        assert str(info.value) == _differs(path, want.encode(),
+                                           f"row {row}, column {name}")
 
     @each_format
     @pytest.mark.parametrize("value", [None, "one"])
@@ -691,6 +801,14 @@ class TestRedundancy:
             read_scan(str(path))
         assert str(info.value) == (f"{path}: a1 bounds ('-1', {value!r}) are "
                                    "not numbers")
+
+    def test_json_bound_beyond_any_double(self, tmp_path):
+        path = _write_scan(tmp_path, "json")
+        _set_metadata(path, "json", "a1_max", 10 ** 400)  # float() overflows
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == (f"{path}: a1 bounds ('-1', {10 ** 400}) "
+                                   "are not numbers")
 
     @each_format
     @pytest.mark.parametrize("a1,a2,rule", [
@@ -731,6 +849,118 @@ class TestRedundancy:
         assert rows_equal(back.rows, table.rows)
 
 
+class TestMetadataRescan:
+    """A file is what ``scan``/``diagonal`` writes for its metadata: any
+    metadata they never write is a SchemaMismatch naming the file, and a
+    scan larger than the file could hold is never made."""
+
+    @each_format
+    @pytest.mark.parametrize("key,csv_value,json_value,rule", [
+        ("model", "bogus", "bogus", "is not a power model"),
+        ("v", "-5", "-5", "is not a power model"),
+        ("r0", "nan", "nan", "is not a power model"),
+        ("guard", "7", "7", "(head) differs"),
+        ("unit", "furlong", "furlong", "(head) differs"),
+        # the value of the bound as a JSON number, or CSV text float()
+        # reads the same
+        ("a1_min", "-1.0", -1.0, "(head) differs"),
+    ])
+    def test_metadata_no_writer_writes(self, tmp_path, fmt, key, csv_value,
+                                       json_value, rule):
+        path = _write_scan(tmp_path, fmt)
+        _set_metadata(path, fmt, key, csv_value if fmt == "csv"
+                      else json_value)
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert rule in str(info.value)
+
+    @each_format
+    def test_no_scan_larger_than_the_file(self, tmp_path, fmt):
+        path = _write_scan(tmp_path, fmt)
+        _set_metadata(path, fmt, "n", "1000000000")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(SchemaMismatch) as info:
+                read_scan(str(path))
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"{path}: a scan of n=1000000000 has 1000000000000000000 rows, "
+            f"more than {size} bytes can hold")
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_rows_the_file_size_can_hold(self):
+        """The bound is n**2 (n on a diagonal) rows of 22 bytes."""
+        table = grid_table(scan_grid(IMAG, (-1.0, 1.0), n=3))
+        diagonal = diagonal_table(scan_diagonal(IMAG, (-1.0, 1.0), n=3))
+        for meta, rows in ((table.metadata, 9), (diagonal.metadata, 3)):
+            assert scan_io._rescan(meta, 22 * rows, "f").metadata == meta
+            with pytest.raises(SchemaMismatch, match=f"^f: a .* has {rows} "
+                               f"rows, more than {22 * rows - 1} bytes"):
+                scan_io._rescan(meta, 22 * rows - 1, "f")
+
+    @each_format
+    # the re-scan's g11*g22 overflows (the scale defect, ROADMAP item 1)
+    def test_scale_that_overflows_is_read_without_warnings(self, tmp_path,
+                                                           fmt):
+        model = PowerModel(FlowKind.COMPLEX, v=1e76, r0=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = grid_table(scan_grid(model, n=8))
+        path = tmp_path / f"scan.{fmt}"
+        write_table(table, str(path), fmt)
+        assert rows_equal(read_scan(str(path)).rows, table.rows)
+        _set_metadata(path, fmt, "v", "1e75")
+        with pytest.raises(SchemaMismatch, match="differs from what scan"):
+            read_scan(str(path))
+
+
+class TestDifferencePosition:
+    """The reader names the offset of the first byte that differs from the
+    writer's file and where it lies: the head, the row (from 1) and
+    column, or after the last row."""
+
+    @staticmethod
+    def _check(path, fmt, positions, command, delete=True):
+        """Flip, then delete, each byte at ``positions`` that lies after
+        the head (a changed header row is a header mismatch)."""
+        before = path.read_bytes()
+        head = before.index(b"\na1," if fmt == "csv" else b"\n  {\n") + 1
+        if fmt == "csv":
+            head = before.index(b"\n", head) + 1
+        for at in (at for at in positions if head <= at < len(before)):
+            for edit in (bytes([before[at] ^ 1]), b"")[:1 + delete]:
+                path.write_bytes(before[:at] + edit + before[at + 1:])
+                with pytest.raises(SchemaMismatch) as info:
+                    (read_scan_csv if fmt == "csv" else read_scan_json)(
+                        str(path))
+                assert str(info.value) == _differs(path, before,
+                                                   command=command), at
+        path.write_bytes(before)
+
+    @each_format
+    def test_every_byte_after_the_head(self, tmp_path, fmt):
+        path = _write_scan(tmp_path, fmt)
+        self._check(path, fmt, range(path.stat().st_size), "scan",
+                    delete=False)
+
+    @each_format
+    def test_around_block_joins(self, tmp_path, fmt):
+        table = diagonal_table(scan_diagonal(IMAG, (-1.2, 0.9),
+                                             n=2 * BLOCK_ROWS + 1))
+        path = tmp_path / f"diag.{fmt}"
+        write_table(table, str(path), fmt)
+        render = render_csv if fmt == "csv" else render_json
+        joins = list(itertools.accumulate(map(len, render(table))))[:-1]
+        self._check(path, fmt, [at + step for at in joins
+                                for step in range(-30, 30, 7)], "diagonal")
+
+
 @st.composite
 def _mutated(draw, blob):
     """``blob`` after one to three truncations, byte flips, deletions or
@@ -754,15 +984,17 @@ def _mutated(draw, blob):
 
 class TestByteMutations:
     """Whatever bytes a scan file is mutated into, ``read_scan`` returns a
-    table or raises a SchemaMismatch that names the file; nothing else."""
+    table or raises a SchemaMismatch that names the file; nothing else. A
+    file it accepts is the file of the table written, byte for byte."""
 
     @each_format
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_table_or_schema_mismatch(self, tmp_path_factory, fmt, data):
         path = tmp_path_factory.getbasetemp() / f"mutated.{fmt}"
-        write_table(grid_table(scan_grid(PowerModel(FlowKind.COMPLEX),
-                                         (-1.0, 1.0), n=6)), str(path), fmt)
+        written = grid_table(scan_grid(PowerModel(FlowKind.COMPLEX),
+                                       (-1.0, 1.0), n=6))
+        write_table(written, str(path), fmt)
         path.write_bytes(data.draw(_mutated(path.read_bytes())))
         try:
             table = read_scan(str(path))
@@ -770,6 +1002,9 @@ class TestByteMutations:
             assert str(exc).startswith(f"{path}: ")
         else:
             assert isinstance(table, ScanTable)
+            render = render_csv if fmt == "csv" else render_json
+            assert (text(render, table).encode() == path.read_bytes()
+                    == text(render, written).encode())
 
 
 class TestReaderChoice:
