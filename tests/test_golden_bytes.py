@@ -132,10 +132,11 @@ def test_golden_bytes(name, argv, with_stdout, tmp_path, capsys):
 
 #: Every bisected determinant root, bit for bit: sha256 over one line per
 #: crossing (``line``, then ``float.hex`` of ``level``, ``root``,
-#: ``bracket`` and ``det_at_root``), in ``det_zeros`` order, at V = 1.3,
-#: R0 = 0.7 on a 64-point grid and on the 401-point diagonal. The scan
-#: files print roots at ``%.12g``, so a last-bit change of a root shows
-#: only here.
+#: ``bracket`` and ``det_at_root``), in ``det_zeros`` order. The "grid"
+#: and "diagonal" scans are at V = 1.3, R0 = 0.7 on a 64-point grid and on
+#: the 401-point diagonal; the "box" scans are the 64-point grids of
+#: ``ROOT_BOXES``. The scan files print roots at ``%.12g``, so a last-bit
+#: change of a root shows only here.
 ROOTS_GOLDEN = {
     ("real", "grid"): (356, "85d473b547cc07d0f38ae91bbf8b26289eeeeec625aa9e7fe080ad865ee63da8"),
     ("real", "diagonal"): (401, "818d0eefd026fe6b83515e80c9db39d0a57e070ffacae556964cb2416dfab629"),
@@ -143,6 +144,20 @@ ROOTS_GOLDEN = {
     ("imaginary", "diagonal"): (1, "1c540ebbbb3dc674f922feea387141093be29c06640e230b0208974160f2a903"),
     ("complex", "grid"): (442, "777bc429a40c9f3eec0728ee01ef61cf93f83e31b589abf42724ac1ea997fb15"),
     ("complex", "diagonal"): (1, "1c540ebbbb3dc674f922feea387141093be29c06640e230b0208974160f2a903"),
+    ("imaginary", "box"): (324, "776bc830c8ea582d3b9ddadd8766bb30b8e8f9c5320386060c9dbfd373ada42f"),
+    ("complex", "box"): (393, "26505c453790c38189f300637a2d9f367fcf40844f0496ac980e37b3046e9f55"),
+    ("real", "box"): (69, "3d50e9258d22434a6b657d71958328693b912643d8202dc3fa7c56a0c312ec94"),
+}
+
+#: (V, R0, a1 bounds, a2 bounds) of the "box" scans. Their rows and
+#: columns have different cell widths, so brackets take different numbers
+#: of halvings. The imaginary box has 2 roots that miss ``det_bound``; the
+#: complex box (k about 0.21) has 9 such roots and 2 exact zeros; the real
+#: box has 2 exact zeros.
+ROOT_BOXES = {
+    "imaginary": (1.3, 0.7, (-1.5, -0.85), (-1.5, 0.4)),
+    "complex": (0.6, 1.7, (0.62, 1.5), (0.81, 1.5)),
+    "real": (0.6, 1.7, (-1.5, 0.3), (-0.2, 1.5)),
 }
 
 
@@ -169,7 +184,16 @@ def roots_digest(transitions):
 @pytest.mark.parametrize("flow,shape", list(ROOTS_GOLDEN),
                          ids=[f"{f}-{s}" for f, s in ROOTS_GOLDEN])
 def test_bisected_roots_bits(flow, shape):
+    assert (roots_digest(locate_transitions(golden_scan(flow, shape)))
+            == ROOTS_GOLDEN[flow, shape])
+
+
+def golden_scan(flow, shape):
+    """The scan whose roots ``ROOTS_GOLDEN[flow, shape]`` pins."""
+    if shape == "box":
+        v, r0, a1_bounds, a2_bounds = ROOT_BOXES[flow]
+        return scan_grid(PowerModel(FlowKind(flow), v=v, r0=r0),
+                         a1_bounds, a2_bounds, n=64)
     model = PowerModel(FlowKind(flow), v=1.3, r0=0.7)
-    scan = (scan_grid(model, n=64) if shape == "grid"
+    return (scan_grid(model, n=64) if shape == "grid"
             else scan_diagonal(model, n=401))
-    assert roots_digest(locate_transitions(scan)) == ROOTS_GOLDEN[flow, shape]
