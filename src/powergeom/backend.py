@@ -5,8 +5,9 @@ a :class:`FlowKind` surface from ``tan a1`` and ``tan a2``: a
 :class:`Jet3`, the value and its ten raw partials up to third order in
 the two angles, each mixed one stored once. It is plain arithmetic on
 local variables. ``unit_slots`` runs it on floats for one point
-(bisection, single-point reports); ``batch_slots`` runs it elementwise on
-ndarray columns for the scans and the verification samples, in blocks of
+(single-point reports, and bisection steps with few live brackets);
+``batch_slots`` runs it elementwise on ndarray columns for the scans, the
+verification samples and the other bisection steps, in blocks of
 ``BLOCK`` points so that the temporaries stay small. Both take ``tan``
 from ``math.tan`` per element (``np.tan`` rounds differently at some
 points), so they give the same bits wherever the blocks split.

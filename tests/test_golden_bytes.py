@@ -21,6 +21,8 @@ import hashlib
 
 import pytest
 
+from bisect_reference import reference_crossings
+from powergeom import stability
 from powergeom.cli import main
 from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import read_scan
@@ -186,6 +188,21 @@ def roots_digest(transitions):
 def test_bisected_roots_bits(flow, shape):
     assert (roots_digest(locate_transitions(golden_scan(flow, shape)))
             == ROOTS_GOLDEN[flow, shape])
+
+
+@pytest.mark.parametrize("batch_min", [0, 1 << 30],
+                         ids=["every-step-batched", "every-step-per-point"])
+@pytest.mark.parametrize("flow,shape", list(ROOTS_GOLDEN),
+                         ids=[f"{f}-{s}" for f, s in ROOTS_GOLDEN])
+def test_bisected_roots_bits_at_any_crossover(flow, shape, batch_min,
+                                              monkeypatch):
+    """Batched and per-point determinant steps give the same roots, from
+    as many evaluations as the scalar search makes."""
+    monkeypatch.setattr(stability, "BISECT_BATCH_MIN", batch_min)
+    scan = golden_scan(flow, shape)
+    transitions = locate_transitions(scan)
+    assert roots_digest(transitions) == ROOTS_GOLDEN[flow, shape]
+    assert transitions.det_evaluations == reference_crossings(scan)[1]
 
 
 def golden_scan(flow, shape):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bisect_reference import reference_crossings
 from jet_reference import jet_linear, jet_mul, jet_seed, paraboloid
-from powergeom import backend
+from powergeom import backend, stability
 from powergeom.errors import BadDomain
 from powergeom.geometry import (
     CLASS_ORDER,
@@ -14,12 +17,13 @@ from powergeom.geometry import (
     geometry_columns,
     geometry_report,
 )
-from powergeom.models import FlowKind, PowerModel
+from powergeom.models import HALF_PI, FlowKind, PowerModel
 from powergeom.scan_io import grid_table, render_csv
 from powergeom.stability import (
     BISECT_XTOL,
+    DEFAULT_GUARD,
     DiagonalScan,
-    _line_crossings,
+    _det_crossings,
     axis_samples,
     locate_transitions,
     scan_diagonal,
@@ -144,12 +148,25 @@ class TestScanDiagonal:
 
 def diagonal_crossings(field, positions):
     """Bisected determinant zeros of a jet field along a1 = a2."""
-    def det_at(a):
-        return geometry_columns(field(a, a))["det"]
+    def det_at(a1, a2):
+        return np.array([geometry_columns(field(x, y))["det"]
+                         for x, y in zip(a1.tolist(), a2.tolist())])
 
-    return _line_crossings("diag", math.nan, positions,
-                           [det_at(a) for a in positions], det_at,
-                           BISECT_XTOL, 1e-8)
+    a = np.array(positions)
+    zeros, _ = _det_crossings([("diag", np.array([math.nan]), a,
+                                det_at(a, a)[np.newaxis])],
+                              det_at, BISECT_XTOL, 1e-8)
+    return zeros
+
+
+_LIMIT = HALF_PI - DEFAULT_GUARD
+_BOUNDS = st.tuples(st.floats(-_LIMIT, _LIMIT), st.floats(-_LIMIT, _LIMIT)
+                    ).filter(lambda b: b[0] != b[1]).map(sorted).map(tuple)
+
+
+def _crossing_bits(zeros):
+    return [(z.line, z.level.hex(), z.root.hex(), z.bracket.hex(),
+             z.det_at_root.hex()) for z in zeros]
 
 
 class TestLocateTransitions:
@@ -194,6 +211,29 @@ class TestLocateTransitions:
         assert len(transitions.det_zeros) >= 1
         assert transitions.curvature_spikes == tuple(
             s for s in transitions.curvature_spikes)
+
+    def test_det_evaluations_count_the_bisected_midpoints(self):
+        assert locate_transitions(scan_grid(IMAG, n=16)).det_evaluations > 0
+        flat = locate_transitions(scan_grid(REAL, (0.2, 0.6), (-0.9, -0.5),
+                                            n=8))
+        assert flat.det_zeros == () and flat.det_evaluations == 0
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(flow=st.sampled_from(list(FlowKind)),
+           v=st.floats(0.5, 2.0), r0=st.floats(0.5, 2.0),
+           a1_bounds=_BOUNDS, a2_bounds=_BOUNDS, n=st.integers(2, 40),
+           diagonal=st.booleans())
+    def test_matches_the_scalar_reference(self, flow, v, r0, a1_bounds,
+                                          a2_bounds, n, diagonal):
+        """Every crossing, in order and bit for bit, is the one the
+        per-bracket scalar search finds, from as many evaluations."""
+        model = PowerModel(flow, v=v, r0=r0)
+        scan = (scan_diagonal(model, a1_bounds, n) if diagonal
+                else scan_grid(model, a1_bounds, a2_bounds, n))
+        transitions = locate_transitions(scan)
+        zeros, evaluations = reference_crossings(scan)
+        assert _crossing_bits(transitions.det_zeros) == _crossing_bits(zeros)
+        assert transitions.det_evaluations == evaluations
 
     def test_spike_threshold_scales_with_k(self):
         model = PowerModel(FlowKind.COMPLEX, v=2.0, r0=1.0)
