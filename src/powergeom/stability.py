@@ -257,23 +257,20 @@ def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 #: line sets; a coordinate it does not set is the line's level.
 _VARIES = {"row": (True, False), "col": (False, True), "diag": (True, True)}
 
-#: A family of scan lines: (kind, levels, positions, dets). Line j is at
-#: ``levels[j]``, and ``dets[j, i]`` is the determinant at ``positions[i]``
-#: along it.
-Lines = tuple[str, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _det_crossings(lines: Sequence[Lines],
+def _det_crossings(lines: Sequence[tuple[str, np.ndarray, np.ndarray,
+                                         np.ndarray]],
                    det_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    xtol: float, fbound: float
                    ) -> tuple[list[DetZeroCrossing], int]:
     """Determinant zeros along scan lines, and the midpoints evaluated.
 
-    Crossings come family by family, line by line, and in order along each
-    line. A sample where the determinant is exactly zero is a crossing of
-    width 0. A sign change between nonzero neighbours is a bracket; all
-    brackets are bisected together on ``det_at(a1, a2)``, which maps
-    point columns to the determinant column.
+    Each of ``lines`` is a family ``(kind, levels, positions, dets)``: line
+    j is at ``levels[j]``, and ``dets[j, i]`` is the determinant at
+    ``positions[i]`` along it. Crossings come family by family, line by
+    line, and in order along each line. A sample where the determinant is
+    exactly zero is a crossing of width 0. A sign change between nonzero
+    neighbours is a bracket; all brackets are bisected together on
+    ``det_at(a1, a2)``, which maps point columns to the determinant column.
     """
     parts = []
     for family, (_, levels, positions, dets) in enumerate(lines):

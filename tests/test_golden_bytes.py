@@ -183,6 +183,17 @@ def roots_digest(transitions):
     return len(transitions.det_zeros), _sha(text.encode())
 
 
+def golden_scan(flow, shape):
+    """The scan whose roots ``ROOTS_GOLDEN[flow, shape]`` pins."""
+    if shape == "box":
+        v, r0, a1_bounds, a2_bounds = ROOT_BOXES[flow]
+        return scan_grid(PowerModel(FlowKind(flow), v=v, r0=r0),
+                         a1_bounds, a2_bounds, n=64)
+    model = PowerModel(FlowKind(flow), v=1.3, r0=0.7)
+    return (scan_grid(model, n=64) if shape == "grid"
+            else scan_diagonal(model, n=401))
+
+
 @pytest.mark.parametrize("flow,shape", list(ROOTS_GOLDEN),
                          ids=[f"{f}-{s}" for f, s in ROOTS_GOLDEN])
 def test_bisected_roots_bits(flow, shape):
@@ -203,14 +214,3 @@ def test_bisected_roots_bits_at_any_crossover(flow, shape, batch_min,
     transitions = locate_transitions(scan)
     assert roots_digest(transitions) == ROOTS_GOLDEN[flow, shape]
     assert transitions.det_evaluations == reference_crossings(scan)[1]
-
-
-def golden_scan(flow, shape):
-    """The scan whose roots ``ROOTS_GOLDEN[flow, shape]`` pins."""
-    if shape == "box":
-        v, r0, a1_bounds, a2_bounds = ROOT_BOXES[flow]
-        return scan_grid(PowerModel(FlowKind(flow), v=v, r0=r0),
-                         a1_bounds, a2_bounds, n=64)
-    model = PowerModel(FlowKind(flow), v=1.3, r0=0.7)
-    return (scan_grid(model, n=64) if shape == "grid"
-            else scan_diagonal(model, n=401))
