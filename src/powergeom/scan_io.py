@@ -9,7 +9,7 @@ variant mirrors rows and metadata, with ``null`` for undefined curvature.
 
 A :class:`ScanTable` holds the metadata and its rows: :class:`ScanRow`
 named tuples in column order, made on demand from a scan's float64
-columns and int8 class codes and the axis samples of its bounds. The
+columns and int8 class codes and the axis samples of its spec. The
 renderers yield the file text one block of :data:`BLOCK_ROWS` rows at a
 time, and :func:`write_table` writes each block as it comes, so a scan
 file is written in the memory of one block. A CSV row is one
@@ -19,14 +19,14 @@ formatted once per axis. The JSON text is the ``json.dumps(...,
 indent=1)`` layout of ``{"metadata": ..., "records": [...]}``.
 
 A scan file is a pure function of its metadata (flow, V, R0, bounds, n
-and command), so the reader parses nothing else. It reads the metadata
-from the file's head and checks it, re-runs the scan it names, and
-compares the text the writer gives that scan with the file, one block at
-a time. The first byte that differs is a :class:`SchemaMismatch` naming
-its offset, row and column. A file the reader accepts is byte for byte
-what ``scan``/``diagonal`` writes, the table it returns is the re-scan's,
-and reading takes the memory of the scan's columns and one block,
-whatever the file holds.
+and command), so the reader parses nothing else: it re-runs the scan of
+the :class:`~powergeom.stability.ScanSpec` the metadata names, which
+checks it, and compares the writer's text for it with the file block by
+block. The first byte that differs is a :class:`SchemaMismatch` naming
+its offset, row and column. Only this module knows the file format. A
+file the reader accepts is byte for byte what ``scan``/``diagonal``
+writes, the table it returns is the re-scan's, and reading takes the
+memory of the scan's columns and one block, whatever the file holds.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ import numpy as np
 from .errors import BadDomain, SchemaMismatch
 from .geometry import CLASS_LABELS
 from .models import FlowKind, PowerModel
-from .stability import (DEFAULT_GUARD, Bounds, DiagonalScan, GridScan,
-                        _check_bounds, axis_samples, scan_diagonal, scan_grid)
+from .stability import DEFAULT_GUARD, Scan, ScanSpec, evaluate_scan
 
 SCAN_COLUMNS = ("a1", "a2", "value", "g11", "g12", "g22",
                 "det", "curvature", "class")
@@ -104,12 +103,10 @@ class ScanTable:
 
 
 class _ScanRows(Sequence):
-    """A table's rows, made on demand from its columns. ``axes`` holds the
-    axis samples: a1 and a2 of a grid, the one axis of a diagonal."""
+    """A table's rows, made on demand from a scan's columns and spec."""
 
-    def __init__(self, columns: dict[str, np.ndarray],
-                 axes: tuple[list[float], ...]):
-        self.columns, self.axes = columns, axes
+    def __init__(self, scan: Scan):
+        self.columns, self.spec = scan.columns, scan.spec
 
     def __len__(self) -> int:
         return len(self.columns["codes"])
@@ -134,47 +131,46 @@ class _ScanRows(Sequence):
             yield from map(ScanRow, *self.block(start, start + BLOCK_ROWS))
 
 
-def _scan_table(scan: GridScan | DiagonalScan, command: str,
-                a1_bounds: Bounds, a2_bounds: Bounds) -> ScanTable:
-    model = scan.model
+def _scan_table(scan: Scan) -> ScanTable:
+    spec = scan.spec
     metadata = {
         "format": FORMAT_TAG,
-        "command": command,
-        "model": model.kind.value,
-        "v": format_float(model.v),
-        "r0": format_float(model.r0),
-        "a1_min": format_float(a1_bounds[0]),
-        "a1_max": format_float(a1_bounds[1]),
-        "a2_min": format_float(a2_bounds[0]),
-        "a2_max": format_float(a2_bounds[1]),
-        "n": str(scan.n),
+        "command": spec.command,
+        "model": spec.model.kind.value,
+        "v": format_float(spec.model.v),
+        "r0": format_float(spec.model.r0),
+        "a1_min": format_float(spec.a1_bounds[0]),
+        "a1_max": format_float(spec.a1_bounds[1]),
+        "a2_min": format_float(spec.a2_bounds[0]),
+        "a2_max": format_float(spec.a2_bounds[1]),
+        "n": str(spec.n),
         "guard": format_float(DEFAULT_GUARD),
         "unit": "rad",
     }
-    axes = [axis_samples(a1_bounds, scan.n)]
-    if command == "scan":
-        axes.append(axis_samples(a2_bounds, scan.n))
-    return ScanTable(metadata, _ScanRows(scan.columns, tuple(axes)))
+    return ScanTable(metadata, _ScanRows(scan))
 
 
-def grid_table(scan: GridScan) -> ScanTable:
-    return _scan_table(scan, "scan", scan.a1_bounds, scan.a2_bounds)
+# One name per verb, which perfbench traces as its own layer.
+def grid_table(scan: Scan) -> ScanTable:
+    return _scan_table(scan)
 
 
-def diagonal_table(scan: DiagonalScan) -> ScanTable:
-    return _scan_table(scan, "diagonal", scan.bounds, scan.bounds)
+def diagonal_table(scan: Scan) -> ScanTable:
+    return _scan_table(scan)
 
 
 def _blocks(rows: _ScanRows, texts: Callable[..., list[str]]):
     """Per block of :data:`BLOCK_ROWS` rows: the a1 and a2 text as
     ``texts`` writes a float column, then the six other float columns and
     the labels. The axis values are written once, not per row."""
-    axes = [texts(axis) for axis in rows.axes]
-    n = len(axes[0])
+    spec = rows.spec
+    n = spec.n
+    ax1 = texts(spec.a1_axis)
+    ax2 = None if spec.command == "diagonal" else texts(spec.a2_axis)
     for start in range(0, len(rows), BLOCK_ROWS):
         span = range(start, min(start + BLOCK_ROWS, len(rows)))
-        a1 = [axes[0][i % n] for i in span]  # a1 runs fastest
-        a2 = a1 if len(axes) == 1 else [axes[1][i // n] for i in span]
+        a1 = [ax1[i % n] for i in span]  # a1 runs fastest
+        a2 = a1 if ax2 is None else [ax2[i // n] for i in span]
         yield a1, a2, rows.block(span.start, span.stop,
                                  SCAN_COLUMNS[2:-1])
 
@@ -272,8 +268,8 @@ def _json_metadata(head: str, where: str) -> dict:
 
 def _rescan(metadata: dict, size: int, where: str) -> ScanTable:
     """The table ``scan`` or ``diagonal`` writes for ``metadata``, if it
-    names one: the format tag, the command and n, bounds a scan can have,
-    a scan no larger than ``size`` bytes can hold, and a power model."""
+    names one: the format tag, command and n, numbers for bounds, a scan no
+    larger than ``size`` bytes can hold, a model, and a valid spec."""
     tag = metadata.get("format")
     if tag != FORMAT_TAG:
         raise SchemaMismatch(
@@ -287,15 +283,10 @@ def _rescan(metadata: dict, size: int, where: str) -> ScanTable:
     for name in ("a1", "a2"):
         ends = metadata.get(f"{name}_min"), metadata.get(f"{name}_max")
         try:
-            bounds.append(_check_bounds(tuple(map(float, ends)), name))
+            bounds.append(tuple(map(float, ends)))
         except (TypeError, ValueError, OverflowError):
             raise SchemaMismatch(f"{where}: {name} bounds {ends} are not "
                                  "numbers") from None
-        except BadDomain as exc:
-            raise SchemaMismatch(f"{where}: {exc}") from None
-    if command == "diagonal" and bounds[1] != bounds[0]:
-        raise SchemaMismatch(f"{where}: diagonal a2 bounds {bounds[1]!r}"
-                             f" differ from its a1 bounds {bounds[0]!r}")
     n = int(n)
     rows = n * n if command == "scan" else n
     if rows > size // _MIN_ROW_BYTES:
@@ -307,12 +298,14 @@ def _rescan(metadata: dict, size: int, where: str) -> ScanTable:
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{where}: model, v, r0 = {fields} is not a "
                              f"power model: {exc}") from None
+    try:
+        spec = ScanSpec(model, command, *bounds, n)
+    except BadDomain as exc:
+        raise SchemaMismatch(f"{where}: {exc}") from None
     # Metadata of an extreme scale overflows the metric; the file's bytes
     # are compared all the same.
     with np.errstate(over="ignore", invalid="ignore"):
-        if command == "scan":
-            return grid_table(scan_grid(model, *bounds, n))
-        return diagonal_table(scan_diagonal(model, bounds[0], n))
+        return _scan_table(evaluate_scan(spec))
 
 
 def _position(piece: str, at: int, k: int, rows: int, is_json: bool) -> str:

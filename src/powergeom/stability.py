@@ -2,18 +2,19 @@
 
 Scans sample the fluctuation geometry over rectangles or along the
 equal-angle diagonal, classifying each point. Degenerate points record a
-nan curvature instead of aborting. Sample i of an axis sits at
-``a_min + i*(a_max - a_min)/(n - 1)``, so a scan with ``2n - 1`` samples
-reproduces the n-sample points bit for bit. Records are row-major with a1
-varying fastest.
+nan curvature instead of aborting. A :class:`ScanSpec` says what a scan
+samples and is the one place that checks it; a :class:`Scan` holds the
+columns of its points. Sample i of an axis sits at ``a_min + i*(a_max -
+a_min)/(n - 1)``, so a scan with ``2n - 1`` samples reproduces the
+n-sample points bit for bit. Records are row-major with a1 fastest.
 
 The jets of all points come from one column-wise kernel
 (:func:`powergeom.backend.batch_slots`) that works through fixed-size
 blocks of points. Each point's jet depends only on that point, so scan
 content never depends on where the blocks split. Metric, determinant,
 curvature and class come from :func:`powergeom.geometry.geometry_columns`,
-the classifier single-point reports use too, and both scan shapes keep
-them as columns.
+the classifier single-point reports use too, and a scan keeps them as
+columns.
 
 Transition location takes the determinant's exact zeros and sign changes
 along every row and column of a grid, or along the diagonal, from the
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,9 +88,53 @@ def evaluate_points(model: PowerModel, a1: np.ndarray,
     return cols
 
 
-class _Columns:
-    """Row-major point columns shared by both scan shapes."""
+@dataclass(frozen=True)
+class ScanSpec:
+    """What a scan samples: a ``"scan"`` is the grid of the a1 and a2 axis
+    samples, a ``"diagonal"`` the points a1 = a2, whose a2 bounds are its
+    a1 bounds. Building a spec checks n >= 2, the bounds and that rule."""
 
+    model: PowerModel
+    command: str  # "scan" or "diagonal"
+    a1_bounds: Bounds
+    a2_bounds: Bounds
+    n: int
+
+    def __post_init__(self):
+        if self.command not in ("scan", "diagonal"):
+            raise ValueError(f"unknown scan command {self.command!r}")
+        if self.n < 2:
+            raise ValueError(f"need at least 2 samples per axis, got {self.n}")
+        a1 = _check_bounds(self.a1_bounds, "a1")
+        a2 = _check_bounds(self.a2_bounds, "a2")
+        if self.command == "diagonal" and a2 != a1:
+            raise BadDomain(f"diagonal a2 bounds {a2!r} differ from its a1 "
+                            f"bounds {a1!r}")
+        object.__setattr__(self, "a1_bounds", a1)
+        object.__setattr__(self, "a2_bounds", a2)
+
+    @property
+    def a1_axis(self) -> list[float]:
+        return axis_samples(self.a1_bounds, self.n)
+
+    @property
+    def a2_axis(self) -> list[float]:
+        return axis_samples(self.a2_bounds, self.n)
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The a1 and a2 columns of the points, one array on a diagonal."""
+        a1 = np.array(self.a1_axis, dtype=np.float64)
+        if self.command == "diagonal":
+            return a1, a1
+        a2 = np.array(self.a2_axis, dtype=np.float64)
+        return np.tile(a1, self.n), np.repeat(a2, self.n)
+
+
+@dataclass(frozen=True)
+class Scan:
+    """The points of a spec, as row-major columns."""
+
+    spec: ScanSpec
     columns: dict[str, np.ndarray]
 
     def __len__(self) -> int:
@@ -100,63 +145,26 @@ class _Columns:
                         self.columns["codes"].tolist()))
 
 
-@dataclass(frozen=True)
-class GridScan(_Columns):
-    """Rectangular sample of the geometry, row-major with a1 fastest."""
-
-    model: PowerModel
-    a1_bounds: Bounds
-    a2_bounds: Bounds
-    n: int
-    columns: dict[str, np.ndarray]
-
-    @property
-    def a1_axis(self) -> list[float]:
-        return axis_samples(self.a1_bounds, self.n)
-
-    @property
-    def a2_axis(self) -> list[float]:
-        return axis_samples(self.a2_bounds, self.n)
-
-
-@dataclass(frozen=True)
-class DiagonalScan(_Columns):
-    """Sample of the geometry along the equal-angle line a1 = a2."""
-
-    model: PowerModel
-    bounds: Bounds
-    n: int
-    columns: dict[str, np.ndarray]
+def evaluate_scan(spec: ScanSpec) -> Scan:
+    """A spec's points evaluated; degenerate points carry nan curvature."""
+    return Scan(spec, evaluate_points(spec.model, *spec.points()))
 
 
 def scan_grid(model: PowerModel,
               a1_bounds: Bounds = DEFAULT_BOUNDS,
               a2_bounds: Bounds | None = None,
-              n: int = 64) -> GridScan:
-    """Scan an n-by-n grid; degenerate points carry nan curvature."""
-    if n < 2:
-        raise ValueError(f"need at least 2 samples per axis, got {n}")
+              n: int = 64) -> Scan:
+    """Scan an n-by-n grid; a2 takes a1's bounds unless given."""
     if a2_bounds is None:
         a2_bounds = a1_bounds
-    a1_bounds = _check_bounds(a1_bounds, "a1")
-    a2_bounds = _check_bounds(a2_bounds, "a2")
-    a1 = np.tile(np.array(axis_samples(a1_bounds, n), dtype=np.float64), n)
-    a2 = np.repeat(np.array(axis_samples(a2_bounds, n), dtype=np.float64), n)
-    cols = evaluate_points(model, a1, a2)
-    return GridScan(model=model, a1_bounds=a1_bounds, a2_bounds=a2_bounds,
-                    n=n, columns=cols)
+    return evaluate_scan(ScanSpec(model, "scan", a1_bounds, a2_bounds, n))
 
 
 def scan_diagonal(model: PowerModel,
                   bounds: Bounds = DEFAULT_BOUNDS,
-                  n: int = 101) -> DiagonalScan:
+                  n: int = 101) -> Scan:
     """Scan n points of the equal-angle line a1 = a2 = a."""
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    bounds = _check_bounds(bounds, "diagonal")
-    a = np.array(axis_samples(bounds, n), dtype=np.float64)
-    cols = evaluate_points(model, a, a)
-    return DiagonalScan(model=model, bounds=bounds, n=n, columns=cols)
+    return evaluate_scan(ScanSpec(model, "diagonal", bounds, bounds, n))
 
 
 @dataclass(frozen=True)
@@ -299,31 +307,30 @@ def _det_crossings(lines: Sequence[tuple[str, np.ndarray, np.ndarray,
                      width.tolist(), froot.tolist())), evaluations)
 
 
-def locate_transitions(scan: Union[GridScan, DiagonalScan],
+def locate_transitions(scan: Scan,
                        spike_threshold: float | None = None) -> TransitionSet:
     """Determinant zeros (bisected) and curvature spikes of a scan.
 
     A spike is a finite curvature with |R| above ``spike_threshold``
     (default 1e6/k), which must be finite and positive.
     """
-    k = scan.model.k
+    spec, cols = scan.spec, scan.columns
+    k = spec.model.k
     if spike_threshold is None:
         spike_threshold = 1e6 / k
     elif not (math.isfinite(spike_threshold) and spike_threshold > 0.0):
         raise ValueError("spike threshold must be finite and > 0, "
                          f"got {spike_threshold!r}")
     fbound = 1e-8 * k * k
-    cols = scan.columns
-    if isinstance(scan, GridScan):
-        n = scan.n
-        det = cols["det"].reshape(n, n)  # [i2, i1]
-        ax1, ax2 = np.array(scan.a1_axis), np.array(scan.a2_axis)
+    if spec.command == "scan":
+        det = cols["det"].reshape(spec.n, spec.n)  # [i2, i1]
+        ax1, ax2 = np.array(spec.a1_axis), np.array(spec.a2_axis)
         lines = [("row", ax2, ax1, det), ("col", ax1, ax2, det.T)]
     else:
         lines = [("diag", np.array([math.nan]), cols["a1"],
                   cols["det"][np.newaxis])]
     zeros, evaluations = _det_crossings(
-        lines, partial(_det_at, scan.model), BISECT_XTOL, fbound)
+        lines, partial(_det_at, spec.model), BISECT_XTOL, fbound)
 
     curv = cols["curvature"]
     hits = np.flatnonzero(np.isfinite(curv) & (np.abs(curv) > spike_threshold))

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 from powergeom import backend
 from powergeom.geometry import determinant
 from powergeom.models import PowerModel
-from powergeom.stability import BISECT_XTOL, DetZeroCrossing, GridScan
+from powergeom.stability import BISECT_XTOL, DetZeroCrossing
 
 
 def det_function(model: PowerModel) -> Callable[[float, float], float]:
@@ -81,9 +81,10 @@ def reference_crossings(scan) -> tuple[list[DetZeroCrossing], int]:
     """The determinant zeros ``locate_transitions(scan)`` must report
     (rows, then columns, of a grid, or the diagonal) and the number of
     points their bisection evaluates."""
-    k = scan.model.k
+    spec = scan.spec
+    k = spec.model.k
     fbound = 1e-8 * k * k
-    det_point = det_function(scan.model)
+    det_point = det_function(spec.model)
     evaluations = 0
 
     def det_at(a1: float, a2: float) -> float:
@@ -93,9 +94,9 @@ def reference_crossings(scan) -> tuple[list[DetZeroCrossing], int]:
 
     cols = scan.columns
     zeros: list[DetZeroCrossing] = []
-    if isinstance(scan, GridScan):
-        n = scan.n
-        ax1, ax2 = scan.a1_axis, scan.a2_axis
+    if spec.command == "scan":
+        n = spec.n
+        ax1, ax2 = spec.a1_axis, spec.a2_axis
         det = cols["det"].reshape(n, n)  # [i2, i1]
         for level, dets in zip(ax2, det.tolist()):
             zeros.extend(line_crossings(

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 import powergeom
-from powergeom import backend, errors, models
+from powergeom import backend, errors, models, stability
 
 
 def test_every_exported_name_resolves():
@@ -34,3 +34,11 @@ def test_kernel_int_codes_and_guard_are_gone():
     for name in ("KIND_REAL", "KIND_IMAGINARY", "KIND_COMPLEX", "DIV_GUARD"):
         assert not hasattr(backend, name), name
     assert not hasattr(powergeom.FlowKind.REAL, "code")
+
+
+def test_per_shape_scan_types_are_gone():
+    for name in ("GridScan", "DiagonalScan", "_Columns"):
+        assert not hasattr(stability, name), name
+        assert not hasattr(powergeom, name), name
+    assert stability.Scan is type(stability.scan_grid(
+        models.PowerModel(models.FlowKind.REAL), n=2))

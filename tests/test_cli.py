@@ -75,10 +75,14 @@ class TestScan:
         assert table.metadata["unit"] == "rad"
 
     def test_domain_error_exits_one(self, tmp_path, capsys):
-        code, _, err = run(["scan", "--model", "real", "--max", "1.58",
-                            "--out", str(tmp_path / "x.csv")], capsys)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(["scan", "--model", "real", "--max", "1.58",
+                                 "--out", str(out)], capsys)
         assert code == 1
-        assert "error" in err
+        assert stdout == ""
+        assert err == ("error: a1 bounds (-1.55, 1.58) reach within 0.02 "
+                       "rad of +-pi/2\n")
+        assert not out.exists()
 
     def test_usage_error_exits_two(self, capsys):
         assert run(["scan", "--model", "real"], capsys)[0] == 2
@@ -116,6 +120,42 @@ class TestDiagonal:
                                "--out", str(out)], capsys)
         assert code == 0
         assert "|R| > 10" in stdout
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--n", "1"], "need at least 2 samples per axis, got 1"),
+    (["scan", "--min", "1", "--max", "-1"],
+     "a1 bounds must satisfy lo < hi, got (1.0, -1.0)"),
+    (["scan", "--min", "0.5", "--max", "0.5"],
+     "a1 bounds must satisfy lo < hi, got (0.5, 0.5)"),
+    (["scan", "--min2", "0.5", "--max2", "0.5"],
+     "a2 bounds must satisfy lo < hi, got (0.5, 0.5)"),
+    (["scan", "--min2", "1", "--max2", "-1"],
+     "a2 bounds must satisfy lo < hi, got (1.0, -1.0)"),
+    (["scan", "--max", "1.5508"],
+     "a1 bounds (-1.55, 1.5508) reach within 0.02 rad of +-pi/2"),
+    (["scan", "--min2", "-1.56"],
+     "a2 bounds (-1.56, 1.55) reach within 0.02 rad of +-pi/2"),
+    (["diagonal", "--n", "1"], "need at least 2 samples per axis, got 1"),
+    (["diagonal", "--min", "0.3", "--max", "0.3"],
+     "a1 bounds must satisfy lo < hi, got (0.3, 0.3)"),
+    (["diagonal", "--min", "1", "--max", "-1"],
+     "a1 bounds must satisfy lo < hi, got (1.0, -1.0)"),
+    (["diagonal", "--min", "-1.5508"],
+     "a1 bounds (-1.5508, 1.55) reach within 0.02 rad of +-pi/2"),
+    (["diagonal", "--max", "1.56"],
+     "a1 bounds (-1.55, 1.56) reach within 0.02 rad of +-pi/2"),
+])
+def test_scan_domain_rejections(argv, message, tmp_path, capsys):
+    """A scan no ScanSpec accepts exits 1 with one error line and no
+    file. A diagonal's one axis is named a1."""
+    out = tmp_path / "s.csv"
+    code, stdout, stderr = run([*argv, "--model", "real", "--out", str(out)],
+                               capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["scan", "diagonal"])

@@ -37,7 +37,7 @@ from powergeom.scan_io import (
     render_json,
     write_table,
 )
-from powergeom.stability import (DiagonalScan, GridScan, axis_samples,
+from powergeom.stability import (Scan, ScanSpec, axis_samples,
                                   scan_diagonal, scan_grid)
 
 IMAG = PowerModel(FlowKind.IMAGINARY)
@@ -240,8 +240,9 @@ def _scan_tables(draw, extra_metadata=st.just({})):
             st.integers(0, len(CLASS_LABELS) - 1), min_size=size,
             max_size=size)), np.int8)}
     model = PowerModel(draw(st.sampled_from(list(FlowKind))))
-    table = (grid_table(GridScan(model, *bounds, n, columns)) if grid else
-             diagonal_table(DiagonalScan(model, *bounds, n, columns)))
+    spec = ScanSpec(model, "scan" if grid else "diagonal", bounds[0],
+                    bounds[-1], n)
+    table = (grid_table if grid else diagonal_table)(Scan(spec, columns))
     for key, text in draw(extra_metadata).items():
         table.metadata.setdefault(key, text)
     return table

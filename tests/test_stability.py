@@ -22,7 +22,7 @@ from powergeom.scan_io import grid_table, render_csv
 from powergeom.stability import (
     BISECT_XTOL,
     DEFAULT_GUARD,
-    DiagonalScan,
+    ScanSpec,
     _det_crossings,
     axis_samples,
     locate_transitions,
@@ -114,14 +114,14 @@ class TestScanGrid:
 
     def test_asymmetric_axes(self):
         scan = scan_grid(REAL, (-0.5, 0.5), (0.1, 0.9), n=3)
-        assert scan.a1_axis == [-0.5, 0.0, 0.5]
-        assert scan.a2_axis == [0.1, 0.5, 0.9]
+        assert scan.spec.a1_axis == [-0.5, 0.0, 0.5]
+        assert scan.spec.a2_axis == [0.1, 0.5, 0.9]
 
 
 class TestScanDiagonal:
     def test_imaginary_diagonal_flat_curvature(self):
         scan = scan_diagonal(IMAG, (-1.4, 1.4), n=101)
-        assert isinstance(scan, DiagonalScan)
+        assert scan.spec.command == "diagonal"
         assert len(scan) == 101
         cols = scan.columns
         assert (cols["a1"] == cols["a2"]).all()
@@ -144,6 +144,57 @@ class TestScanDiagonal:
         assert (cols["a1"][10], cols["a2"][10]) == (0.0, 0.0)
         assert cols["det"][10] == 0.0
         assert CLASS_ORDER[cols["codes"][10]] is StabilityClass.DEGENERATE
+
+
+class TestScanSpec:
+    """One spec describes both scan shapes and checks them in one place."""
+
+    def test_scans_carry_their_spec(self):
+        grid = scan_grid(COMP, (-0.5, 0.5), (0.1, 0.9), n=3)
+        assert grid.spec == ScanSpec(COMP, "scan", (-0.5, 0.5), (0.1, 0.9), 3)
+        square = scan_grid(COMP, (-0.5, 0.5), n=3)
+        assert square.spec == ScanSpec(COMP, "scan", (-0.5, 0.5),
+                                       (-0.5, 0.5), 3)
+        diagonal = scan_diagonal(IMAG, (-1.0, 1.0), n=5)
+        assert diagonal.spec == ScanSpec(IMAG, "diagonal", (-1.0, 1.0),
+                                         (-1.0, 1.0), 5)
+        assert len(diagonal) == 5
+
+    def test_bounds_are_stored_as_float_pairs(self):
+        spec = ScanSpec(REAL, "scan", [-1, 1], np.array([0, 1]), 2)
+        assert spec.a1_bounds == (-1.0, 1.0)
+        assert spec.a2_bounds == (0.0, 1.0)
+        assert all(type(x) is float
+                   for x in spec.a1_bounds + spec.a2_bounds)
+
+    def test_points_of_a_grid_and_a_diagonal(self):
+        a1, a2 = ScanSpec(REAL, "scan", (-1.0, 1.0), (0.0, 0.5), 3).points()
+        assert a1.tolist() == [-1.0, 0.0, 1.0] * 3
+        assert a2.tolist() == [0.0] * 3 + [0.25] * 3 + [0.5] * 3
+        a1, a2 = ScanSpec(REAL, "diagonal", (-1.0, 1.0), (-1.0, 1.0),
+                          3).points()
+        assert a1 is a2
+        assert a1.tolist() == [-1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("a2", [(-0.5, 0.5), (-1.0, 0.5),
+                                    (-1.0, math.nextafter(1.0, 2.0))])
+    def test_diagonal_a2_bounds_must_be_its_a1_bounds(self, a2):
+        with pytest.raises(BadDomain):
+            ScanSpec(REAL, "diagonal", (-1.0, 1.0), a2, 5)
+
+    @pytest.mark.parametrize("command", ["scan", "diagonal"])
+    def test_checks_n_and_both_axes(self, command):
+        with pytest.raises(ValueError, match="^need at least 2 samples per "
+                           "axis, got 1$"):
+            ScanSpec(REAL, command, (-1.0, 1.0), (-1.0, 1.0), 1)
+        with pytest.raises(BadDomain, match="^a1 bounds must satisfy"):
+            ScanSpec(REAL, command, (1.0, -1.0), (1.0, -1.0), 4)
+        with pytest.raises(BadDomain, match="^a2 bounds .* reach within"):
+            ScanSpec(REAL, command, (-1.0, 1.0), (-1.0, 1.56), 4)
+
+    def test_unknown_command(self):
+        with pytest.raises(ValueError, match="unknown scan command 'grid'"):
+            ScanSpec(REAL, "grid", (-1.0, 1.0), (-1.0, 1.0), 4)
 
 
 def diagonal_crossings(field, positions):
