@@ -6,11 +6,13 @@ a :class:`FlowKind` surface from ``tan a1`` and ``tan a2``: a
 the two angles, each mixed one stored once. It is plain arithmetic on
 local variables. ``unit_slots`` runs it on floats for one point
 (single-point reports, and bisection steps with few live brackets);
-``batch_slots`` runs it elementwise on ndarray columns for the scans, the
-verification samples and the other bisection steps, in blocks of
-``BLOCK`` points so that the temporaries stay small. Both take ``tan``
-from ``math.tan`` per element (``np.tan`` rounds differently at some
-points), so they give the same bits wherever the blocks split.
+``batch_slots`` runs it elementwise on ndarray columns for the scans and
+the verification samples, in blocks of ``BLOCK`` points so that the
+temporaries stay small. The kernel computes the metric slots f11, f12
+and f22 first, and ``batch_metric`` stops there, for the bisection steps
+with many live brackets, which need only the determinant. All three take
+``tan`` from ``math.tan`` per element (``np.tan`` rounds differently at
+some points), so they give the same bits wherever the blocks split.
 
 The kernel gives the bits, signed zeros included, of the jet composition
 in ``tests/jet_reference.py`` (seeds through ``tan``, ``u = tan a1 -
@@ -71,9 +73,11 @@ class Jet3(NamedTuple):
     f222: float
 
 
-def _slots(kind: FlowKind, t1, t2) -> Jet3:
+def _slots(kind: FlowKind, t1, t2, metric: bool = False):
     """Unit-scale (k=1) jet of flow ``kind`` from ``t1 = tan a1`` and
     ``t2 = tan a2``: floats for one point, equal-length columns for many.
+    With ``metric``, only its second-order slots ``(f11, f12, f22)``,
+    which the kernel computes first.
     """
     # Derivatives of tan at a1 and a2: sec^2, 2 tan sec^2 and
     # 2 sec^2 (sec^2 + 2 tan^2), as in jet_reference.tan_derivatives.
@@ -81,12 +85,10 @@ def _slots(kind: FlowKind, t1, t2) -> Jet3:
     s2 = 1.0 + t2 * t2
     q1 = 2.0 * t1 * s1
     q2 = 2.0 * t2 * s2
-    c1 = 2.0 * s1 * (s1 + 2.0 * t1 * t1)
-    c2 = 2.0 * s2 * (s2 + 2.0 * t2 * t2)
     # u = tan a1 - tan a2 has no mixed partials: u12, u112 and u122 are
     # +0.0, and every term built from them is left out below.
     u, u1, u2 = t1 - t2, s1, -s2
-    u11, u22, u111, u222 = q1 + 0.0, 0.0 - q2, c1, -c2
+    u11, u22 = q1 + 0.0, 0.0 - q2
     # d = 1 + u*u: the constant one's slots plus the Leibniz square. A
     # sum with a nonzero term, 2*u1*u1 say, needs no 0.0 +.
     d = 1.0 + u * u
@@ -95,10 +97,6 @@ def _slots(kind: FlowKind, t1, t2) -> Jet3:
     d11 = u11 * u + 2.0 * u1 * u1 + u * u11
     d12 = u1 * u2 + u2 * u1
     d22 = u22 * u + 2.0 * u2 * u2 + u * u22
-    d111 = 0.0 + (u111 * u + 3.0 * u11 * u1 + 3.0 * u1 * u11 + u * u111)
-    d112 = 0.0 + u11 * u2 + u2 * u11
-    d122 = 0.0 + u22 * u1 + u1 * u22
-    d222 = 0.0 + (u222 * u + 3.0 * u22 * u2 + 3.0 * u2 * u22 + u * u222)
     # v = 1/d (d >= 1: the angles, so their tans, are finite) by the chain
     # rule; r, e1, e2, e3: jet_reference.reciprocal_derivatives at d.
     r = 1.0 / d
@@ -106,12 +104,35 @@ def _slots(kind: FlowKind, t1, t2) -> Jet3:
     r3 = r2 * r
     e1 = -r2
     e2 = 2.0 * r3
-    e3 = -6.0 * (r3 * r)
     v1 = e1 * d1
     v2 = e1 * d2
     v11 = e2 * d1 * d1 + e1 * d11
     v12 = e2 * d1 * d2 + e1 * d12
     v22 = e2 * d2 * d2 + e1 * d22
+    # The other flows are m * v, the Leibniz product, with m = u or 1 + u;
+    # both share u's partials, and m12 * r, m112 * r, m122 * r are +0.0.
+    if kind is _REAL:
+        f11, f12, f22 = v11, v12, v22
+    else:
+        if kind is _IMAGINARY:
+            m = u
+        elif kind is _COMPLEX:
+            m = 1.0 + u
+        else:
+            raise ValueError(f"unknown flow kind {kind!r}")
+        f11 = u11 * r + 2.0 * u1 * v1 + m * v11
+        f12 = 0.0 + u1 * v2 + u2 * v1 + m * v12
+        f22 = u22 * r + 2.0 * u2 * v2 + m * v22
+    if metric:
+        return f11, f12, f22
+    c1 = 2.0 * s1 * (s1 + 2.0 * t1 * t1)
+    c2 = 2.0 * s2 * (s2 + 2.0 * t2 * t2)
+    u111, u222 = c1, -c2
+    d111 = 0.0 + (u111 * u + 3.0 * u11 * u1 + 3.0 * u1 * u11 + u * u111)
+    d112 = 0.0 + u11 * u2 + u2 * u11
+    d122 = 0.0 + u22 * u1 + u1 * u22
+    d222 = 0.0 + (u222 * u + 3.0 * u22 * u2 + 3.0 * u2 * u22 + u * u222)
+    e3 = -6.0 * (r3 * r)
     v111 = e3 * d1 * d1 * d1 + 3.0 * e2 * d1 * d11 + e1 * d111
     v112 = (e3 * d1 * d1 * d2 + e2 * (d11 * d2 + 2.0 * d12 * d1)
             + e1 * d112)
@@ -119,22 +140,14 @@ def _slots(kind: FlowKind, t1, t2) -> Jet3:
             + e1 * d122)
     v222 = e3 * d2 * d2 * d2 + 3.0 * e2 * d2 * d22 + e1 * d222
     if kind is _REAL:
-        return Jet3(r, v1, v2, v11, v12, v22, v111, v112, v122, v222)
-    # The other flows are m * v, the Leibniz product, with m = u or 1 + u;
-    # both share u's partials, and m12 * r, m112 * r, m122 * r are +0.0.
-    if kind is _IMAGINARY:
-        m = u
-    elif kind is _COMPLEX:
-        m = 1.0 + u
-    else:
-        raise ValueError(f"unknown flow kind {kind!r}")
+        return Jet3(r, v1, v2, f11, f12, f22, v111, v112, v122, v222)
     return Jet3(
         m * r,
         u1 * r + m * v1,
         u2 * r + m * v2,
-        u11 * r + 2.0 * u1 * v1 + m * v11,
-        0.0 + u1 * v2 + u2 * v1 + m * v12,
-        u22 * r + 2.0 * u2 * v2 + m * v22,
+        f11,
+        f12,
+        f22,
         u111 * r + 3.0 * u11 * v1 + 3.0 * u1 * v11 + m * v111,
         0.0 + u11 * v2 + 2.0 * u1 * v12 + u2 * v11 + m * v112,
         0.0 + u22 * v1 + 2.0 * u2 * v12 + u1 * v22 + m * v122,
@@ -158,29 +171,42 @@ def per_element(fn, a: np.ndarray) -> np.ndarray:
                        count=a.shape[0])
 
 
-def batch_slots(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Unit-scale jets for flat point arrays as an ``(n, 10)`` array.
-
-    Row i equals ``unit_slots(kind, a1[i], a2[i])`` bit for bit, and the
-    inputs are rejected where that would reject a point.
-    """
+def _columns(kind: FlowKind, a1: np.ndarray, a2: np.ndarray,
+             metric: bool) -> np.ndarray:
+    """:func:`_slots` at flat point arrays, one row per point, computed in
+    blocks of ``BLOCK`` points."""
     if not isinstance(kind, FlowKind):
         raise ValueError(f"unknown flow kind {kind!r}")
     a1 = np.ascontiguousarray(a1, dtype=np.float64)
     a2 = np.ascontiguousarray(a2, dtype=np.float64)
     if a1.shape != a2.shape or a1.ndim != 1:
-        raise ValueError("batch_slots expects matching 1-d point arrays")
+        raise ValueError("expected matching 1-d point arrays")
     bad = ~(np.isfinite(a1) & np.isfinite(a2))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"seed values must be finite, got "
                          f"({a1[i]!r}, {a2[i]!r}) at point {i}")
     n = a1.shape[0]
-    out = np.empty((n, 10), dtype=np.float64)
+    out = np.empty((n, 3 if metric else 10), dtype=np.float64)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
-        jet = _slots(kind, per_element(math.tan, a1[start:stop]),
-                     per_element(math.tan, a2[start:stop]))
-        for j, column in enumerate(jet):
+        slots = _slots(kind, per_element(math.tan, a1[start:stop]),
+                       per_element(math.tan, a2[start:stop]), metric)
+        for j, column in enumerate(slots):
             out[start:stop, j] = column
     return out
+
+
+def batch_slots(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Unit-scale jets for flat point arrays as an ``(n, 10)`` array.
+
+    Row i equals ``unit_slots(kind, a1[i], a2[i])`` bit for bit, and the
+    inputs are rejected where that would reject a point.
+    """
+    return _columns(kind, a1, a2, False)
+
+
+def batch_metric(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """The metric slots f11, f12, f22 of :func:`batch_slots`, bit for bit,
+    as an ``(n, 3)`` array, without the kernel's other seven slots."""
+    return _columns(kind, a1, a2, True)

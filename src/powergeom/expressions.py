@@ -16,9 +16,11 @@ One evaluator serves one point and many. :meth:`TrigPolynomial.eval_cs`
 and :meth:`Prefactor.value` take floats, float64 columns, or
 :class:`Powers` tables of either, and read every ``x**e`` off a table, so
 a quantity's numerators, denominators and prefactor share one table per
-variable. Table entries come from Python ``**`` per element and terms are
-multiplied and added left to right in source order, so a column holds the
-same bits as the floats at each of its points. Polynomials are added with
+variable. A column's ``x**0`` and ``x**1`` are exact (``1.0`` and the
+column), its other entries come from libm ``pow`` per element, as ``**``
+takes them, and terms are multiplied and added left to right in source
+order, so a column holds the same bits as the floats at each of its
+points. Polynomials are added with
 plain ``+``, never builtin ``sum()``, whose float sums are compensated from
 Python 3.12 on and would make the reports depend on the Python version.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -50,24 +53,39 @@ DENOM_TOL = 1e-12
 class Powers:
     """``x**e`` for each exponent asked of one variable, computed once.
 
-    ``x`` is a float or a float64 column. A column's powers come from
-    Python ``**`` on each element, never ``np.power``, whose fast paths can
-    round differently, so every element has the float's bits.
+    ``x`` is a float or a float64 column. A column's ``x**0`` is the
+    scalar ``1.0`` and its ``x**1`` the column itself, as Python ``**``
+    gives them for every float. A positive exponent takes libm ``pow`` on
+    each element through ``math.pow``, the function ``**`` calls; a
+    negative one takes ``**`` per element, which raises
+    ``ZeroDivisionError`` on a zero as a float does. ``np.power`` is never
+    used: its fast paths can round differently. So every element has the
+    float's bits.
     """
 
-    __slots__ = ("x", "_table")
+    __slots__ = ("x", "_table", "_list")
 
     def __init__(self, x):
         self.x = x
         self._table = {}
+        self._list = None
 
     def __getitem__(self, e: int):
         power = self._table.get(e)
         if power is None:
             x = self.x
-            power = (np.fromiter((v**e for v in x.tolist()), np.float64,
-                                 len(x))
-                     if isinstance(x, np.ndarray) else x**e)
+            if not isinstance(x, np.ndarray):
+                power = x**e
+            elif e == 0:
+                power = 1.0
+            elif e == 1:
+                power = x
+            else:
+                if self._list is None:
+                    self._list = x.tolist()
+                powers = (map(math.pow, self._list, repeat(float(e))) if e > 0
+                          else (v**e for v in self._list))
+                power = np.fromiter(powers, np.float64, len(x))
             self._table[e] = power
         return power
 
@@ -102,7 +120,10 @@ class TrigPolynomial:
         """Value at cosines and sines c1, s1, c2, s2: floats, float64
         columns (elementwise), or their :class:`Powers` tables."""
         c1, s1, c2, s2 = _powers(c1), _powers(s1), _powers(c2), _powers(s2)
-        total = 0.0
+        # A column total even where every factor is the scalar 1.0: zeros
+        # keep the bits, as 0.0 + x is the same for a column and a float.
+        columns = [t.x for t in (c1, s1, c2, s2) if isinstance(t.x, np.ndarray)]
+        total = np.zeros(len(columns[0])) if columns else 0.0
         for coeff, ec1, es1, ec2, es2 in self.terms:
             total += coeff * c1[ec1] * s1[es1] * c2[ec2] * s2[es2]
         return total

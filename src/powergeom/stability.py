@@ -19,8 +19,9 @@ columns.
 Transition location takes the determinant's exact zeros and sign changes
 along every row and column of a grid, or along the diagonal, from the
 det column. It bisects all the sign-change brackets of a scan together
-on the continuous determinant, one determinant column per step, and
-lists curvature magnitudes beyond a spike threshold.
+on the continuous determinant, one determinant column per step from the
+kernel's metric slots alone, and lists curvature magnitudes beyond a
+spike threshold.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ DEFAULT_BOUNDS = (-1.55, 1.55)
 DEFAULT_GUARD = 0.02
 BISECT_XTOL = 1e-10
 #: Live brackets from which a bisection step evaluates its midpoints in one
-#: ``batch_slots`` call rather than one ``unit_slots`` call each: the
-#: batch costs about 190 us even on one point, ``unit_slots`` about 5 us.
-#: Measured on 64-point scans of all three flows. The roots do not depend
-#: on it.
-BISECT_BATCH_MIN = 32
+#: ``batch_metric`` call rather than one ``unit_slots`` call each: the
+#: batch costs 80-105 us on 1 to 32 points, ``unit_slots`` about 5.5 us
+#: per point, so they cross near 20 points on all three flows. The roots
+#: do not depend on it.
+BISECT_BATCH_MIN = 20
 
 Bounds = tuple[float, float]
 
@@ -200,7 +201,7 @@ def _det_at(model: PowerModel, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     the bits of ``determinant(k*f11, k*f12, k*f22)`` of ``unit_slots``.
 
     Fewer than ``BISECT_BATCH_MIN`` points go through ``unit_slots`` one
-    at a time, more through one ``batch_slots`` call, which gives the
+    at a time, more through one ``batch_metric`` call, which gives the
     same bits.
     """
     kind, k = model.kind, model.k
@@ -208,8 +209,8 @@ def _det_at(model: PowerModel, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
         jets = map(backend.unit_slots, repeat(kind), a1.tolist(), a2.tolist())
         return np.array([determinant(k * s.f11, k * s.f12, k * s.f22)
                          for s in jets], dtype=np.float64)
-    jet = Jet3(*backend.batch_slots(kind, a1, a2).T)
-    return determinant(k * jet.f11, k * jet.f12, k * jet.f22)
+    f11, f12, f22 = backend.batch_metric(kind, a1, a2).T
+    return determinant(k * f11, k * f12, k * f22)
 
 
 def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -165,10 +165,13 @@ class VerificationReport:
 
 
 def _sample_stream(seed: int, tag: str):
-    rng = random.Random(f"{seed}:{tag}")
+    """Points uniform on the default bounds, ``lo + (hi - lo) * random()``
+    per coordinate (the formula of ``random.uniform``), a1 first."""
+    draw = random.Random(f"{seed}:{tag}").random
     lo, hi = DEFAULT_BOUNDS
+    span = hi - lo
     while True:
-        yield rng.uniform(lo, hi), rng.uniform(lo, hi)
+        yield lo + span * draw(), lo + span * draw()
 
 
 def _draw(stream, size: int) -> np.ndarray:

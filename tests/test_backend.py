@@ -31,14 +31,27 @@ EDGE = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
 
 
 def assert_matches_reference(kind, a1, a2):
-    """Both kernel paths give the reference's bits at every point; returns
-    the slots."""
+    """Both kernel paths give the reference's bits at every point, and
+    both metric-only paths its f11, f12, f22; returns the slots."""
     want = np.array([reference_slots(kind, x, y) for x, y in zip(a1, a2)],
                     dtype=np.float64).reshape(-1, 10)
     a1, a2 = np.array(a1, dtype=np.float64), np.array(a2, dtype=np.float64)
     assert_same_bits(unit_rows(kind, a1, a2), want)
     assert_same_bits(backend.batch_slots(kind, a1, a2), want)
+    assert_same_bits(metric_rows(kind, a1, a2), want[:, METRIC])
+    assert_same_bits(backend.batch_metric(kind, a1, a2), want[:, METRIC])
     return want
+
+
+#: The columns of f11, f12 and f22 in a row of slots.
+METRIC = slice(3, 6)
+
+
+def metric_rows(kind, a1, a2):
+    """The kernel's metric-only path on floats, one point at a time."""
+    rows = [backend._slots(kind, math.tan(x), math.tan(y), metric=True)
+            for x, y in zip(a1.tolist(), a2.tolist())]
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
 def unit_rows(kind, a1, a2):
@@ -116,6 +129,12 @@ class TestBatchAgainstUnit:
         assert_same_bits(backend.batch_slots(kind, a, a),
                          unit_rows(kind, a, a))
 
+    def test_metric_columns_of_random_points(self, kind):
+        a1, a2 = random_points(37 + CODES.index(kind), 5000)
+        a1[:1000] = a2[:1000]
+        assert_same_bits(backend.batch_metric(kind, a1, a2),
+                         backend.batch_slots(kind, a1, a2)[:, METRIC])
+
 
 class TestBlocks:
     def test_slices_at_any_offset_give_the_same_bits(self):
@@ -131,6 +150,8 @@ class TestBlocks:
     def test_empty_input(self):
         out = backend.batch_slots(FlowKind.REAL, np.zeros(0), np.zeros(0))
         assert out.shape == (0, 10)
+        out = backend.batch_metric(FlowKind.REAL, np.zeros(0), np.zeros(0))
+        assert out.shape == (0, 3)
 
 
 class TestInputChecks:
@@ -148,6 +169,8 @@ class TestInputChecks:
                 backend.unit_slots(bad, 0.1, 0.2)
             with pytest.raises(ValueError, match="unknown flow kind"):
                 backend.batch_slots(bad, np.zeros(2), np.zeros(2))
+            with pytest.raises(ValueError, match="unknown flow kind"):
+                backend.batch_metric(bad, np.zeros(2), np.zeros(2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", [5, BLOCK + 17, 3 * BLOCK + 4],

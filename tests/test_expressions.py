@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from powergeom.errors import DenominatorZero
 from powergeom.expressions import (
     QUANTITIES,
     PaperQuantity,
+    Powers,
     Prefactor,
     TrigPolynomial,
     quantities_for,
@@ -116,6 +118,44 @@ def test_pole_structure_kills_cosine_terms():
                    for c, _, es1, ec2, es2 in survivors)
     got = poly(math.pi / 2, 0.3)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+#: The exponents a power table is asked for: the prefactor's c^-2 and
+#: every exponent the tables use, and more.
+EXPONENTS = (-2, *range(15))
+
+#: Cosines and sines, signed zeros, the smallest subnormals, +-1 and values
+#: near 1e-150, whose powers underflow to subnormals and signed zeros.
+_table_values = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0)),
+    st.tuples(st.floats(min_value=1e-151, max_value=1e-149),
+              st.booleans()).map(lambda p: -p[0] if p[1] else p[0]))
+
+
+class TestPowerTables:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_table_values, min_size=1, max_size=16))
+    def test_column_entries_have_the_bits_of_float_powers(self, values):
+        table = Powers(np.array(values, dtype=np.float64))
+        for e in EXPONENTS:
+            try:
+                want = np.array([v**e for v in values], dtype=np.float64)
+            except ArithmeticError as exc:  # 0.0**-2, or a subnormal's
+                with pytest.raises(type(exc)):
+                    table[e]
+                continue
+            got = np.broadcast_to(np.asarray(table[e], dtype=np.float64),
+                                  want.shape)
+            assert (got.view(np.uint64) == want.view(np.uint64)).all(), e
+
+    def test_constant_polynomial_of_columns_is_a_column(self):
+        poly = TrigPolynomial(name="const", terms=((3, 0, 0, 0, 0),
+                                                  (-1, 0, 0, 0, 0)))
+        cols = [np.array([0.5, -0.25]) for _ in range(4)]
+        got = poly.eval_cs(*cols)
+        assert isinstance(got, np.ndarray) and got.tolist() == [2.0, 2.0]
+        assert poly.eval_cs(0.5, 0.5, 0.5, 0.5) == 2.0
 
 
 class TestReconstruction:
