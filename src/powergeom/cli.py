@@ -38,7 +38,14 @@ from .stability import (
     scan_diagonal,
     scan_grid,
 )
-from .verify import verify_against_autodiff
+
+
+def verify_against_autodiff(*args, **kwargs):
+    """:func:`powergeom.verify.verify_against_autodiff`, with ``verify``
+    (and its tables) loaded on the first call, so that other verbs never
+    load it."""
+    from . import verify
+    return verify.verify_against_autodiff(*args, **kwargs)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:

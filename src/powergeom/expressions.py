@@ -18,9 +18,13 @@ and :meth:`Prefactor.value` take floats, float64 columns, or
 a quantity's numerators, denominators and prefactor share one table per
 variable. A column's ``x**0`` and ``x**1`` are exact (``1.0`` and the
 column), its other entries come from libm ``pow`` per element, as ``**``
-takes them, and terms are multiplied and added left to right in source
-order, so a column holds the same bits as the floats at each of its
-points. Polynomials are added with
+takes them. Each polynomial compiles its terms once, to a float
+coefficient and the factors of nonzero exponent (a product with
+``x**0 = 1.0`` changes no bit). A term's factors are multiplied and the
+terms added left to right in source order, so a column holds the same
+bits as the floats at each of its points. :meth:`Powers.subset` narrows a
+table to some of its elements, so entries that only some points need are
+taken at those points alone. Polynomials are added with
 plain ``+``, never builtin ``sum()``, whose float sums are compensated from
 Python 3.12 on and would make the reports depend on the Python version.
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -89,6 +94,15 @@ class Powers:
             self._table[e] = power
         return power
 
+    def subset(self, rows: np.ndarray) -> "Powers":
+        """The table of the column's elements at ``rows``: the entries
+        computed so far, sliced, and any other entry taken for those
+        elements only, with the bits the whole column would give them."""
+        subset = Powers(self.x[rows])
+        subset._table.update((e, p[rows] if isinstance(p, np.ndarray) else p)
+                             for e, p in self._table.items())
+        return subset
+
 
 def _powers(x) -> Powers:
     """``x`` itself if it is a :class:`Powers` table, else a new one."""
@@ -116,16 +130,29 @@ class TrigPolynomial:
         """Sum of |coeff|; bounds |value| over the whole circle."""
         return sum(abs(t[0]) for t in self.terms)
 
+    @cached_property
+    def _program(self) -> tuple:
+        """The terms as :meth:`eval_cs` runs them: the coefficient as a
+        float and the ``(variable, exponent)`` factors, in source order,
+        without those of exponent 0. ``x**0`` is ``1.0`` for every float
+        and a product with ``1.0`` is the other factor, so leaving them
+        out changes no bit."""
+        return tuple((float(coeff), tuple((i, e) for i, e in enumerate(exps)
+                                          if e))
+                     for coeff, *exps in self.terms)
+
     def eval_cs(self, c1, s1, c2, s2):
         """Value at cosines and sines c1, s1, c2, s2: floats, float64
         columns (elementwise), or their :class:`Powers` tables."""
-        c1, s1, c2, s2 = _powers(c1), _powers(s1), _powers(c2), _powers(s2)
-        # A column total even where every factor is the scalar 1.0: zeros
+        tables = (_powers(c1), _powers(s1), _powers(c2), _powers(s2))
+        # A column total even where a term has no column factor: zeros
         # keep the bits, as 0.0 + x is the same for a column and a float.
-        columns = [t.x for t in (c1, s1, c2, s2) if isinstance(t.x, np.ndarray)]
+        columns = [t.x for t in tables if isinstance(t.x, np.ndarray)]
         total = np.zeros(len(columns[0])) if columns else 0.0
-        for coeff, ec1, es1, ec2, es2 in self.terms:
-            total += coeff * c1[ec1] * s1[es1] * c2[ec2] * s2[es2]
+        for term, factors in self._program:
+            for i, e in factors:
+                term = term * tables[i][e]
+            total += term
         return total
 
     def __call__(self, a1: float, a2: float) -> float:

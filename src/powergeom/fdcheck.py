@@ -11,6 +11,10 @@ The surface depends on the angles through ``u = tan a1 - tan a2`` only.
 ``tan a`` comes once per axis from the sin and cos Taylor series, and each
 shifted abscissa from ``tan(a + s) = (tan a + tan s) / (1 - tan a tan s)``;
 the stencil points, and through a small cache the three flows, share them.
+The slots' stencils visit 13 points of the integer offset lattice: the
+surface is computed once at each, and each slot's stencil is a fixed
+table of (offset, weight) terms over them, summed in the order
+:func:`central_difference` sums them, so it gives the same bits.
 
 This is test machinery that ships with the package so ``verify-self`` can
 rerun it anywhere. Only the self-check imports it, so the CLI does not
@@ -23,8 +27,11 @@ import functools
 from decimal import Context, Decimal, localcontext
 from typing import Sequence
 
+import numpy as np
+
+from . import backend
 from .backend import Jet3
-from .models import PowerModel, eval_power_jet, unit_surface
+from .models import PowerModel, check_angle, unit_surface
 
 PRECISION = 45
 STEP = Decimal("1e-9")
@@ -93,24 +100,47 @@ def _axis_tans(a: float) -> dict[int, Decimal]:
                 for o, tau in _TAN_OFFSETS.items()}
 
 
+def _slot_stencil(i: int, j: int):
+    """The product stencil of d^{i+j}/dx^i dy^j as :func:`central_difference`
+    runs it at (0, 0) with h = 1: its (offset, weight) terms in summation
+    order, its divisor and the derivative's order."""
+    div_x, xs = _STENCILS[i]
+    div_y, ys = _STENCILS[j]
+    return (tuple(((ox, oy), wx * wy) for ox, wx in xs for oy, wy in ys),
+            div_x * div_y, i + j)
+
+
+#: The stencil of each slot of :class:`Jet3`, in order; a slot's name
+#: spells its derivative: f112 is d^3/da1^2 da2.
+_SLOT_STENCILS = tuple(_slot_stencil(name.count("1"), name.count("2"))
+                       for name in Jet3._fields)
+#: The 13 offsets (o1, o2) that the stencils visit.
+_LATTICE = frozenset(offset for terms, _, _ in _SLOT_STENCILS
+                     for offset, _ in terms)
+
+with localcontext(_CONTEXT):
+    #: STEP^n for the orders n of the slots.
+    _STEP_POWERS = tuple(STEP ** n for n in range(4))
+
+
 def _oracle(model: PowerModel, a1: float, a2: float) -> Jet3:
-    """The ten slots at (a1, a2) from central differences of the surface."""
+    """The ten slots at (a1, a2) from central differences of the surface:
+    the unit surface once per lattice point, then each slot's stencil,
+    which gives it the bits of :func:`central_difference` on that surface."""
     t1, t2 = _axis_tans(a1), _axis_tans(a2)
-
-    @functools.cache
-    def surface(o1: int, o2: int) -> Decimal:
-        """The unit surface at (a1 + o1 * STEP, a2 + o2 * STEP)."""
-        return unit_surface(model.kind, t1[o1] - t2[o2])
-
     with localcontext(_CONTEXT):
         k = Decimal(model.k)
+        surface = {(o1, o2): unit_surface(model.kind, t1[o1] - t2[o2])
+                   for o1, o2 in _LATTICE}
         # The stencils run on the integer offset lattice, where the n-th
-        # derivative is STEP^n times the one in the angles. A slot's name
-        # spells its derivative: f112 is d^3/da1^2 da2.
-        return Jet3(*(float(k * central_difference(surface, 0, 0, i, j, 1)
-                            / STEP ** (i + j))
-                      for i, j in ((name.count("1"), name.count("2"))
-                                   for name in Jet3._fields)))
+        # derivative is STEP^n times the one in the angles.
+        slots = []
+        for terms, divisor, order in _SLOT_STENCILS:
+            total = 0
+            for offset, weight in terms:
+                total = total + weight * surface[offset]
+            slots.append(float(k * (total / divisor) / _STEP_POWERS[order]))
+        return Jet3(*slots)
 
 
 def max_jet_deviation(model: PowerModel,
@@ -118,13 +148,18 @@ def max_jet_deviation(model: PowerModel,
     """Worst slot deviation between the jet engine and the oracle.
 
     Returns the maximum of |jet - oracle| / max(1, |oracle|) over all slots
-    and points, plus a description of where it occurred. The caller's
-    decimal context is left as it was.
+    and points, plus a description of where it occurred. The jets of all
+    points come from one ``batch_slots`` call scaled by k, which gives each
+    the bits of ``eval_power_jet``, whose angle check every point passes.
+    The caller's decimal context is left as it was.
     """
+    a1s = np.array([check_angle(a1) for a1, _ in points], dtype=np.float64)
+    a2s = np.array([check_angle(a2) for _, a2 in points], dtype=np.float64)
+    jets = backend.batch_slots(model.kind, a1s, a2s)
+    jets *= model.k
     worst = 0.0
     info: dict = {}
-    for (a1, a2) in points:
-        jet = eval_power_jet(model, a1, a2)
+    for (a1, a2), jet in zip(points, jets.tolist()):
         for name, got, want in zip(Jet3._fields, jet,
                                    _oracle(model, a1, a2)):
             dev = abs(got - want) / max(1.0, abs(want))

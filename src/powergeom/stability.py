@@ -49,6 +49,11 @@ BISECT_XTOL = 1e-10
 #: per point, so they cross near 20 points on all three flows. The roots
 #: do not depend on it.
 BISECT_BATCH_MIN = 20
+#: Most points one scan may hold: n^2 of a grid, n of a diagonal. A scan
+#: keeps about 65 B per point in its columns, so this is about 1.1 GB, and
+#: a spec beyond it is rejected before anything is allocated, with the
+#: same verdict on every machine.
+MAX_POINTS = 2**24
 
 Bounds = tuple[float, float]
 
@@ -93,7 +98,8 @@ def evaluate_points(model: PowerModel, a1: np.ndarray,
 class ScanSpec:
     """What a scan samples: a ``"scan"`` is the grid of the a1 and a2 axis
     samples, a ``"diagonal"`` the points a1 = a2, whose a2 bounds are its
-    a1 bounds. Building a spec checks n >= 2, the bounds and that rule."""
+    a1 bounds. Building a spec checks n >= 2, the point count against
+    :data:`MAX_POINTS`, the bounds and that rule."""
 
     model: PowerModel
     command: str  # "scan" or "diagonal"
@@ -106,6 +112,11 @@ class ScanSpec:
             raise ValueError(f"unknown scan command {self.command!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 samples per axis, got {self.n}")
+        points = self.n * self.n if self.command == "scan" else self.n
+        if points > MAX_POINTS:
+            raise BadDomain(f"a {self.command} of n={self.n} has {points} "
+                            f"points, more than the {MAX_POINTS} a scan "
+                            "may hold")
         a1 = _check_bounds(self.a1_bounds, "a1")
         a2 = _check_bounds(self.a2_bounds, "a2")
         if self.command == "diagonal" and a2 != a1:

@@ -3,17 +3,24 @@
 For every tabulated quantity of a model the harness samples deterministic
 pseudo-random points in :data:`DEFAULT_BOUNDS`, reconstructs the tabulated
 value, reads the matching jet-engine value (metric slot, determinant, or
-closed-form curvature) off :func:`~powergeom.geometry.geometry_columns`
-of the point's jet, and records the worst relative deviation.
+closed-form curvature) off the point's jet, and records the worst
+relative deviation.
 
 The draws are taken in chunks of at most :data:`CHUNK`, sized from the
-samples still needed and the usable share seen so far. A chunk is
-evaluated column-wise: the tables over shared power tables
-(:class:`~powergeom.expressions.Powers`) and the geometry through
-:func:`~powergeom.stability.evaluate_points`, the evaluator the scans
-use, which gives each point the bits of ``eval_power_jet``. The chunk is
-then walked in draw order, so every result field has the bits of
-evaluating one draw at a time; the tests keep that loop as the reference.
+samples still needed and the usable share seen so far; a chunk's
+``random()`` values are drawn together and mapped onto the bounds as one
+column. A chunk is evaluated column-wise, and each value only where the
+walk reads it: the denominators at every draw, over shared power tables
+(:class:`~powergeom.expressions.Powers`); the jet value where the
+denominator passed, from the kernel's metric slots alone
+(``backend.batch_metric``) for a metric entry or the determinant and
+through :func:`~powergeom.stability.evaluate_points`, the evaluator the
+scans use, for the curvature; the numerators and the prefactor where the
+jet value is also defined, on a subset of the power tables. Every value
+has the bits ``eval_power_jet`` and the float tables give its draw. The
+chunk is then walked in draw order, so every result field has the bits
+of evaluating one draw at a time; the tests keep that loop as the
+reference.
 
 A quantity whose samples all fall within :data:`VERIFY_TOL` is VERIFIED; one
 sample beyond it makes the quantity DISCREPANT, with worst-point
@@ -32,7 +39,6 @@ seed are byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -164,33 +170,52 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _uniform(seed: int, tag: str):
+    """The ``random()`` that draws the points of ``tag``."""
+    return random.Random(f"{seed}:{tag}").random
+
+
 def _sample_stream(seed: int, tag: str):
     """Points uniform on the default bounds, ``lo + (hi - lo) * random()``
-    per coordinate (the formula of ``random.uniform``), a1 first."""
-    draw = random.Random(f"{seed}:{tag}").random
+    per coordinate (the formula of ``random.uniform``), a1 first: one
+    point at a time, the points :func:`_draw` takes a chunk at a time."""
+    draw = _uniform(seed, tag)
     lo, hi = DEFAULT_BOUNDS
     span = hi - lo
     while True:
         yield lo + span * draw(), lo + span * draw()
 
 
-def _draw(stream, size: int) -> np.ndarray:
-    """The next ``size`` points of ``stream``, as two columns."""
-    flat = itertools.chain.from_iterable(itertools.islice(stream, size))
-    return np.fromiter(flat, np.float64, 2 * size).reshape(size, 2).T
+def _draw(uniform, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``size`` points of ``uniform``'s draws, as two columns:
+    the chunk's ``2 * size`` values of ``random()`` in order, then
+    :func:`_sample_stream`'s formula on the whole column, which gives each
+    element the bits it gives one float."""
+    lo, hi = DEFAULT_BOUNDS
+    r = np.fromiter(iter(uniform, None), np.float64, 2 * size)
+    points = lo + (hi - lo) * r
+    return points[0::2], points[1::2]
 
 
 def _autodiff_columns(target: str, model: PowerModel, a1: np.ndarray,
                       a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``target`` of the geometry at the points (a1, a2), from
-    :func:`~powergeom.stability.evaluate_points`, and where it is
-    defined: everywhere, except at degenerate points for ``curvature``."""
-    cols = evaluate_points(model, a1, a2)
+    """``target`` of the geometry at the points (a1, a2), and where it is
+    defined: everywhere, except at degenerate points for ``curvature``.
+
+    The curvature comes from :func:`~powergeom.stability.evaluate_points`;
+    a metric entry or the determinant from the metric slots alone,
+    ``backend.batch_metric`` scaled by k. Either way point i has the bits
+    of the jet ``eval_power_jet(model, a1[i], a2[i])``."""
     if target == "curvature":
-        defined = cols["codes"] != _DEGEN_CODE
-    else:
-        defined = np.ones(len(a1), dtype=bool)
-    return cols[target], defined
+        cols = evaluate_points(model, a1, a2)
+        return cols["curvature"], cols["codes"] != _DEGEN_CODE
+    metric = backend.batch_metric(model.kind, a1, a2)
+    metric *= model.k
+    g11, g12, g22 = metric.T
+    values = {"g11": g11, "g12": g12, "g22": g22}.get(target)
+    if values is None:
+        values = geometry.determinant(g11, g12, g22)
+    return values, np.ones(len(a1), dtype=bool)
 
 
 def _chunk_size(need: int, drawn: int, used: int, left: int) -> int:
@@ -209,10 +234,14 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
     a draw is resampled if the denominator nearly vanishes, the jet value
     is undefined or either value is not finite; the first maximum
     deviation is the worst point; sampling stops at ``samples`` usable
-    draws or after ``1000 * samples`` draws. Draws past the stop are
-    computed but never looked at, so the result does not depend on where
-    the chunks split."""
-    stream = _sample_stream(seed, q.id)
+    draws or after ``1000 * samples`` draws.
+
+    Each value is taken only where the walk can read it: the jet value at
+    the draws whose denominator passed, the numerators and the prefactor
+    where the jet value is also defined, on a :meth:`Powers.subset` of the
+    chunk's power tables. Draws past the stop are computed but never
+    looked at, so the result does not depend on where the chunks split."""
+    uniform = _uniform(seed, q.id)
     tol = RESAMPLE_DENOM_TOL * q.denominator_mass()
     worst = -1.0
     worst_point = (math.nan, math.nan)
@@ -223,27 +252,24 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
     draws = 1000 * samples
     while used < samples and drawn < draws:
         size = _chunk_size(samples - used, drawn, used, draws - drawn)
-        a1, a2 = _draw(stream, size)
+        a1, a2 = _draw(uniform, size)
         # math.cos/math.sin per element, as one draw at a time takes them
         c1 = Powers(backend.per_element(math.cos, a1))
         s1 = Powers(backend.per_element(math.sin, a1))
         c2 = Powers(backend.per_element(math.cos, a2))
         s2 = Powers(backend.per_element(math.sin, a2))
-        # rejected draws may divide by zero or overflow: silence their
-        # warnings, the walk below never reads them
+        # the values at the draws kept, ``rows`` of the chunk, may still
+        # overflow: silence their warnings, the walk below rejects them
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             den = poly_sum(q.denominators, c1, s1, c2, s2)
             rows = np.flatnonzero(np.abs(den) > tol)
-            auto = np.full(size, math.nan)
-            recon = np.full(size, math.nan)
             values, defined = _autodiff_columns(q.target, model,
                                                 a1[rows], a2[rows])
-            rows = rows[defined]
-            if rows.size:
-                auto[rows] = values[defined]
-                num = poly_sum(q.numerators, c1, s1, c2, s2)
-                pf = q.prefactor_value(c1, c2, model.v, model.r0)
-                recon[rows] = (pf * num / den)[rows]
+            rows, auto = rows[defined], values[defined]
+            c1, s1, c2, s2 = (p.subset(rows) for p in (c1, s1, c2, s2))
+            num = poly_sum(q.numerators, c1, s1, c2, s2)
+            pf = q.prefactor_value(c1, c2, model.v, model.r0)
+            recon = pf * num / den[rows]
             dev = np.abs(recon - auto) / np.maximum(1.0, np.abs(auto))
         usable = np.flatnonzero(np.isfinite(auto) & np.isfinite(recon))
         usable = usable[:samples - used]
@@ -251,11 +277,11 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
             i = usable[np.argmax(dev[usable])]
             if dev[i] > worst:
                 worst = float(dev[i])
-                worst_point = (float(a1[i]), float(a2[i]))
+                worst_point = (float(a1[rows[i]]), float(a2[rows[i]]))
                 worst_auto = float(auto[i])
                 worst_recon = float(recon[i])
         used += usable.size
-        drawn += int(usable[-1]) + 1 if used == samples else size
+        drawn += int(rows[usable[-1]]) + 1 if used == samples else size
     resampled = drawn - used
     notes = q.notes
     if worst > VERIFY_TOL:

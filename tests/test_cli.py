@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -527,16 +528,41 @@ def _child_env() -> dict:
     return env
 
 
-def test_cli_import_leaves_decimal_unloaded():
-    """`decimal` is for the self-check's oracle only; the CLI's start-up,
-    which every command pays, does not load it."""
+def test_cli_import_leaves_verification_unloaded():
+    """The verification modules, their 977-line tables and `decimal` (for
+    the self-check's oracle) load only when `verify-paper` or
+    `verify-self` runs; the CLI's start-up, which every command pays,
+    loads none of them."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, powergeom.cli; print(sorted("
-         "{'decimal', 'powergeom.fdcheck'} & set(sys.modules)))"],
+         "{'powergeom.verify', 'powergeom.expressions', 'powergeom._tables',"
+         " 'powergeom.fdcheck', 'decimal'} & set(sys.modules)))"],
         capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command,points", [
+    ("scan", 99999999999 ** 2), ("diagonal", 99999999999)])
+def test_scan_beyond_the_point_ceiling_exits_before_allocating(
+        tmp_path, command, points):
+    """A scan too large for any machine is refused by its size alone: at
+    once, with one line on stderr and no file."""
+    out = tmp_path / "scan.csv"
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "powergeom.cli", command, "--model", "real",
+         "--n", "99999999999", "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: a {command} of n=99999999999 has {points} points, more "
+        "than the 16777216 a scan may hold\n")
+    assert not out.exists()
+    assert elapsed < 2.0
 
 
 def test_console_entry_point(tmp_path):

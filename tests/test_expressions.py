@@ -149,6 +149,27 @@ class TestPowerTables:
                                   want.shape)
             assert (got.view(np.uint64) == want.view(np.uint64)).all(), e
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_table_values, st.booleans()), min_size=1,
+                    max_size=16),
+           st.sets(st.integers(min_value=0, max_value=14)))
+    def test_subset_entries_have_the_bits_of_the_whole_column(
+            self, items, computed):
+        """Entries computed before the subset is taken are sliced, the
+        others computed at its elements alone: both as the whole column
+        has them."""
+        values = np.array([v for v, _ in items], dtype=np.float64)
+        rows = np.flatnonzero([keep for _, keep in items])
+        table = Powers(values)
+        for e in computed:
+            table[e]
+        subset = table.subset(rows)
+        whole = Powers(values)
+        for e in range(15):
+            want = np.broadcast_to(whole[e], values.shape)[rows]
+            got = np.broadcast_to(subset[e], rows.shape)
+            assert (got.view(np.uint64) == want.view(np.uint64)).all(), e
+
     def test_constant_polynomial_of_columns_is_a_column(self):
         poly = TrigPolynomial(name="const", terms=((3, 0, 0, 0, 0),
                                                   (-1, 0, 0, 0, 0)))

@@ -1,15 +1,16 @@
 """The finite-difference oracle: accuracy, context hygiene, regressions."""
 
 import decimal
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powergeom import fdcheck
-from powergeom.fdcheck import decimal_tan, max_jet_deviation
-from powergeom.models import FlowKind, PowerModel
+from powergeom.backend import Jet3
+from powergeom.fdcheck import central_difference, decimal_tan, max_jet_deviation
+from powergeom.models import FlowKind, PowerModel, unit_surface
 from powergeom.selfcheck import _check_jets_vs_differences, _points
 
 #: Seeds at which a Richardson-extrapolated float oracle missed the 1e-6
@@ -60,6 +61,38 @@ def test_seed_54_f222_against_mpmath():
 
         want = float(mpmath.diff(complex_flow, y, 3))
     assert abs(oracle - want) <= 1e-12 * abs(want)
+
+
+def assembled_oracle(model, a1, a2):
+    """The ten slots from :func:`central_difference`, one call per slot on
+    a surface function of the integer offsets, with the tans of the shifted
+    angles from the addition formula: the oracle as first written."""
+    with decimal.localcontext(Context(prec=fdcheck.PRECISION)):
+        def tans(a):
+            t = decimal_tan(Decimal(a))
+            return {o: (t + tau) / (1 - t * tau)
+                    for o, tau in ((o, decimal_tan(o * fdcheck.STEP))
+                                   for o in range(-2, 3))}
+
+        t1, t2 = tans(a1), tans(a2)
+
+        def surface(o1, o2):
+            return unit_surface(model.kind, t1[o1] - t2[o2])
+
+        k = Decimal(model.k)
+        orders = [(name.count("1"), name.count("2")) for name in Jet3._fields]
+        return Jet3(*(float(k * central_difference(surface, 0, 0, i, j, 1)
+                            / fdcheck.STEP ** (i + j)) for i, j in orders))
+
+
+@pytest.mark.parametrize("seed", [0, 54])
+@pytest.mark.parametrize("kind", list(FlowKind))
+def test_lattice_oracle_has_the_central_difference_bits(kind, seed):
+    model = PowerModel(kind, v=1.3, r0=0.7)
+    for a1, a2 in _points(seed, 100):
+        got = fdcheck._oracle(model, a1, a2)
+        want = assembled_oracle(model, a1, a2)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (a1, a2)
 
 
 @pytest.mark.parametrize("a", ["NaN", "Infinity", "-2", "3"])

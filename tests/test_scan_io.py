@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powergeom import scan_io
+from powergeom import scan_io, stability
 from powergeom.cli import main
 from powergeom.errors import SchemaMismatch
 from powergeom.geometry import CLASS_LABELS, geometry_report
@@ -895,6 +895,19 @@ class TestMetadataRescan:
             f"more than {size} bytes can hold")
         assert elapsed < 1.0
         assert peak < 1 << 20
+
+    @each_format
+    def test_no_scan_above_the_point_ceiling(self, tmp_path, fmt,
+                                             monkeypatch):
+        """A scan its file could hold but no spec may describe is a
+        mismatch too."""
+        path = _write_scan(tmp_path, fmt)
+        monkeypatch.setattr(stability, "MAX_POINTS", 8)
+        with pytest.raises(SchemaMismatch) as info:
+            read_scan(str(path))
+        assert str(info.value) == (
+            f"{path}: a scan of n=3 has 9 points, more than the 8 a scan "
+            "may hold")
 
     def test_rows_the_file_size_can_hold(self):
         """The bound is n**2 (n on a diagonal) rows of 22 bytes."""

@@ -1,6 +1,7 @@
 """Scans, classification, and transition location."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,29 @@ class TestScanSpec:
     def test_unknown_command(self):
         with pytest.raises(ValueError, match="unknown scan command 'grid'"):
             ScanSpec(REAL, "grid", (-1.0, 1.0), (-1.0, 1.0), 4)
+
+    def test_point_ceiling(self):
+        """n^2 points of a grid and n of a diagonal may reach MAX_POINTS
+        and not pass it; the check allocates nothing."""
+        side = math.isqrt(stability.MAX_POINTS)
+        assert side * side == stability.MAX_POINTS
+        ScanSpec(REAL, "scan", (-1.0, 1.0), (-1.0, 1.0), side)
+        ScanSpec(REAL, "diagonal", (-1.0, 1.0), (-1.0, 1.0),
+                 stability.MAX_POINTS)
+        with pytest.raises(BadDomain, match=(
+                f"^a scan of n={side + 1} has {(side + 1) ** 2} points, "
+                f"more than the {stability.MAX_POINTS} a scan may hold$")):
+            ScanSpec(REAL, "scan", (-1.0, 1.0), (-1.0, 1.0), side + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadDomain, match=(
+                    "^a diagonal of n=99999999999 has 99999999999 points, ")):
+                ScanSpec(REAL, "diagonal", (-1.0, 1.0), (-1.0, 1.0),
+                         99999999999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 def diagonal_crossings(field, positions):

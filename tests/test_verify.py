@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergeom import backend, expressions, geometry, verify
 from powergeom.cli import main
@@ -405,14 +407,19 @@ class TestChunkedSampling:
         assert check.worst_point == next(verify._sample_stream(0, "TIE"))
 
     def test_jet_batches_stay_within_one_block(self, monkeypatch):
+        """Metric entries and det take ``batch_metric``, curvature
+        ``batch_slots``: every jet batch of either stays within a chunk."""
         sizes = []
-        real = backend.batch_slots
 
-        def recording(code, a1, a2):
-            sizes.append(len(a1))
-            return real(code, a1, a2)
+        def recording(real):
+            def record(code, a1, a2):
+                sizes.append(len(a1))
+                return real(code, a1, a2)
+            return record
 
-        monkeypatch.setattr(backend, "batch_slots", recording)
+        for name in ("batch_slots", "batch_metric"):
+            monkeypatch.setattr(backend, name,
+                                recording(getattr(backend, name)))
         rep = verify_against_autodiff(REAL, samples=5000, seed=2)
         assert all(c.samples == 5000 for c in rep.checks)
         assert verify.CHUNK <= backend.BLOCK
@@ -435,6 +442,74 @@ class TestChunkedSampling:
                          "--out", str(out)])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+def reference_poly(p, c1, s1, c2, s2):
+    """One polynomial at one point, term by term: the loop of
+    :func:`reference_check_quantity`."""
+    total = 0.0
+    for coeff, ec1, es1, ec2, es2 in p.terms:
+        total += coeff * c1**ec1 * s1**es1 * c2**ec2 * s2**es2
+    return total
+
+
+#: Cosine and sine values, signed zeros, +-1, subnormals and values near
+#: 1e-150, whose powers underflow to subnormals and signed zeros.
+_trig_values = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310,
+                     -1e-310)),
+    st.tuples(st.floats(min_value=1e-151, max_value=1e-149),
+              st.booleans()).map(lambda p: -p[0] if p[1] else p[0]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestColumnPaths:
+    """The column routes of the sampling loop against one value at a
+    time."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_trig_values, _trig_values, _trig_values,
+                              _trig_values), min_size=1, max_size=12))
+    def test_compiled_polynomials_have_the_reference_bits(self, points):
+        columns = [np.array(c, dtype=np.float64) for c in zip(*points)]
+        for q in QUANTITIES:
+            for poly in q.numerators + q.denominators:
+                want = [reference_poly(poly, *point) for point in points]
+                assert _bits(poly.eval_cs(*columns)) == _bits(want), poly.name
+                assert ([_exact(poly.eval_cs(*point)) for point in points]
+                        == list(map(_exact, want))), poly.name
+
+    def test_chunks_take_the_stream_points(self):
+        uniform = verify._uniform(3, "CHUNKS")
+        stream = verify._sample_stream(3, "CHUNKS")
+        for size in (1, verify.CHUNK, 7):
+            a1, a2 = verify._draw(uniform, size)
+            want = [next(stream) for _ in range(size)]
+            assert list(zip(a1.tolist(), a2.tolist())) == want
+
+    @pytest.mark.parametrize("v,r0", SCALES)
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_metric_columns_match_evaluate_points(self, kind, v, r0):
+        """g11, g12, g22 and det from the metric slots alone have the bits
+        of the full geometry, over two chunks of draws and at points of
+        exact zeros (the real metric is degenerate on a1 = a2)."""
+        a1, a2 = verify._draw(verify._uniform(5, "METRIC"),
+                              verify.CHUNK + 5)
+        a1 = np.concatenate([a1, [0.0, 0.5, -0.0]])
+        a2 = np.concatenate([a2, [0.0, 0.5, 0.0]])
+        model = PowerModel(kind, v=v, r0=r0)
+        cols = evaluate_points(model, a1, a2)
+        for target in ("g11", "g12", "g22", "det"):
+            parts = [verify._autodiff_columns(target, model, a1[s], a2[s])
+                     for s in (slice(0, verify.CHUNK),
+                               slice(verify.CHUNK, None))]
+            assert all(defined.all() for _, defined in parts)
+            got = np.concatenate([values for values, _ in parts])
+            assert _bits(got) == _bits(cols[target]), target
 
 
 def test_bits_do_not_depend_on_builtin_sum(monkeypatch):
