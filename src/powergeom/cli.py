@@ -19,6 +19,7 @@ rows, and their bytes do not depend on where the blocks split.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -220,7 +221,9 @@ def _cmd_plot_script(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="powergeom",
         description="Intrinsic fluctuation geometry of power-flow surfaces.")

@@ -8,11 +8,11 @@ makes the curvature undefined there.
 
 Everything at a point comes from that point's one jet.
 :func:`geometry_columns` is the one classifier: value, metric,
-determinant, closed-form curvature and class code, on floats for one
-point or elementwise on ndarray columns for a scan. Its formulas
-(:func:`determinant`, :func:`is_degenerate`, :func:`closed_curvature`)
-are written once, on plain arithmetic. :func:`geometry_report` runs it on
-the jet of one point of a model, and the scans on whole columns.
+determinant, closed-form curvature and class code, elementwise on ndarray
+columns of unit-scale (k = 1) jets. The class is a sign pattern of a
+metric that goes as k, so it is read off the unit jet, degenerate where
+the unit determinant is exactly zero. :func:`geometry_report` runs it on
+one point's one-element columns, and the scans on whole columns.
 
 :func:`scalar_curvature_oracle` is the independent check of the closed
 form. It assembles Christoffel symbols of the first kind (half the third
@@ -25,27 +25,21 @@ minus sign for that to hold, and the tests enforce the pair's agreement.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import backend, models
 from .backend import Jet3
 from .errors import DegenerateMetric
-
-#: Relative degeneracy tolerance: |det| at or below
-#: DEGEN_TOL * max(1, metric_inf_norm^2) counts as degenerate. Relative to
-#: the squared norm because det scales as the square of the surface scale.
-DEGEN_TOL = 1e-10
 
 
 class StabilityClass(enum.Enum):
     """Sign classification of the fluctuation metric at one point.
 
-    Degeneracy takes precedence: once the determinant sits inside the
-    tolerance band the Gaussian measure has collapsed and the signs of the
-    minors carry no further information.
+    Degeneracy takes precedence: once the unit determinant is exactly
+    zero the Gaussian measure has collapsed and the signs of the minors
+    carry no further information.
     """
 
     STABLE = "STABLE"
@@ -82,27 +76,15 @@ class Metric2:
     g22: float
     point: tuple[float, float]
 
-    @classmethod
-    def from_jet(cls, jet: Jet3, point: tuple[float, float]) -> "Metric2":
-        return cls(g11=jet.f11, g12=jet.f12, g22=jet.f22,
-                   point=(float(point[0]), float(point[1])))
-
 
 def determinant(g11, g12, g22):
     """``g11*g22 - g12^2``; on floats, or elementwise on ndarrays."""
     return g11 * g22 - g12 * g12
 
 
-def is_degenerate(det, g11, g12, g22):
-    """Whether |det| <= DEGEN_TOL * max(1, max|g|^2), on floats or elementwise.
-
-    Written as a disjunction so that it needs no ``max``: multiplying by
-    DEGEN_TOL and squaring are monotone, so each bound is one of the terms.
-    """
-    mag = abs(det)
-    return ((mag <= DEGEN_TOL) | (mag <= DEGEN_TOL * (g11 * g11))
-            | (mag <= DEGEN_TOL * (g12 * g12))
-            | (mag <= DEGEN_TOL * (g22 * g22)))
+def is_degenerate(det):
+    """Whether ``det`` is exactly zero; on floats, or elementwise."""
+    return det == 0.0
 
 
 def curvature_numerator(jet: Jet3):
@@ -115,11 +97,14 @@ def curvature_numerator(jet: Jet3):
             - jet.f22 * jet.f112 * jet.f112)
 
 
-def closed_curvature(jet: Jet3, det):
+def _closed_curvature(jet: Jet3, det):
     """``R = -(1/2) det^-2 (S22 S111 S122 + S12 S112 S122 + S11 S112 S222
-    - S12 S111 S222 - S11 S122^2 - S22 S112^2)``, with ``det`` the jet's
-    metric determinant."""
-    return -0.5 * curvature_numerator(jet) / (det * det)
+    - S12 S111 S222 - S11 S122^2 - S22 S112^2)`` elementwise, with ``det``
+    the jet's metric determinant, and where every part of it is finite
+    and ``det^2`` nonzero."""
+    num, square = curvature_numerator(jet), det * det
+    return (-0.5 * num / square,
+            np.isfinite(num) & np.isfinite(square) & (square != 0.0))
 
 
 def scalar_curvature_oracle(jet: Jet3) -> float:
@@ -136,7 +121,7 @@ def scalar_curvature_oracle(jet: Jet3) -> float:
     """
     g11, g12, g22 = jet.f11, jet.f12, jet.f22
     det = determinant(g11, g12, g22)
-    if is_degenerate(det, g11, g12, g22):
+    if is_degenerate(det):
         raise DegenerateMetric(
             f"metric determinant {det!r} is degenerate; curvature undefined")
     gi11 = g22 / det
@@ -167,43 +152,48 @@ class GeometryReport:
         return self.metric.point
 
 
-def geometry_columns(jet: Jet3) -> dict:
-    """Value, metric, determinant, curvature and class code of every point.
+def geometry_columns(jet: Jet3, k: float) -> dict:
+    """Value, metric, determinant, curvature and class code of every point
+    of a surface of scale ``k``.
 
-    ``jet`` holds ndarray columns, one element per point, or floats for a
-    single point, which get float results and an int code. Degenerate
-    points get a nan curvature. Codes index :data:`CLASS_ORDER`;
-    degeneracy takes precedence, then det<0, then the sign of the
-    diagonal.
+    ``jet`` holds unit-scale (k = 1) jets as distinct ndarray columns, one
+    element per point. Codes index :data:`CLASS_ORDER` and come from the
+    unit jet: DEGEN where its determinant is exactly zero, then INDEF
+    where it is negative, then the sign of the diagonal. Then each column
+    is scaled by k in place, and the value, metric and determinant are
+    the scaled jet's. So is the curvature where its closed form is finite
+    and defined; where the scaled parts overflow or underflow it is the
+    unit jet's divided by k, and at degenerate points nan.
     """
     g11, g12, g22 = jet.f11, jet.f12, jet.f22
-    det = determinant(g11, g12, g22)
-    degen = is_degenerate(det, g11, g12, g22)
-    if isinstance(det, float):  # one point: divide only where defined
-        if degen:
-            curvature, codes = math.nan, _DEGEN
-        else:
-            curvature = closed_curvature(jet, det)
-            codes = (_INDEF if det < 0.0 else
-                     _STABLE if g11 > 0.0 and g22 > 0.0 else _NEGDEF)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            curvature = np.where(degen, np.nan, closed_curvature(jet, det))
+    with np.errstate(all="ignore"):
+        det = determinant(g11, g12, g22)
+        degen = is_degenerate(det)
         codes = np.where(
             degen, _DEGEN,
             np.where(det < 0.0, _INDEF,
                      np.where((g11 > 0.0) & (g22 > 0.0), _STABLE, _NEGDEF))
         ).astype(np.int8)
+        unit_curvature, _ = _closed_curvature(jet, det)
+        for slot in jet:
+            slot *= k
+        det = determinant(g11, g12, g22)
+        curvature, closed = _closed_curvature(jet, det)
+        curvature = np.where(degen, np.nan,
+                             np.where(closed, curvature, unit_curvature / k))
     return {"value": jet.f, "g11": g11, "g12": g12, "g22": g22,
             "det": det, "curvature": curvature, "codes": codes}
 
 
 def geometry_report(model: models.PowerModel,
                     point: tuple[float, float]) -> GeometryReport:
-    """Metric, determinant, curvature (nan if degenerate) and class."""
-    jet = models.eval_power_jet(model, point[0], point[1])
-    cols = geometry_columns(jet)
-    return GeometryReport(metric=Metric2.from_jet(jet, point),
-                          value=jet.f, det=cols["det"],
-                          curvature=cols["curvature"],
-                          classification=CLASS_ORDER[cols["codes"]])
+    """Metric, determinant, curvature (nan if degenerate) and class: the
+    :func:`geometry_columns` of the point's one-element columns."""
+    a1, a2 = models.check_angle(point[0]), models.check_angle(point[1])
+    unit = backend.unit_slots(model.kind, a1, a2)
+    cols = geometry_columns(Jet3(*np.array(unit)[:, np.newaxis]), model.k)
+    one = {key: col.item() for key, col in cols.items()}
+    return GeometryReport(
+        metric=Metric2(one["g11"], one["g12"], one["g22"], (a1, a2)),
+        value=one["value"], det=one["det"], curvature=one["curvature"],
+        classification=CLASS_ORDER[one["codes"]])

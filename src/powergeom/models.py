@@ -91,7 +91,10 @@ def eval_power(model: PowerModel, a1: float, a2: float) -> float:
 
 
 def eval_power_jet(model: PowerModel, a1: float, a2: float) -> Jet3:
-    """Jet of the flow surface at (a1, a2); the f slot equals eval_power."""
+    """Jet of the flow surface at (a1, a2): k times ``backend.unit_slots``.
+    Its f slot, ``k * (m * (1/(1 + u*u)))`` with m = 1, u or 1 + u, has
+    eval_power's bits on the real flow; eval_power divides by 1 + u*u, so
+    on the other flows their last two bits may differ."""
     a1 = check_angle(a1)
     a2 = check_angle(a2)
     k = model.k

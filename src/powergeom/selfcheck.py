@@ -10,7 +10,8 @@ The command prints one pass/fail line per check.
 
 Sampled checks take the jets of their points together from
 ``backend.batch_slots`` scaled by k, which gives each point the bits of
-``eval_power_jet``; the single-point anchors keep ``eval_power_jet``. The
+``eval_power_jet`` (the curvature-route check leaves the scaling to
+``geometry_columns``); the single-point anchors keep ``eval_power_jet``. The
 real-flow family check samples its three metric quantities alone, as
 ``verify-paper`` samples them.
 """
@@ -76,13 +77,12 @@ def _check_curvature_routes(samples: int, seed: int) -> CheckResult:
         model = PowerModel(kind)
         checked = 0
         # The first `need` candidates with |det| > 0.1 k^2 are checked. Their
-        # jets, with the bits of eval_power_jet, come a block of 2 * need
-        # candidates at a time: one block in practice, as fewer than half
-        # of the candidates are rejected.
+        # jets come a block of 2 * need candidates at a time: one block in
+        # practice, as fewer than half of the candidates are rejected.
+        # geometry_columns scales them in place, to eval_power_jet's bits.
         for block in np.split(points, range(2 * need, len(points), 2 * need)):
             jets = backend.batch_slots(kind, block[:, 0], block[:, 1])
-            jets *= model.k
-            cols = geometry.geometry_columns(Jet3(*jets.T))
+            cols = geometry.geometry_columns(Jet3(*jets.T), model.k)
             kept = np.flatnonzero(
                 np.abs(cols["det"]) > 0.1 * model.k * model.k)
             kept = kept[:need - checked]

@@ -14,7 +14,8 @@ blocks of points. Each point's jet depends only on that point, so scan
 content never depends on where the blocks split. Metric, determinant,
 curvature and class come from :func:`powergeom.geometry.geometry_columns`,
 the classifier single-point reports use too, and a scan keeps them as
-columns.
+columns. A point is DEGEN where its unit-scale determinant is exactly
+zero, so a scan's classes do not depend on k = V^2/R0.
 
 Transition location takes the determinant's exact zeros and sign changes
 along every row and column of a grid, or along the diagonal, from the
@@ -79,16 +80,14 @@ def axis_samples(bounds: Bounds, n: int) -> list[float]:
 def evaluate_points(model: PowerModel, a1: np.ndarray,
                     a2: np.ndarray) -> dict[str, np.ndarray]:
     """Geometry columns of the model at the points (a1, a2): the
-    :func:`~powergeom.geometry.geometry_columns` of the jets, plus the
-    ``a1`` and ``a2`` columns themselves.
+    :func:`~powergeom.geometry.geometry_columns` of the ``batch_slots``
+    jets at the model's k, plus the ``a1`` and ``a2`` columns themselves.
 
-    The jets are ``batch_slots`` scaled by k, so point i has the bits of
-    ``eval_power_jet(model, a1[i], a2[i])``. Scans and ``verify-paper``
-    both evaluate their points here.
+    Point i has the bits of ``geometry_report(model, (a1[i], a2[i]))``.
+    Scans and ``verify-paper`` both evaluate their points here.
     """
     slots = backend.batch_slots(model.kind, a1, a2)
-    slots *= model.k
-    cols = geometry_columns(Jet3(*slots.T))
+    cols = geometry_columns(Jet3(*slots.T), model.k)
     cols["a1"] = a1
     cols["a2"] = a2
     return cols

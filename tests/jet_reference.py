@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from powergeom.backend import FlowKind, Jet3
+from powergeom.geometry import geometry_columns
 
 #: :func:`jet_reciprocal` rejects a denominator value this close to zero.
 DIV_GUARD = 1e-14
@@ -163,3 +166,11 @@ def paraboloid(a1: float, a2: float) -> Jet3:
     x = jet_seed(1, a1)
     y = jet_seed(2, a2)
     return jet_linear(jet_mul(x, x), jet_mul(y, y), 1.0, 1.0)
+
+
+def one_point(jet: Jet3, k: float = 1.0) -> dict:
+    """``geometry_columns`` of one point's float jet, taken as the
+    unit-scale jet of a surface of scale k: run on one-element columns,
+    every result back as a Python float or int."""
+    cols = geometry_columns(Jet3(*np.array(jet)[:, np.newaxis]), k)
+    return {key: col.item() for key, col in cols.items()}

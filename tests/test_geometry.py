@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jet_reference import paraboloid
+from jet_reference import one_point, paraboloid
+from powergeom import backend
 from powergeom.backend import Jet3
-from powergeom.errors import DegenerateMetric
+from powergeom.errors import DegenerateMetric, DomainError
 from powergeom.fdcheck import PRECISION, central_difference, decimal_tan
 from powergeom.geometry import (
     CLASS_ORDER,
-    DEGEN_TOL,
     StabilityClass,
+    curvature_numerator,
     determinant,
     geometry_columns,
     geometry_report,
@@ -32,8 +33,8 @@ COMP = PowerModel(FlowKind.COMPLEX)
 
 
 def at(model, a1, a2):
-    """geometry_columns of the model's jet at one point."""
-    return geometry_columns(eval_power_jet(model, a1, a2))
+    """geometry_columns of the model's unit jet at one point and its k."""
+    return one_point(backend.unit_slots(model.kind, a1, a2), model.k)
 
 
 def random_points(seed, n, lo=-1.4, hi=1.4):
@@ -43,7 +44,7 @@ def random_points(seed, n, lo=-1.4, hi=1.4):
 
 class TestMetric:
     def test_quadratic_field(self):
-        m = geometry_columns(paraboloid(0.37, -0.9))
+        m = one_point(paraboloid(0.37, -0.9))
         assert (m["g11"], m["g12"], m["g22"]) == (2.0, 0.0, 2.0)
         assert m["det"] == 4.0
 
@@ -70,7 +71,7 @@ class TestMetric:
 class TestCurvature:
     def test_quadratic_field_is_flat_both_routes(self):
         jet = paraboloid(0.5, 0.5)
-        assert geometry_columns(jet)["curvature"] == 0.0
+        assert one_point(jet)["curvature"] == 0.0
         assert scalar_curvature_oracle(jet) == 0.0
 
     def test_degenerate_at_real_flow_origin(self):
@@ -86,12 +87,11 @@ class TestCurvature:
         checked = 0
         k2 = model.k * model.k
         for (a1, a2) in random_points(22, 400):
-            jet = eval_power_jet(model, a1, a2)
-            cols = geometry_columns(jet)
+            cols = at(model, a1, a2)
             if abs(cols["det"]) <= 0.1 * k2:
                 continue
             closed = cols["curvature"]
-            oracle = scalar_curvature_oracle(jet)
+            oracle = scalar_curvature_oracle(eval_power_jet(model, a1, a2))
             assert abs(closed - oracle) <= 1e-6 * max(1.0, abs(oracle))
             checked += 1
             if checked == 100:
@@ -239,7 +239,7 @@ class TestScaleCovariance:
 
 class TestReportsAndClassification:
     def test_quadratic_is_stable(self):
-        cols = geometry_columns(paraboloid(0.1, 0.2))
+        cols = one_point(paraboloid(0.1, 0.2))
         assert CLASS_ORDER[cols["codes"]] is StabilityClass.STABLE
         assert cols["curvature"] == 0.0
 
@@ -255,15 +255,20 @@ class TestReportsAndClassification:
         assert rep.classification is StabilityClass.INDEFINITE
         assert rep.det < 0.0
 
-    def test_degeneracy_tolerance_scales_with_metric(self):
-        # a metric with tiny det relative to its norm squared is degenerate
-        g11, g12, g22 = 1e6, 1e6, 1e6 + 1e-9
-        det = determinant(g11, g12, g22)
-        assert det > DEGEN_TOL  # above the tolerance's absolute floor
-        assert is_degenerate(det, g11, g12, g22)
-        jet = Jet3(0.0, 0.0, 0.0, g11, g12, g22, 0.0, 0.0, 0.0, 0.0)
-        codes = geometry_columns(jet)["codes"]
-        assert CLASS_ORDER[codes] is StabilityClass.DEGENERATE
+    def test_report_rejects_a_pole_angle(self):
+        with pytest.raises(DomainError):
+            geometry_report(REAL, (0.2, math.pi / 2))
+
+    @pytest.mark.parametrize("v,r0", [(1e-50, 1.0), (1e-3, 1e3), (1.0, 1.0),
+                                      (1e3, 1e-3), (1e100, 1e100)])
+    def test_real_diagonal_is_degenerate_at_every_scale(self, v, r0):
+        """Degeneracy is the unit determinant being exactly zero, as it is
+        on the real flow's equal-angle line, whatever k is."""
+        for a in (-1.2, -0.3, 0.0, 0.7):
+            rep = geometry_report(PowerModel(FlowKind.REAL, v=v, r0=r0),
+                                  (a, a))
+            assert rep.classification is StabilityClass.DEGENERATE
+            assert math.isnan(rep.curvature)
 
     def test_class_labels_round_trip(self):
         for member in StabilityClass:
@@ -296,40 +301,58 @@ _near_singular = st.builds(
 _third = st.floats(-1e3, 1e3)
 
 
-class TestOnePointPath:
+_scales = st.builds(lambda m, e: m * 10.0 ** e,
+                   st.floats(1.0, 10.0), st.integers(-150, 150))
+
+
+def _bits(x):
+    """``x``'s bits, one text for every nan."""
+    return "nan" if math.isnan(x) else x.hex()
+
+
+class TestUnitScaleClassifier:
+    """``geometry_columns(jet, k)`` classifies the unit jet and reports the
+    scaled one."""
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(_free_triples, _near_singular),
-           st.tuples(_third, _third, _third, _third))
-    def test_floats_match_a_one_element_column(self, metric, third):
-        """The float branch gives the column branch's curvature and code."""
-        jet = Jet3(1.0, 0.0, 0.0, *metric, *third)
-        one = geometry_columns(jet)
-        with np.errstate(all="ignore"):
-            col = geometry_columns(Jet3(*(np.array([x]) for x in jet)))
-        assert type(one["codes"]) is int
-        assert one["codes"] == col["codes"][0]
-        assert type(one["curvature"]) is float
-        assert (np.array(one["curvature"]).tobytes()
-                == col["curvature"][:1].tobytes()
-                or math.isnan(one["curvature"])
-                and math.isnan(col["curvature"][0]))
+           st.tuples(_third, _third, _third, _third), _scales)
+    def test_codes_are_the_unit_codes_and_values_are_scaled(self, metric,
+                                                            third, k):
+        unit = Jet3(0.25, -0.5, 0.75, *metric, *third)
+        got = one_point(unit, k)
+        at_one = one_point(unit)
+        assert got["codes"] == at_one["codes"]
+        degenerate = determinant(*metric) == 0.0
+        assert (CLASS_ORDER[got["codes"]] is StabilityClass.DEGENERATE
+                ) == degenerate
+        scaled = Jet3(*(k * x for x in unit))
+        det = determinant(scaled.f11, scaled.f12, scaled.f22)
+        assert [_bits(got[key]) for key in ("value", "g11", "g12", "g22",
+                                            "det")] == [
+            _bits(x) for x in (scaled.f, scaled.f11, scaled.f12, scaled.f22,
+                               det)]
+        num = curvature_numerator(scaled)
+        square = det * det
+        if degenerate:
+            want = math.nan
+        elif (math.isfinite(num) and math.isfinite(square)
+              and square != 0.0):
+            want = -0.5 * num / square  # the closed form of the scaled jet
+        else:
+            want = at_one["curvature"] / k
+        assert _bits(got["curvature"]) == _bits(want)
 
+    def test_columns_are_scaled_in_place(self):
+        slots = backend.batch_slots(FlowKind.COMPLEX, np.array([0.3, -0.4]),
+                                    np.array([0.1, 0.2]))
+        unit = slots.copy()
+        cols = geometry_columns(Jet3(*slots.T), 2.5)
+        assert (slots == 2.5 * unit).all()
+        assert np.shares_memory(cols["g12"], slots)
 
-class TestDegeneracyPredicate:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.one_of(_free_triples, _near_singular),
-                    min_size=1, max_size=40))
-    def test_floats_arrays_and_the_max_form_agree(self, triples):
-        want = []
-        got_float = []
-        for g11, g12, g22 in triples:
-            det = determinant(g11, g12, g22)
-            norm = max(abs(g11), abs(g12), abs(g22))
-            want.append(abs(det) <= DEGEN_TOL * max(1.0, norm * norm))
-            got_float.append(is_degenerate(det, g11, g12, g22))
-        assert got_float == want
-        g11, g12, g22 = (np.array(col) for col in zip(*triples))
-        with np.errstate(all="ignore"):
-            det = determinant(g11, g12, g22)
-            got_array = is_degenerate(det, g11, g12, g22)
-        assert got_array.tolist() == want
+    def test_is_degenerate_is_an_exact_zero(self):
+        assert is_degenerate(0.0) and is_degenerate(-0.0)
+        assert not is_degenerate(5e-324)
+        assert is_degenerate(np.array([0.0, 1e-300, -0.0])).tolist() == [
+            True, False, True]

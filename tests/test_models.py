@@ -112,6 +112,24 @@ class TestEvalPowerJet:
             v = eval_power(model, a1, a2)
             assert abs(j.f - v) <= 1e-14 * max(1.0, abs(v))
 
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_value_slot_multiplies_by_the_reciprocal(self, kind):
+        """The f slot is k * (m * (1/(1 + u*u))), m = 1, u or 1 + u, where
+        eval_power divides by 1 + u*u: the same bits on the real flow, and
+        within 2**-50 relative on the others, where they do differ."""
+        model = PowerModel(kind, v=1.3, r0=0.7)
+        differ = 0
+        for (a1, a2) in random_points(15, 2000):
+            f = eval_power_jet(model, a1, a2).f
+            value = eval_power(model, a1, a2)
+            u = math.tan(a1) - math.tan(a2)
+            m = {FlowKind.REAL: 1.0, FlowKind.IMAGINARY: u,
+                 FlowKind.COMPLEX: 1.0 + u}[kind]
+            assert f == model.k * (m * (1.0 / (1.0 + u * u)))
+            assert abs(f - value) <= 2.0**-50 * abs(value)
+            differ += f != value
+        assert (differ == 0) == (kind is FlowKind.REAL)
+
     def test_domain_error_propagates(self):
         with pytest.raises(DomainError):
             eval_power_jet(REAL, math.pi / 2, 0.0)

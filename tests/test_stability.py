@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisect_reference import reference_crossings
-from jet_reference import jet_linear, jet_mul, jet_seed, paraboloid
+from jet_reference import jet_linear, jet_mul, jet_seed, one_point, paraboloid
 from powergeom import backend, stability
 from powergeom.errors import BadDomain
 from powergeom.geometry import (
     CLASS_ORDER,
     StabilityClass,
-    geometry_columns,
     geometry_report,
 )
 from powergeom.models import HALF_PI, FlowKind, PowerModel
@@ -40,7 +39,7 @@ class TestClassifyPoint:
     """Single points go through geometry_report, the scans' classifier."""
 
     def test_quadratic_stable(self):
-        codes = geometry_columns(paraboloid(0.3, -0.8))["codes"]
+        codes = one_point(paraboloid(0.3, -0.8))["codes"]
         assert CLASS_ORDER[codes] is StabilityClass.STABLE
 
     def test_real_origin_degenerate(self):
@@ -224,7 +223,7 @@ class TestScanSpec:
 def diagonal_crossings(field, positions):
     """Bisected determinant zeros of a jet field along a1 = a2."""
     def det_at(a1, a2):
-        return np.array([geometry_columns(field(x, y))["det"]
+        return np.array([one_point(field(x, y))["det"]
                          for x, y in zip(a1.tolist(), a2.tolist())])
 
     a = np.array(positions)
@@ -256,7 +255,7 @@ class TestLocateTransitions:
             return jet_linear(cubic, quad, 1.0 / 6.0, 0.5)
 
         positions = [-1.0, -0.5, 0.25, 1.0]
-        assert [geometry_columns(field(a, a))["det"]
+        assert [one_point(field(a, a))["det"]
                 for a in positions] == positions
         zeros = diagonal_crossings(field, positions)
         assert len(zeros) == 1
@@ -326,7 +325,31 @@ class TestLocateTransitions:
                 locate_transitions(scan, spike_threshold=bad)
 
 
+#: Scales from 1e-6 to 1e6: a mantissa times a power of ten, or an end.
+_DECADES = st.one_of(
+    st.sampled_from((1e-6, 1e6)),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+              st.integers(-6, 5)))
+
+
 class TestClassificationInvariance:
+    @settings(max_examples=90, deadline=None, derandomize=True)
+    @given(flow=st.sampled_from(list(FlowKind)), v=_DECADES, r0=_DECADES,
+           n=st.integers(2, 24), diagonal=st.booleans())
+    def test_classes_and_crossings_do_not_depend_on_k(self, flow, v, r0, n,
+                                                      diagonal):
+        """The stability class is a sign pattern of a metric that goes as
+        k = V^2/R0: at any V and R0 in 1e-6...1e6 a scan's class codes and
+        determinant-zero crossing count are those at k = 1."""
+        def scan(model):
+            return (scan_diagonal(model, n=n) if diagonal
+                    else scan_grid(model, n=n))
+
+        unit, scaled = scan(PowerModel(flow)), scan(PowerModel(flow, v, r0))
+        assert (scaled.columns["codes"] == unit.columns["codes"]).all()
+        assert (len(locate_transitions(scaled).det_zeros)
+                == len(locate_transitions(unit).det_zeros))
+
     @pytest.mark.parametrize("n", [33, 64, 256])
     def test_transpose_relations(self, n):
         """Swapping a1 and a2 negates u. The real flow is even in u, so

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jet_reference import one_point
 from powergeom import backend, expressions, geometry, verify
 from powergeom.cli import main
 from powergeom.errors import DegenerateMetric, DenominatorZero
@@ -21,7 +22,7 @@ from powergeom.expressions import (
     TrigPolynomial,
     reconstruct_quantity,
 )
-from powergeom.models import FlowKind, PowerModel, eval_power_jet
+from powergeom.models import FlowKind, PowerModel
 from powergeom.selfcheck import run_self_checks
 from powergeom.stability import axis_samples, evaluate_points
 from powergeom.verify import _diagonal_identities, verify_against_autodiff
@@ -37,7 +38,7 @@ def point_value(target, model, a1, a2):
     """``target`` from the one jet at (a1, a2), independent of the column
     route under test; a degenerate point's curvature raises
     DegenerateMetric."""
-    cols = geometry.geometry_columns(eval_power_jet(model, a1, a2))
+    cols = one_point(backend.unit_slots(model.kind, a1, a2), model.k)
     if (target == "curvature"
             and geometry.CLASS_ORDER[cols["codes"]] is DEGEN):
         raise DegenerateMetric(
@@ -220,15 +221,29 @@ class TestDerivedIdentities:
         assert rep.derived_identities[
             "complex_diagonal_det_formula_max_rel_dev"] <= 1e-9
 
-    def test_degenerate_curvature_raises_instead_of_reading_nan(self):
+    def test_degenerate_curvature_raises_instead_of_reading_nan(
+            self, monkeypatch):
         """A degenerate point has no curvature to compare: the sample loop
-        resamples it and the diagonal identities do not skip it."""
+        resamples it and the diagonal identities do not skip it. No
+        sampled imaginary diagonal point is degenerate, so one is made so
+        by its class code."""
+        def one_degenerate(model, a1, a2):
+            cols = evaluate_points(model, a1, a2)
+            cols["codes"][3] = geometry.CLASS_ORDER.index(DEGEN)
+            cols["curvature"][3] = math.nan
+            return cols
+
+        monkeypatch.setattr(verify, "evaluate_points", one_degenerate)
         with pytest.raises(
                 DegenerateMetric,
-                match=r"^metric determinant -1\.611161577369241e-11 at "
-                      r"\(-1\.4, -1\.4\) is degenerate; curvature "
-                      r"undefined$"):
-            _diagonal_identities(PowerModel(FlowKind.IMAGINARY, v=1e-4))
+                match=r"^metric determinant -14610\.05395572648 at "
+                      r"\(-1\.3159999999999998, -1\.3159999999999998\) is "
+                      r"degenerate; curvature undefined$"):
+            _diagonal_identities(IMAG)
+        monkeypatch.undo()
+        # at k = 1e-8 the diagonal is as non-degenerate as at k = 1
+        small, _ = _diagonal_identities(PowerModel(FlowKind.IMAGINARY, v=1e-4))
+        assert math.isfinite(small["imaginary_diagonal_curvature_max_abs"])
         origin = np.zeros(1)
         cols = evaluate_points(REAL, origin, origin)
         assert cols["det"].tolist() == [0.0]
