@@ -10,7 +10,9 @@ and sines of the two angles) and the prefactor is a signed monomial in 2,
 c1, c2, V and R0. The tables in :mod:`powergeom._tables` transcribe those
 expansions term for term, in source order; this module evaluates them and
 pairs each with the jet-engine quantity it claims to equal, so the
-verification harness can confirm or flag every single one.
+verification harness can confirm or flag every single one. Each target
+goes as k^p in k = V^2/R0 (:data:`SCALE_POWERS`), so a table over k^p is
+its value at V = R0 = 1 times an exact :meth:`PaperQuantity.residual`.
 
 One evaluator serves one point and many. :meth:`TrigPolynomial.eval_cs`
 and :meth:`Prefactor.value` take floats, float64 columns, or
@@ -176,19 +178,22 @@ class Prefactor:
     e_v: int = 0
     e_r0: int = 0
 
-    def value(self, c1, c2, v: float, r0: float):
+    def value(self, c1, c2):
         """Value at cosines c1, c2 (floats, float64 columns or their
-        :class:`Powers` tables) and scale constants v, r0."""
+        :class:`Powers` tables) and V = R0 = 1."""
         c1, c2 = _powers(c1), _powers(c2)
-        return (self.sign * 2.0**self.pow2 * c1[self.e_c1] * c2[self.e_c2]
-                * v**self.e_v * r0**self.e_r0)
+        return self.sign * 2.0**self.pow2 * c1[self.e_c1] * c2[self.e_c2]
+
+
+#: The power p of k = V^2/R0 that each target goes as.
+SCALE_POWERS = {"g11": 1, "g12": 1, "g22": 1, "det": 2, "curvature": -1}
 
 
 @dataclass(frozen=True)
 class PaperQuantity:
     """One tabulated quantity and which jet-engine value it claims to equal.
 
-    ``target`` is one of ``g11``, ``g12``, ``g22``, ``det``, ``curvature``.
+    ``target`` is one of the keys of :data:`SCALE_POWERS`.
     """
 
     id: str
@@ -199,14 +204,22 @@ class PaperQuantity:
     denominators: tuple[TrigPolynomial, ...]
     notes: tuple[str, ...] = ()
 
-    def prefactor_value(self, c1, c2, v: float, r0: float):
-        """:meth:`Prefactor.value`; an overflow names the quantity."""
+    def residual(self, v: float, r0: float) -> float:
+        """``V^(e_v - 2p) R0^(e_r0 + p)``: the table over k^p at (V, R0) is
+        its value at V = R0 = 1 times this. An overflow names the quantity."""
+        p = SCALE_POWERS[self.target]
+        e_v, e_r0 = self.prefactor.e_v - 2 * p, self.prefactor.e_r0 + p
         try:
-            return self.prefactor.value(c1, c2, v, r0)
+            return v**e_v * r0**e_r0
         except OverflowError:
-            pf = self.prefactor
-            raise ValueError(f"{self.id}: prefactor V^{pf.e_v} R0^{pf.e_r0} "
+            monomial = " ".join(f"{name}^{e}" for name, e
+                                in (("V", e_v), ("R0", e_r0)) if e)
+            raise ValueError(f"{self.id}: scale residual {monomial} "
                              f"overflows at V={v!r}, R0={r0!r}") from None
+
+    def prefactor_value(self, c1, c2, v: float, r0: float):
+        """The prefactor at V = R0 = 1 times :meth:`residual`."""
+        return self.prefactor.value(c1, c2) * self.residual(v, r0)
 
     def denominator_mass(self) -> int:
         return sum(p.coefficient_mass for p in self.denominators)
@@ -220,7 +233,8 @@ class PaperQuantity:
 
 def reconstruct_quantity(q: PaperQuantity, a1: float, a2: float,
                          v: float = 1.0, r0: float = 1.0) -> float:
-    """Prefactor times numerator sum over denominator sum at (a1, a2)."""
+    """The table at (V, R0) over k^p: its prefactor value times numerator
+    sum over denominator sum at (a1, a2)."""
     c1, s1 = Powers(math.cos(a1)), Powers(math.sin(a1))
     c2, s2 = Powers(math.cos(a2)), Powers(math.sin(a2))
     num = poly_sum(q.numerators, c1, s1, c2, s2)

@@ -5,7 +5,7 @@ owes nothing to the jets: one second-order central product stencil per
 slot at step ``STEP = 1e-9``, on surface values computed in ``decimal`` at
 ``PRECISION = 45`` digits. Truncation (h^2 = 1e-18 times a fifth
 derivative) and rounding (1e-45 amplified by at most h^-3) both sit near
-1e-18, so a deviation the check reports is the engine's.
+1e-18, so a deviation the check reports is the engine's. Both run at k = 1.
 
 The surface depends on the angles through ``u = tan a1 - tan a2`` only.
 ``tan a`` comes once per axis from the sin and cos Taylor series, and each
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import backend
 from .backend import Jet3
-from .models import PowerModel, check_angle, unit_surface
+from .models import FlowKind, check_angle, unit_surface
 
 PRECISION = 45
 STEP = Decimal("1e-9")
@@ -123,14 +123,13 @@ with localcontext(_CONTEXT):
     _STEP_POWERS = tuple(STEP ** n for n in range(4))
 
 
-def _oracle(model: PowerModel, a1: float, a2: float) -> Jet3:
-    """The ten slots at (a1, a2) from central differences of the surface:
-    the unit surface once per lattice point, then each slot's stencil,
-    which gives it the bits of :func:`central_difference` on that surface."""
+def _oracle(kind: FlowKind, a1: float, a2: float) -> Jet3:
+    """The flow's ten unit-scale slots at (a1, a2) from central
+    differences: the unit surface once per lattice point, then each slot's
+    stencil, which gives it the bits of :func:`central_difference` on it."""
     t1, t2 = _axis_tans(a1), _axis_tans(a2)
     with localcontext(_CONTEXT):
-        k = Decimal(model.k)
-        surface = {(o1, o2): unit_surface(model.kind, t1[o1] - t2[o2])
+        surface = {(o1, o2): unit_surface(kind, t1[o1] - t2[o2])
                    for o1, o2 in _LATTICE}
         # The stencils run on the integer offset lattice, where the n-th
         # derivative is STEP^n times the one in the angles.
@@ -139,29 +138,28 @@ def _oracle(model: PowerModel, a1: float, a2: float) -> Jet3:
             total = 0
             for offset, weight in terms:
                 total = total + weight * surface[offset]
-            slots.append(float(k * (total / divisor) / _STEP_POWERS[order]))
+            slots.append(float(total / divisor / _STEP_POWERS[order]))
         return Jet3(*slots)
 
 
-def max_jet_deviation(model: PowerModel,
+def max_jet_deviation(kind: FlowKind,
                       points: Sequence[tuple[float, float]]) -> tuple[float, dict]:
-    """Worst slot deviation between the jet engine and the oracle.
+    """Worst slot deviation between the flow's unit-scale jets and oracle.
 
     Returns the maximum of |jet - oracle| / max(1, |oracle|) over all slots
     and points, plus a description of where it occurred. The jets of all
-    points come from one ``batch_slots`` call scaled by k, which gives each
-    the bits of ``eval_power_jet``, whose angle check every point passes.
+    points come from one ``batch_slots`` call, which gives each the bits
+    of ``backend.unit_slots``; every point passes ``check_angle`` first.
     The caller's decimal context is left as it was.
     """
     a1s = np.array([check_angle(a1) for a1, _ in points], dtype=np.float64)
     a2s = np.array([check_angle(a2) for _, a2 in points], dtype=np.float64)
-    jets = backend.batch_slots(model.kind, a1s, a2s)
-    jets *= model.k
+    jets = backend.batch_slots(kind, a1s, a2s)
     worst = 0.0
     info: dict = {}
     for (a1, a2), jet in zip(points, jets.tolist()):
         for name, got, want in zip(Jet3._fields, jet,
-                                   _oracle(model, a1, a2)):
+                                   _oracle(kind, a1, a2)):
             dev = abs(got - want) / max(1.0, abs(want))
             if dev > worst:
                 worst = dev

@@ -101,10 +101,10 @@ def _closed_curvature(jet: Jet3, det):
     """``R = -(1/2) det^-2 (S22 S111 S122 + S12 S112 S122 + S11 S112 S222
     - S12 S111 S222 - S11 S122^2 - S22 S112^2)`` elementwise, with ``det``
     the jet's metric determinant, and where every part of it is finite
-    and ``det^2`` nonzero."""
+    and ``det^2`` a normal float: a subnormal one has lost bits."""
     num, square = curvature_numerator(jet), det * det
-    return (-0.5 * num / square,
-            np.isfinite(num) & np.isfinite(square) & (square != 0.0))
+    return (-0.5 * num / square, np.isfinite(num) & np.isfinite(square)
+            & (square >= np.finfo(np.float64).tiny))
 
 
 def scalar_curvature_oracle(jet: Jet3) -> float:
@@ -162,8 +162,8 @@ def geometry_columns(jet: Jet3, k: float) -> dict:
     where it is negative, then the sign of the diagonal. Then each column
     is scaled by k in place, and the value, metric and determinant are
     the scaled jet's. So is the curvature where its closed form is finite
-    and defined; where the scaled parts overflow or underflow it is the
-    unit jet's divided by k, and at degenerate points nan.
+    and defined; where the scaled parts overflow or ``det^2`` is not a
+    normal float it is the unit jet's over k, and at degenerate points nan.
     """
     g11, g12, g22 = jet.f11, jet.f12, jet.f22
     with np.errstate(all="ignore"):

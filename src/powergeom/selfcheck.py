@@ -8,10 +8,10 @@ diagonal identities ``verify-paper`` reports, scale covariance, flow
 symmetries, the tabulated-expansion anchors, and bisection root quality.
 The command prints one pass/fail line per check.
 
-Sampled checks take the jets of their points together from
-``backend.batch_slots`` scaled by k, which gives each point the bits of
-``eval_power_jet`` (the curvature-route check leaves the scaling to
-``geometry_columns``); the single-point anchors keep ``eval_power_jet``. The
+Every check but the scale law's runs at unit scale (k = 1), which that
+law carries to any k. Sampled checks take the jets of their points
+together from ``backend.batch_slots``, with the bits of
+``eval_power_jet``; the single-point anchors keep ``eval_power_jet``. The
 real-flow family check samples its three metric quantities alone, as
 ``verify-paper`` samples them.
 """
@@ -49,8 +49,7 @@ def _points(seed: int, n: int):
 def _check_jets_vs_differences(samples: int, seed: int) -> CheckResult:
     worst = 0.0
     for kind in FlowKind:
-        dev, _ = max_jet_deviation(PowerModel(kind),
-                                   _points(seed, min(samples, 100)))
+        dev, _ = max_jet_deviation(kind, _points(seed, min(samples, 100)))
         worst = max(worst, dev)
     return CheckResult(
         "jet slots vs central differences", worst <= 1e-6,
@@ -74,33 +73,21 @@ def _check_curvature_routes(samples: int, seed: int) -> CheckResult:
     points = np.array(_points(seed + 1, 1000))
     worst = 0.0
     for kind in FlowKind:
-        model = PowerModel(kind)
-        checked = 0
-        # The first `need` candidates with |det| > 0.1 k^2 are checked. Their
-        # jets come a block of 2 * need candidates at a time: one block in
-        # practice, as fewer than half of the candidates are rejected.
-        # geometry_columns scales them in place, to eval_power_jet's bits.
-        for block in np.split(points, range(2 * need, len(points), 2 * need)):
-            jets = backend.batch_slots(kind, block[:, 0], block[:, 1])
-            cols = geometry.geometry_columns(Jet3(*jets.T), model.k)
-            kept = np.flatnonzero(
-                np.abs(cols["det"]) > 0.1 * model.k * model.k)
-            kept = kept[:need - checked]
-            for jet, closed in zip(jets[kept].tolist(),
-                                   cols["curvature"][kept].tolist()):
-                oracle = geometry.scalar_curvature_oracle(Jet3(*jet))
-                worst = max(worst,
-                            abs(closed - oracle) / max(1.0, abs(oracle)))
-            checked += kept.size
-            if checked == need:
-                break
+        # the first `need` candidates with |det| > 0.1 are checked
+        jets = backend.batch_slots(kind, points[:, 0], points[:, 1])
+        cols = geometry.geometry_columns(Jet3(*jets.T), 1.0)
+        kept = np.flatnonzero(np.abs(cols["det"]) > 0.1)[:need]
+        for jet, closed in zip(jets[kept].tolist(),
+                               cols["curvature"][kept].tolist()):
+            oracle = geometry.scalar_curvature_oracle(Jet3(*jet))
+            worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
     return CheckResult(
         "curvature closed form vs curvature-tensor route", worst <= 1e-6,
         f"worst relative deviation {worst:.3e} (tolerance 1e-06)")
 
 
 def _check_imaginary_diagonal(samples: int, seed: int) -> CheckResult:
-    identities, _ = _diagonal_identities(PowerModel(FlowKind.IMAGINARY))
+    identities, _ = _diagonal_identities(FlowKind.IMAGINARY)
     worst = identities["imaginary_diagonal_curvature_max_abs"]
     return CheckResult(
         "imaginary flow is flat on the equal-angle diagonal", worst <= 1e-6,
@@ -108,8 +95,8 @@ def _check_imaginary_diagonal(samples: int, seed: int) -> CheckResult:
 
 
 def _check_diagonal_determinants(samples: int, seed: int) -> CheckResult:
-    real, _ = _diagonal_identities(PowerModel(FlowKind.REAL))
-    comp, _ = _diagonal_identities(PowerModel(FlowKind.COMPLEX))
+    real, _ = _diagonal_identities(FlowKind.REAL)
+    comp, _ = _diagonal_identities(FlowKind.COMPLEX)
     # residuals in units of the 1e-9 tolerance
     worst_real = real["real_diagonal_det_max_scaled"] / 1e-9
     worst_comp = comp["complex_diagonal_det_formula_max_rel_dev"] / 1e-9

@@ -4,7 +4,9 @@ For every tabulated quantity of a model the harness samples deterministic
 pseudo-random points in :data:`DEFAULT_BOUNDS`, reconstructs the tabulated
 value, reads the matching jet-engine value (metric slot, determinant, or
 closed-form curvature) off the point's jet, and records the worst
-relative deviation.
+relative deviation. Every comparison is made at unit scale (k = 1):
+V and R0 enter only through each table's exact scale residual
+(:meth:`~powergeom.expressions.PaperQuantity.residual`).
 
 The draws are taken in chunks of at most :data:`CHUNK`, sized from the
 samples still needed and the usable share seen so far; a chunk's
@@ -74,7 +76,7 @@ _DEGEN_CODE = geometry.CLASS_ORDER.index(geometry.StabilityClass.DEGENERATE)
 
 @dataclass(frozen=True)
 class QuantityCheck:
-    """Verification outcome for one tabulated quantity."""
+    """Verification outcome for one tabulated quantity, at unit scale."""
 
     quantity_id: str
     target: str
@@ -197,21 +199,19 @@ def _draw(uniform, size: int) -> tuple[np.ndarray, np.ndarray]:
     return points[0::2], points[1::2]
 
 
-def _autodiff_columns(target: str, model: PowerModel, a1: np.ndarray,
+def _autodiff_columns(target: str, kind: FlowKind, a1: np.ndarray,
                       a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``target`` of the geometry at the points (a1, a2), and where it is
-    defined: everywhere, except at degenerate points for ``curvature``.
+    """``target`` of the flow's unit-scale geometry at the points (a1, a2),
+    and where it is defined: all but degenerate points for ``curvature``.
 
     The curvature comes from :func:`~powergeom.stability.evaluate_points`;
     a metric entry or the determinant from the metric slots alone,
-    ``backend.batch_metric`` scaled by k. Either way point i has the bits
-    of the jet ``eval_power_jet(model, a1[i], a2[i])``."""
+    ``backend.batch_metric``. Either way point i has the bits of the jet
+    ``eval_power_jet(PowerModel(kind), a1[i], a2[i])``."""
     if target == "curvature":
-        cols = evaluate_points(model, a1, a2)
+        cols = evaluate_points(PowerModel(kind), a1, a2)
         return cols["curvature"], cols["codes"] != _DEGEN_CODE
-    metric = backend.batch_metric(model.kind, a1, a2)
-    metric *= model.k
-    g11, g12, g22 = metric.T
+    g11, g12, g22 = backend.batch_metric(kind, a1, a2).T
     values = {"g11": g11, "g12": g12, "g22": g22}.get(target)
     if values is None:
         values = geometry.determinant(g11, g12, g22)
@@ -263,7 +263,7 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             den = poly_sum(q.denominators, c1, s1, c2, s2)
             rows = np.flatnonzero(np.abs(den) > tol)
-            values, defined = _autodiff_columns(q.target, model,
+            values, defined = _autodiff_columns(q.target, model.kind,
                                                 a1[rows], a2[rows])
             rows, auto = rows[defined], values[defined]
             c1, s1, c2, s2 = (p.subset(rows) for p in (c1, s1, c2, s2))
@@ -301,32 +301,31 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
         repairs=tuple(q.repair_annotations()), notes=notes)
 
 
-def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str, ...]]:
-    """Derived equal-angle facts, measured and reported per model.
+def _diagonal_identities(kind: FlowKind) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Derived equal-angle facts of the flow, measured at unit scale.
 
     All diagonal points are evaluated in one ``evaluate_points`` call;
     the residuals are then taken point by point in Python floats. A
     degenerate point's curvature raises DegenerateMetric.
     """
-    k = model.k
     out: dict[str, float] = {}
     notes: list[str] = []
     samples = [a for a in axis_samples(DEFAULT_BOUNDS, 101) if abs(a) >= 0.05]
     a_col = np.array(samples)
-    cols = evaluate_points(model, a_col, a_col)
+    cols = evaluate_points(PowerModel(kind), a_col, a_col)
     dets = cols["det"].tolist()
-    if model.kind is FlowKind.REAL:
+    if kind is FlowKind.REAL:
         worst = 0.0
         for a, det in zip(samples, dets):
             sec = 1.0 / math.cos(a)
-            worst = max(worst, abs(det) / (k * k * sec**8))
+            worst = max(worst, abs(det) / sec**8)
         out["real_diagonal_det_max_scaled"] = worst
         notes.append(
             "the equal-angle determinant of the real flow vanishes "
             "identically (scaled residual above is float noise), so every "
             "diagonal point is degenerate; a banded nonzero diagonal "
             "determinant profile is not a property of this surface")
-    elif model.kind is FlowKind.IMAGINARY:
+    elif kind is FlowKind.IMAGINARY:
         degenerate = np.flatnonzero(cols["codes"] == _DEGEN_CODE)
         if degenerate.size:
             i = int(degenerate[0])
@@ -342,7 +341,7 @@ def _diagonal_identities(model: PowerModel) -> tuple[dict[str, float], tuple[str
         worst = 0.0
         for a, det in zip(samples, dets):
             sec = 1.0 / math.cos(a)
-            expected = -4.0 * k * k * sec**4 * math.tan(a) ** 2
+            expected = -4.0 * sec**4 * math.tan(a) ** 2
             worst = max(worst,
                         abs(det - expected) / max(1.0, abs(expected)))
         out["complex_diagonal_det_formula_max_rel_dev"] = worst
@@ -356,7 +355,7 @@ def verify_against_autodiff(model: PowerModel, samples: int = 100,
         raise ValueError("samples must be >= 1")
     checks = tuple(_check_quantity(q, model, samples, seed)
                    for q in quantities_for(model.kind))
-    identities, notes = _diagonal_identities(model)
+    identities, notes = _diagonal_identities(model.kind)
     return VerificationReport(
         model=model, samples=samples, seed=seed, bounds=DEFAULT_BOUNDS,
         tolerance=VERIFY_TOL, checks=checks,

@@ -33,7 +33,7 @@ def test_criterion_1_jet_engine_oracle():
     worst = 0.0
     where = None
     for kind in FlowKind:
-        dev, info = max_jet_deviation(PowerModel(kind), points)
+        dev, info = max_jet_deviation(kind, points)
         if dev > worst:
             worst, where = dev, (kind.value, info.get("slot"))
     elapsed = time.perf_counter() - start

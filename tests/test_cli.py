@@ -234,13 +234,26 @@ class TestVerifyPaper:
     @pytest.mark.parametrize("v,r0", [("1e100", "1e100"),
                                       ("1e-100", "1e-200")])
     def test_prefactor_overflow_names_the_quantity(self, v, r0, capsys):
-        code, stdout, stderr = run(["verify-paper", "--model", "real",
-                                    "--v", v, "--r0", r0, "--samples", "5"],
-                                   capsys)
-        assert code == 1
-        assert stdout == ""
-        assert stderr == (f"error: DET_R: prefactor V^4 R0^-2 overflows at "
-                          f"V={float(v)!r}, R0={float(r0)!r}\n")
+        """Only CURV_R's scale residual R0^-2 can overflow: at R0 = 1e-200.
+        Every other table's residual is 1.0, so its entry is the unit one."""
+        for flow in FlowKind:
+            code, stdout, stderr = run(
+                ["verify-paper", "--model", flow.value, "--v", v, "--r0", r0,
+                 "--samples", "5"], capsys)
+            if flow is FlowKind.REAL and r0 == "1e-200":
+                assert code == 1
+                assert stdout == ""
+                assert stderr == ("error: CURV_R: scale residual R0^-2 "
+                                  f"overflows at V={float(v)!r}, "
+                                  f"R0={float(r0)!r}\n")
+                continue
+            assert (code, stderr) == (0, "")
+            _, unit, _ = run(["verify-paper", "--model", flow.value,
+                              "--samples", "5"], capsys)
+            got, want = json.loads(stdout), json.loads(unit)
+            assert got["derived_identities"] == want["derived_identities"]
+            assert ([q for q in got["quantities"] if q["id"] != "CURV_R"]
+                    == [q for q in want["quantities"] if q["id"] != "CURV_R"])
 
     def test_text_format_to_stdout(self, capsys):
         code, stdout, _ = run(["verify-paper", "--model", "complex",

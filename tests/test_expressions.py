@@ -193,17 +193,26 @@ class TestReconstruction:
                 assert recon == pytest.approx(slot, rel=1e-9, abs=1e-9)
 
     def test_scale_constants_enter_the_prefactor(self):
-        q = quantity("METRIC_R_11")
-        base = reconstruct_quantity(q, 0.4, -0.2, v=1.0, r0=1.0)
-        scaled = reconstruct_quantity(q, 0.4, -0.2, v=3.0, r0=2.0)
-        assert scaled == pytest.approx(base * 9.0 / 2.0, rel=1e-14)
+        """The reconstruction is the table over k^p: unmoved by V and R0
+        but for CURV_R, whose transcribed prefactor leaves R0^-2."""
+        for q in QUANTITIES:
+            base = reconstruct_quantity(q, 0.4, -0.2)
+            scaled = reconstruct_quantity(q, 0.4, -0.2, v=3.0, r0=2.0)
+            want = base / 4.0 if q.id == "CURV_R" else base
+            assert scaled == want, q.id
 
     @pytest.mark.parametrize("v,r0", [(1e100, 1e100), (1e-100, 1e-200)])
     def test_prefactor_overflow_names_the_quantity(self, v, r0):
-        with pytest.raises(ValueError) as info:
-            reconstruct_quantity(quantity("DET_R"), 0.4, -0.2, v=v, r0=r0)
-        assert str(info.value) == (f"DET_R: prefactor V^4 R0^-2 overflows "
-                                   f"at V={v!r}, R0={r0!r}")
+        for q in QUANTITIES:
+            if q.id == "CURV_R" and r0 == 1e-200:
+                with pytest.raises(ValueError) as info:
+                    reconstruct_quantity(q, 0.4, -0.2, v=v, r0=r0)
+                assert str(info.value) == (
+                    "CURV_R: scale residual R0^-2 overflows at "
+                    f"V={v!r}, R0={r0!r}")
+            else:
+                assert math.isfinite(
+                    reconstruct_quantity(q, 0.4, -0.2, v=v, r0=r0)), q.id
 
     def test_denominator_zero_raises_with_location(self):
         poly = TrigPolynomial(name="vanishing", terms=((1, 0, 1, 0, 0),))
@@ -217,4 +226,4 @@ class TestReconstruction:
 
     def test_prefactor_monomial(self):
         pf = Prefactor(-1, pow2=3, e_c1=2, e_c2=-1, e_v=4, e_r0=-2)
-        assert pf.value(0.5, 2.0, 1.0, 1.0) == -8.0 * 0.25 / 2.0
+        assert pf.value(0.5, 2.0) == -8.0 * 0.25 / 2.0

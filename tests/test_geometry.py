@@ -2,11 +2,12 @@
 
 import math
 import random
+import sys
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jet_reference import one_point, paraboloid
@@ -317,6 +318,13 @@ class TestUnitScaleClassifier:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(_free_triples, _near_singular),
            st.tuples(_third, _third, _third, _third), _scales)
+    # det^2 of the scaled jet is subnormal at k = 1e-78 ... 1e-81, and
+    # underflows to zero at 1e-82
+    @example((2.0, 0.5, 1.5), (1.0, -2.0, 0.5, 3.0), 1e-78)
+    @example((2.0, 0.5, 1.5), (1.0, -2.0, 0.5, 3.0), 1e-79)
+    @example((2.0, 0.5, 1.5), (1.0, -2.0, 0.5, 3.0), 1e-80)
+    @example((2.0, 0.5, 1.5), (1.0, -2.0, 0.5, 3.0), 1e-81)
+    @example((2.0, 0.5, 1.5), (1.0, -2.0, 0.5, 3.0), 1e-82)
     def test_codes_are_the_unit_codes_and_values_are_scaled(self, metric,
                                                             third, k):
         unit = Jet3(0.25, -0.5, 0.75, *metric, *third)
@@ -337,11 +345,25 @@ class TestUnitScaleClassifier:
         if degenerate:
             want = math.nan
         elif (math.isfinite(num) and math.isfinite(square)
-              and square != 0.0):
+              and square >= sys.float_info.min):
             want = -0.5 * num / square  # the closed form of the scaled jet
         else:
             want = at_one["curvature"] / k
         assert _bits(got["curvature"]) == _bits(want)
+
+    @pytest.mark.parametrize("k", [1e-78, 1e-79, 1e-80, 1e-81, 1e-82])
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_curvature_keeps_its_bits_where_det_squared_is_subnormal(
+            self, kind, k):
+        """Where the scaled det^2 is subnormal, curvature times k is the
+        unit curvature to rounding, not to the few bits left in det^2."""
+        a1 = np.array([1.1, -0.3, 0.7])
+        a2 = np.array([0.4, 0.9, -1.2])
+        unit = geometry_columns(
+            Jet3(*backend.batch_slots(kind, a1, a2).T), 1.0)["curvature"]
+        got = geometry_columns(
+            Jet3(*backend.batch_slots(kind, a1, a2).T), k)["curvature"]
+        assert np.all(np.abs(got * k - unit) <= 1e-14 * np.abs(unit))
 
     def test_columns_are_scaled_in_place(self):
         slots = backend.batch_slots(FlowKind.COMPLEX, np.array([0.3, -0.4]),

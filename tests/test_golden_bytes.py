@@ -94,10 +94,10 @@ GOLDEN = {
     "verify-paper-real": {"exit": 0, "out": "695d59362c5903628b4c50bd3b9af258a5eb5d27e01b62fa984d0dabc16c27f5", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
     "verify-paper-imaginary": {"exit": 0, "out": "a89b8ed9244f4deff75004d96c45fdaab9dcbb2fd3ecc0fec8cc911f9461b74e", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
     "verify-paper-complex": {"exit": 0, "out": "e3baf81816138c2e2567b6d2c91459ef3513ca42416a38bb6a9051797d68efa2", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
-    "verify-paper-real-1000": {"exit": 0, "out": "4f8458b87a91c011f5c590781610bc7b41434438cd26a417e8d0090e5aab778d", "stdout": "a212eccf0f28a67f21dbd7edda90e5e9ed149f6bbfe0a8870b222b0e335439f9"},
-    "verify-paper-imaginary-1000": {"exit": 0, "out": "d2c679aefb541991b83d2575c97f9cdae7b081217d6da2fcfee4c03444415a1f", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
-    "verify-paper-complex-1000": {"exit": 0, "out": "233495faaa3be41218a0e999c5a014ebe7f80bf1b3b7829308c27e2cffb86f5e", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
-    "verify-paper-imaginary-1000-text": {"exit": 0, "out": "f66135ac112763725b9f4fbf0a491c6745d1c4a6f5c0bae8788b66d31845834c", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
+    "verify-paper-real-1000": {"exit": 0, "out": "b26cccf15eb2f046ac9be9860e5955c710b9798fcb1b79e4b6afa11a073c6e3c", "stdout": "a212eccf0f28a67f21dbd7edda90e5e9ed149f6bbfe0a8870b222b0e335439f9"},
+    "verify-paper-imaginary-1000": {"exit": 0, "out": "506cb82f0ea4af2a1557944526e9e99e917a7b2a956f8c5bc7fc74d0e7587c0e", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
+    "verify-paper-complex-1000": {"exit": 0, "out": "25880cd7887b880a369f87c51fa56e0b20eae356230d0a86a9bf65c706e57873", "stdout": "64ccdc445dfd01840904bd363a0b1ee32a8e7c2d9a7b4d334906fa68f478c129"},
+    "verify-paper-imaginary-1000-text": {"exit": 0, "out": "eb23fc379dd8ac243d14b7f2617f95f8532bce31ee37d662cd916e03c595b6d2", "stdout": "7edc700193f64b2b1c42a892bde3c1936b204f7f8c5a044e3c01aa02c3b5e6e1"},
     "verify-self": {"exit": 0, "stdout": "9cc406614fd8de02825d347ced22ca205310851c50da5d4260d1629b5909f448"},
     "classify-real": {"exit": 0, "stdout": "dca10c98125b15799468511c4e350e06b8401c51cb2da33c2ac1bd4a7150e0f1"},
     "classify-imaginary": {"exit": 0, "stdout": "b822a4da256b966b796180b9aa4cd6f2338a727002f3bf5a1ad6d7a71598ed4a"},

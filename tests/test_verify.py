@@ -1,6 +1,7 @@
 """Verification harness: statuses, determinism, diagnostics, self-checks."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jet_reference import one_point
@@ -34,11 +35,11 @@ COMP = PowerModel(FlowKind.COMPLEX)
 DEGEN = geometry.StabilityClass.DEGENERATE
 
 
-def point_value(target, model, a1, a2):
-    """``target`` from the one jet at (a1, a2), independent of the column
-    route under test; a degenerate point's curvature raises
-    DegenerateMetric."""
-    cols = one_point(backend.unit_slots(model.kind, a1, a2), model.k)
+def point_value(target, kind, a1, a2):
+    """``target`` from the one unit-scale (k = 1) jet at (a1, a2),
+    independent of the column route under test; a degenerate point's
+    curvature raises DegenerateMetric."""
+    cols = one_point(backend.unit_slots(kind, a1, a2))
     if (target == "curvature"
             and geometry.CLASS_ORDER[cols["codes"]] is DEGEN):
         raise DegenerateMetric(
@@ -108,6 +109,36 @@ class TestScaleAnomalies:
             assert curv.status == "VERIFIED"
 
 
+@functools.lru_cache(maxsize=None)
+def unit_report(kind):
+    return verify_against_autodiff(PowerModel(kind), samples=30, seed=5)
+
+
+#: V or R0 log-uniform in 1e-6 ... 1e6.
+_log_scales = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+class TestScaleFreeReports:
+    @settings(max_examples=45, deadline=None, derandomize=True)
+    @given(st.sampled_from(list(FlowKind)), _log_scales,
+           st.one_of(st.just(1.0), _log_scales))
+    # at k = 1e-8, a comparison of scaled values read the two wrong tables
+    # as VERIFIED
+    @example(FlowKind.IMAGINARY, 1e-4, 1.0)
+    def test_entries_are_the_unit_entries(self, kind, v, r0):
+        """Every quantity entry and derived identity of a report at
+        (V, R0) is the one at V = R0 = 1, field for field; CURV_R's only
+        where R0 = 1, as its residual R0^-2 is 1.0 there alone."""
+        unit = unit_report(kind)
+        scaled = verify_against_autodiff(PowerModel(kind, v=v, r0=r0),
+                                         samples=30, seed=5)
+        assert scaled.derived_identities == unit.derived_identities
+        assert scaled.notes == unit.notes
+        for got, want in zip(scaled.checks, unit.checks, strict=True):
+            if got.quantity_id != "CURV_R" or r0 == 1.0:
+                assert exact_fields(got) == exact_fields(want), got.quantity_id
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
         a = verify_against_autodiff(IMAG, samples=50, seed=3).to_json()
@@ -145,8 +176,8 @@ def scarce_points(monkeypatch):
     real = verify._autodiff_columns
     asked = [0]
 
-    def scarce(target, model, a1, a2):
-        values, defined = real(target, model, a1, a2)
+    def scarce(target, kind, a1, a2):
+        values, defined = real(target, kind, a1, a2)
         order = asked[0] + 1 + np.arange(len(a1))
         asked[0] += len(a1)
         return values, defined & (order % 2000 == 0)
@@ -239,20 +270,23 @@ class TestDerivedIdentities:
                 match=r"^metric determinant -14610\.05395572648 at "
                       r"\(-1\.3159999999999998, -1\.3159999999999998\) is "
                       r"degenerate; curvature undefined$"):
-            _diagonal_identities(IMAG)
+            _diagonal_identities(FlowKind.IMAGINARY)
         monkeypatch.undo()
-        # at k = 1e-8 the diagonal is as non-degenerate as at k = 1
-        small, _ = _diagonal_identities(PowerModel(FlowKind.IMAGINARY, v=1e-4))
+        # at k = 1e-8 the report's diagonal is the one at k = 1
+        small = verify_against_autodiff(
+            PowerModel(FlowKind.IMAGINARY, v=1e-4), samples=5).derived_identities
+        assert small == _diagonal_identities(FlowKind.IMAGINARY)[0]
         assert math.isfinite(small["imaginary_diagonal_curvature_max_abs"])
         origin = np.zeros(1)
         cols = evaluate_points(REAL, origin, origin)
         assert cols["det"].tolist() == [0.0]
         assert geometry.CLASS_ORDER[int(cols["codes"][0])] is DEGEN
         assert math.isnan(cols["curvature"][0])
-        _, defined = verify._autodiff_columns("curvature", REAL, origin,
-                                              origin)
+        _, defined = verify._autodiff_columns("curvature", FlowKind.REAL,
+                                              origin, origin)
         assert defined.tolist() == [False]
-        _, defined = verify._autodiff_columns("det", REAL, origin, origin)
+        _, defined = verify._autodiff_columns("det", FlowKind.REAL, origin,
+                                              origin)
         assert defined.tolist() == [True]
 
     def test_repaired_exponent_annotations_travel_with_quantities(self, reports):
@@ -269,11 +303,23 @@ def test_self_checks_all_pass():
     assert len(results) == 11
 
 
+#: The power p of k = V^2/R0 that each target goes as.
+TARGET_POWERS = {"g11": 1, "g12": 1, "g22": 1, "det": 2, "curvature": -1}
+
+
+def reference_residual(q, v, r0):
+    """``V^(e_v - 2p) R0^(e_r0 + p)`` from the transcribed exponents: the
+    table over k^p at (V, R0) against the table at V = R0 = 1."""
+    p = TARGET_POWERS[q.target]
+    return v ** (q.prefactor.e_v - 2 * p) * r0 ** (q.prefactor.e_r0 + p)
+
+
 def reference_check_quantity(q, model, samples, seed):
     """The verification loop one draw at a time, as it was before draws
     were evaluated in chunks: the reference the chunked loop must match.
     Polynomials and the prefactor are evaluated term by term here, with
-    plain left-to-right addition."""
+    plain left-to-right addition. Both sides are compared at unit scale:
+    the unit jet against the table at V = R0 = 1 times its residual."""
     def poly(p, c1, s1, c2, s2):
         total = 0.0
         for coeff, ec1, es1, ec2, es2 in p.terms:
@@ -287,6 +333,7 @@ def reference_check_quantity(q, model, samples, seed):
         return total
 
     pf = q.prefactor
+    residual = reference_residual(q, model.v, model.r0)
     stream = verify._sample_stream(seed, q.id)
     mass = q.denominator_mass()
     worst = -1.0
@@ -306,13 +353,13 @@ def reference_check_quantity(q, model, samples, seed):
             resampled += 1
             continue
         try:
-            auto = point_value(q.target, model, a1, a2)
+            auto = point_value(q.target, model.kind, a1, a2)
         except DegenerateMetric:
             resampled += 1
             continue
         num = polys(q.numerators, c1, s1, c2, s2)
         prefactor = (pf.sign * 2.0**pf.pow2 * c1**pf.e_c1 * c2**pf.e_c2
-                     * model.v**pf.e_v * model.r0**pf.e_r0)
+                     * residual)
         recon = prefactor * num / den
         if not (math.isfinite(auto) and math.isfinite(recon)):
             resampled += 1
@@ -342,23 +389,23 @@ def reference_check_quantity(q, model, samples, seed):
         repairs=tuple(q.repair_annotations()), notes=notes)
 
 
-def reference_diagonal_identities(model):
-    """The equal-angle identities one point and one jet at a time."""
-    k = model.k
+def reference_diagonal_identities(kind):
+    """The equal-angle identities one point and one unit-scale jet at a
+    time."""
     samples = [a for a in axis_samples(verify.DEFAULT_BOUNDS, 101)
                if abs(a) >= 0.05]
     worst = 0.0
     for a in samples:
-        if model.kind is FlowKind.REAL:
-            det = point_value("det", model, a, a)
+        if kind is FlowKind.REAL:
+            det = point_value("det", kind, a, a)
             sec = 1.0 / math.cos(a)
-            worst = max(worst, abs(det) / (k * k * sec**8))
-        elif model.kind is FlowKind.IMAGINARY:
-            worst = max(worst, abs(point_value("curvature", model, a, a)))
+            worst = max(worst, abs(det) / sec**8)
+        elif kind is FlowKind.IMAGINARY:
+            worst = max(worst, abs(point_value("curvature", kind, a, a)))
         else:
-            det = point_value("det", model, a, a)
+            det = point_value("det", kind, a, a)
             sec = 1.0 / math.cos(a)
-            expected = -4.0 * k * k * sec**4 * math.tan(a) ** 2
+            expected = -4.0 * sec**4 * math.tan(a) ** 2
             worst = max(worst,
                         abs(det - expected) / max(1.0, abs(expected)))
     return worst
@@ -379,7 +426,8 @@ def exact_fields(check):
             for f in dataclasses.fields(check)}
 
 
-#: (V, R0): unit scale, the golden-bytes scale and a large k = 9e4.
+#: (V, R0): unit scale, the golden-bytes scale and a large k = 9e4; off
+#: R0 = 1 the last two also carry CURV_R's residual R0^-2.
 SCALES = ((1.0, 1.0), (1.3, 0.7), (30.0, 0.01))
 RUNS = ((1, 0), (1, 1), (1, 2), (7, 0), (7, 1), (7, 2), (1000, 3))
 
@@ -400,9 +448,9 @@ class TestChunkedSampling:
     def test_diagonal_identities_match_one_point_at_a_time(self, kind, v,
                                                            r0):
         model = PowerModel(kind, v=v, r0=r0)
-        identities, _ = _diagonal_identities(model)
+        identities = verify_against_autodiff(model, samples=1).derived_identities
         (got,) = identities.values()
-        assert _exact(got) == _exact(reference_diagonal_identities(model))
+        assert _exact(got) == _exact(reference_diagonal_identities(kind))
 
     def test_first_maximum_wins_across_chunks(self, monkeypatch):
         """Every draw ties (table value 1, jet value 2): the worst point is
@@ -412,7 +460,7 @@ class TestChunkedSampling:
                           prefactor=Prefactor(+1), numerators=(one,),
                           denominators=(one,))
 
-        def constant(target, model, a1, a2):
+        def constant(target, kind, a1, a2):
             return np.full(len(a1), 2.0), np.ones(len(a1), dtype=bool)
 
         monkeypatch.setattr(verify, "_autodiff_columns", constant)
@@ -506,9 +554,8 @@ class TestColumnPaths:
             want = [next(stream) for _ in range(size)]
             assert list(zip(a1.tolist(), a2.tolist())) == want
 
-    @pytest.mark.parametrize("v,r0", SCALES)
     @pytest.mark.parametrize("kind", list(FlowKind))
-    def test_metric_columns_match_evaluate_points(self, kind, v, r0):
+    def test_metric_columns_match_evaluate_points(self, kind):
         """g11, g12, g22 and det from the metric slots alone have the bits
         of the full geometry, over two chunks of draws and at points of
         exact zeros (the real metric is degenerate on a1 = a2)."""
@@ -516,10 +563,9 @@ class TestColumnPaths:
                               verify.CHUNK + 5)
         a1 = np.concatenate([a1, [0.0, 0.5, -0.0]])
         a2 = np.concatenate([a2, [0.0, 0.5, 0.0]])
-        model = PowerModel(kind, v=v, r0=r0)
-        cols = evaluate_points(model, a1, a2)
+        cols = evaluate_points(PowerModel(kind), a1, a2)
         for target in ("g11", "g12", "g22", "det"):
-            parts = [verify._autodiff_columns(target, model, a1[s], a2[s])
+            parts = [verify._autodiff_columns(target, kind, a1[s], a2[s])
                      for s in (slice(0, verify.CHUNK),
                                slice(verify.CHUNK, None))]
             assert all(defined.all() for _, defined in parts)
