@@ -8,8 +8,9 @@ local variables. ``unit_slots`` runs it on floats for one point
 (single-point reports, and bisection steps with few live brackets);
 ``batch_slots`` runs it elementwise on ndarray columns for the scans and
 the verification samples, in blocks of ``BLOCK`` points so that the
-temporaries stay small. The kernel computes the metric slots f11, f12
-and f22 first, and ``batch_metric`` stops there, for the bisection steps
+temporaries stay small, and returns a :class:`Jet3` of owned columns.
+The kernel computes the metric slots f11, f12 and f22 first, and
+``batch_metric`` returns their columns alone, for the bisection steps
 with many live brackets, which need only the determinant. All three take
 ``tan`` from ``math.tan`` per element (``np.tan`` rounds differently at
 some points), so they give the same bits wherever the blocks split.
@@ -172,9 +173,9 @@ def per_element(fn, a: np.ndarray) -> np.ndarray:
 
 
 def _columns(kind: FlowKind, a1: np.ndarray, a2: np.ndarray,
-             metric: bool) -> np.ndarray:
-    """:func:`_slots` at flat point arrays, one row per point, computed in
-    blocks of ``BLOCK`` points."""
+             metric: bool) -> tuple[np.ndarray, ...]:
+    """:func:`_slots` at flat point arrays, one owned column per slot,
+    computed in blocks of ``BLOCK`` points."""
     if not isinstance(kind, FlowKind):
         raise ValueError(f"unknown flow kind {kind!r}")
     a1 = np.ascontiguousarray(a1, dtype=np.float64)
@@ -187,26 +188,25 @@ def _columns(kind: FlowKind, a1: np.ndarray, a2: np.ndarray,
         raise ValueError(f"seed values must be finite, got "
                          f"({a1[i]!r}, {a2[i]!r}) at point {i}")
     n = a1.shape[0]
-    out = np.empty((n, 3 if metric else 10), dtype=np.float64)
+    out = tuple(np.empty(n) for _ in range(3 if metric else 10))
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         slots = _slots(kind, per_element(math.tan, a1[start:stop]),
                        per_element(math.tan, a2[start:stop]), metric)
-        for j, column in enumerate(slots):
-            out[start:stop, j] = column
+        for column, slot in zip(out, slots):
+            column[start:stop] = slot
     return out
 
 
-def batch_slots(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Unit-scale jets for flat point arrays as an ``(n, 10)`` array.
+def batch_slots(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> Jet3:
+    """Unit-scale jets for flat point arrays as a :class:`Jet3` of ten
+    distinct, owned float64 columns: element i of each has the bits of
+    that slot of ``unit_slots(kind, a1[i], a2[i])``, and the inputs are
+    rejected where that would reject a point."""
+    return Jet3(*_columns(kind, a1, a2, False))
 
-    Row i equals ``unit_slots(kind, a1[i], a2[i])`` bit for bit, and the
-    inputs are rejected where that would reject a point.
-    """
-    return _columns(kind, a1, a2, False)
 
-
-def batch_metric(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """The metric slots f11, f12, f22 of :func:`batch_slots`, bit for bit,
-    as an ``(n, 3)`` array, without the kernel's other seven slots."""
+def batch_metric(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> tuple:
+    """The metric columns f11, f12, f22 of :func:`batch_slots`, bit for
+    bit, without the kernel's other seven slots."""
     return _columns(kind, a1, a2, True)

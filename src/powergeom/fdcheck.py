@@ -154,11 +154,11 @@ def max_jet_deviation(kind: FlowKind,
     """
     a1s = np.array([check_angle(a1) for a1, _ in points], dtype=np.float64)
     a2s = np.array([check_angle(a2) for _, a2 in points], dtype=np.float64)
-    jets = backend.batch_slots(kind, a1s, a2s)
+    jets = [slot.tolist() for slot in backend.batch_slots(kind, a1s, a2s)]
     worst = 0.0
     info: dict = {}
-    for (a1, a2), jet in zip(points, jets.tolist()):
-        for name, got, want in zip(Jet3._fields, jet,
+    for p, (a1, a2) in enumerate(points):
+        for name, got, want in zip(Jet3._fields, (col[p] for col in jets),
                                    _oracle(kind, a1, a2)):
             dev = abs(got - want) / max(1.0, abs(want))
             if dev > worst:

@@ -8,11 +8,12 @@ makes the curvature undefined there.
 
 Everything at a point comes from that point's one jet.
 :func:`geometry_columns` is the one classifier: value, metric,
-determinant, closed-form curvature and class code, elementwise on ndarray
-columns of unit-scale (k = 1) jets. The class is a sign pattern of a
-metric that goes as k, so it is read off the unit jet, degenerate where
-the unit determinant is exactly zero. :func:`geometry_report` runs it on
-one point's one-element columns, and the scans on whole columns.
+determinant, closed-form curvature and class code, elementwise on the
+unit-scale (k = 1) jet columns ``backend.batch_slots`` returns, which it
+scales in place. The class is a sign pattern of a metric that goes as k,
+so it is read off the unit jet, degenerate where the unit determinant is
+exactly zero. :func:`geometry_report` runs it on one point's one-element
+columns, and the scans on whole columns.
 
 :func:`scalar_curvature_oracle` is the independent check of the closed
 form. It assembles Christoffel symbols of the first kind (half the third
@@ -107,7 +108,7 @@ def _closed_curvature(jet: Jet3, det):
             & (square >= np.finfo(np.float64).tiny))
 
 
-def scalar_curvature_oracle(jet: Jet3) -> float:
+def scalar_curvature_oracle(jet: Jet3):
     """Scalar curvature via Christoffel symbols and ``R = 2 R_1212 / det``.
 
     For a Hessian metric the Christoffel symbols of the first kind are just
@@ -116,12 +117,12 @@ def scalar_curvature_oracle(jet: Jet3) -> float:
 
         R_1212 = (1/4) g^{qr} (S_12q S_12r - S_22q S_11r).
 
-    Kept deliberately independent of the closed form as its cross-check.
-    Raises :class:`DegenerateMetric` where the curvature is undefined.
+    Kept independent of the closed form as its cross-check, on floats or
+    columns. Raises :class:`DegenerateMetric` where it is undefined.
     """
     g11, g12, g22 = jet.f11, jet.f12, jet.f22
     det = determinant(g11, g12, g22)
-    if is_degenerate(det):
+    if np.any(is_degenerate(det)):
         raise DegenerateMetric(
             f"metric determinant {det!r} is degenerate; curvature undefined")
     gi11 = g22 / det
@@ -191,7 +192,7 @@ def geometry_report(model: models.PowerModel,
     :func:`geometry_columns` of the point's one-element columns."""
     a1, a2 = models.check_angle(point[0]), models.check_angle(point[1])
     unit = backend.unit_slots(model.kind, a1, a2)
-    cols = geometry_columns(Jet3(*np.array(unit)[:, np.newaxis]), model.k)
+    cols = geometry_columns(Jet3(*map(np.atleast_1d, unit)), model.k)
     one = {key: col.item() for key, col in cols.items()}
     return GeometryReport(
         metric=Metric2(one["g11"], one["g12"], one["g22"], (a1, a2)),

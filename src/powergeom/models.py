@@ -210,7 +210,8 @@ def bus_injections(net: BusNetwork) -> list[BusInjection]:
                                  - B_ij cos(a_ij + d_j - d_i))
 
     Both |Y| and (G, B) enter as stated; the hybrid form is kept verbatim,
-    not normalized to a polar or rectangular convention.
+    not normalized to a polar or rectangular convention. An injection
+    that overflows to inf or nan raises ``OverflowError`` naming its bus.
     """
     by_id = {bus.id: bus for bus in net.buses}
     totals = {bus.id: [0.0, 0.0] for bus in net.buses}
@@ -224,6 +225,10 @@ def bus_injections(net: BusNetwork) -> list[BusInjection]:
                                         + br.b * math.sin(phase))
             totals[here][1] += scale * (br.g * math.sin(phase)
                                         - br.b * math.cos(phase))
+    for bus_id, (p, q) in totals.items():
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise OverflowError(f"bus {bus_id!r}: injection (p, q) = "
+                                f"({p!r}, {q!r}) is not finite")
     return [BusInjection(*totals[bus.id]) for bus in net.buses]
 
 

@@ -39,8 +39,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
 from .errors import BadDomain, SchemaMismatch
 from .geometry import CLASS_LABELS
 from .models import FlowKind, PowerModel
@@ -165,8 +163,8 @@ def _blocks(rows: _ScanRows, texts: Callable[..., list[str]]):
     the labels. The axis values are written once, not per row."""
     spec = rows.spec
     n = spec.n
-    ax1 = texts(spec.a1_axis)
-    ax2 = None if spec.command == "diagonal" else texts(spec.a2_axis)
+    ax1 = texts(spec.a1_axis.tolist())
+    ax2 = None if spec.command == "diagonal" else texts(spec.a2_axis.tolist())
     for start in range(0, len(rows), BLOCK_ROWS):
         span = range(start, min(start + BLOCK_ROWS, len(rows)))
         a1 = [ax1[i % n] for i in span]  # a1 runs fastest
@@ -302,10 +300,7 @@ def _rescan(metadata: dict, size: int, where: str) -> ScanTable:
         spec = ScanSpec(model, command, *bounds, n)
     except BadDomain as exc:
         raise SchemaMismatch(f"{where}: {exc}") from None
-    # Metadata of an extreme scale overflows the metric; the file's bytes
-    # are compared all the same.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _scan_table(evaluate_scan(spec))
+    return _scan_table(evaluate_scan(spec))
 
 
 def _position(piece: str, at: int, k: int, rows: int, is_json: bool) -> str:

@@ -13,9 +13,10 @@ The jets of all points come from one column-wise kernel
 blocks of points. Each point's jet depends only on that point, so scan
 content never depends on where the blocks split. Metric, determinant,
 curvature and class come from :func:`powergeom.geometry.geometry_columns`,
-the classifier single-point reports use too, and a scan keeps them as
-columns. A point is DEGEN where its unit-scale determinant is exactly
-zero, so a scan's classes do not depend on k = V^2/R0.
+the classifier single-point reports use too, and a scan keeps only the
+columns it reports, 65 B a point. A point is DEGEN where its unit-scale
+determinant is exactly zero, so a scan's classes do not depend on
+k = V^2/R0.
 
 Transition location takes the determinant's exact zeros and sign changes
 along every row and column of a grid, or along the diagonal, from the
@@ -29,14 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import backend
-from .backend import Jet3
 from .errors import BadDomain
 from .geometry import CLASS_LABELS, determinant, geometry_columns
 from .models import HALF_PI, PowerModel
@@ -51,7 +51,7 @@ BISECT_XTOL = 1e-10
 #: do not depend on it.
 BISECT_BATCH_MIN = 20
 #: Most points one scan may hold: n^2 of a grid, n of a diagonal. A scan
-#: keeps about 65 B per point in its columns, so this is about 1.1 GB, and
+#: keeps 65 B per point in its columns, so this is about 1.1 GB, and
 #: a spec beyond it is rejected before anything is allocated, with the
 #: same verdict on every machine.
 MAX_POINTS = 2**24
@@ -70,11 +70,13 @@ def _check_bounds(bounds: Bounds, axis: str) -> Bounds:
     return lo, hi
 
 
-def axis_samples(bounds: Bounds, n: int) -> list[float]:
-    """The n sample positions of one axis."""
+def axis_samples(bounds: Bounds, n: int) -> np.ndarray:
+    """The n sample positions of one axis, ``lo + i*step``, as a
+    read-only float64 array."""
     lo, hi = bounds
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    axis = lo + np.arange(n) * ((hi - lo) / (n - 1))
+    axis.flags.writeable = False
+    return axis
 
 
 def evaluate_points(model: PowerModel, a1: np.ndarray,
@@ -86,11 +88,8 @@ def evaluate_points(model: PowerModel, a1: np.ndarray,
     Point i has the bits of ``geometry_report(model, (a1[i], a2[i]))``.
     Scans and ``verify-paper`` both evaluate their points here.
     """
-    slots = backend.batch_slots(model.kind, a1, a2)
-    cols = geometry_columns(Jet3(*slots.T), model.k)
-    cols["a1"] = a1
-    cols["a2"] = a2
-    return cols
+    jets = backend.batch_slots(model.kind, a1, a2)
+    return {**geometry_columns(jets, model.k), "a1": a1, "a2": a2}
 
 
 @dataclass(frozen=True)
@@ -124,21 +123,20 @@ class ScanSpec:
         object.__setattr__(self, "a1_bounds", a1)
         object.__setattr__(self, "a2_bounds", a2)
 
-    @property
-    def a1_axis(self) -> list[float]:
+    @cached_property
+    def a1_axis(self) -> np.ndarray:
         return axis_samples(self.a1_bounds, self.n)
 
-    @property
-    def a2_axis(self) -> list[float]:
-        return axis_samples(self.a2_bounds, self.n)
+    @cached_property
+    def a2_axis(self) -> np.ndarray:
+        same = self.a2_bounds == self.a1_bounds
+        return self.a1_axis if same else axis_samples(self.a2_bounds, self.n)
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """The a1 and a2 columns of the points, one array on a diagonal."""
-        a1 = np.array(self.a1_axis, dtype=np.float64)
+        """The a1 and a2 columns of the points, the a1 axis on a diagonal."""
         if self.command == "diagonal":
-            return a1, a1
-        a2 = np.array(self.a2_axis, dtype=np.float64)
-        return np.tile(a1, self.n), np.repeat(a2, self.n)
+            return self.a1_axis, self.a1_axis
+        return np.tile(self.a1_axis, self.n), np.repeat(self.a2_axis, self.n)
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ def _det_at(model: PowerModel, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
         jets = map(backend.unit_slots, repeat(kind), a1.tolist(), a2.tolist())
         return np.array([determinant(k * s.f11, k * s.f12, k * s.f22)
                          for s in jets], dtype=np.float64)
-    f11, f12, f22 = backend.batch_metric(kind, a1, a2).T
+    f11, f12, f22 = backend.batch_metric(kind, a1, a2)
     return determinant(k * f11, k * f12, k * f22)
 
 
@@ -335,8 +333,8 @@ def locate_transitions(scan: Scan,
     fbound = 1e-8 * k * k
     if spec.command == "scan":
         det = cols["det"].reshape(spec.n, spec.n)  # [i2, i1]
-        ax1, ax2 = np.array(spec.a1_axis), np.array(spec.a2_axis)
-        lines = [("row", ax2, ax1, det), ("col", ax1, ax2, det.T)]
+        lines = [("row", spec.a2_axis, spec.a1_axis, det),
+                 ("col", spec.a1_axis, spec.a2_axis, det.T)]
     else:
         lines = [("diag", np.array([math.nan]), cols["a1"],
                   cols["det"][np.newaxis])]

@@ -211,7 +211,7 @@ def _autodiff_columns(target: str, kind: FlowKind, a1: np.ndarray,
     if target == "curvature":
         cols = evaluate_points(PowerModel(kind), a1, a2)
         return cols["curvature"], cols["codes"] != _DEGEN_CODE
-    g11, g12, g22 = backend.batch_metric(kind, a1, a2).T
+    g11, g12, g22 = backend.batch_metric(kind, a1, a2)
     values = {"g11": g11, "g12": g12, "g22": g22}.get(target)
     if values is None:
         values = geometry.determinant(g11, g12, g22)
@@ -310,10 +310,10 @@ def _diagonal_identities(kind: FlowKind) -> tuple[dict[str, float], tuple[str, .
     """
     out: dict[str, float] = {}
     notes: list[str] = []
-    samples = [a for a in axis_samples(DEFAULT_BOUNDS, 101) if abs(a) >= 0.05]
-    a_col = np.array(samples)
+    axis = axis_samples(DEFAULT_BOUNDS, 101)
+    a_col = axis[np.abs(axis) >= 0.05]
     cols = evaluate_points(PowerModel(kind), a_col, a_col)
-    dets = cols["det"].tolist()
+    samples, dets = a_col.tolist(), cols["det"].tolist()
     if kind is FlowKind.REAL:
         worst = 0.0
         for a, det in zip(samples, dets):

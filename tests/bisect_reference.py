@@ -96,7 +96,7 @@ def reference_crossings(scan) -> tuple[list[DetZeroCrossing], int]:
     zeros: list[DetZeroCrossing] = []
     if spec.command == "scan":
         n = spec.n
-        ax1, ax2 = spec.a1_axis, spec.a2_axis
+        ax1, ax2 = spec.a1_axis.tolist(), spec.a2_axis.tolist()
         det = cols["det"].reshape(n, n)  # [i2, i1]
         for level, dets in zip(ax2, det.tolist()):
             zeros.extend(line_crossings(

@@ -1,5 +1,6 @@
 """Slot kernel: per-point and column-wise jets must equal, bit for bit,
-the jet composition of ``jet_reference`` that the kernel writes out."""
+the jet composition of ``jet_reference`` that the kernel writes out, and
+the column-wise paths return distinct, owned, contiguous columns."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from jet_reference import reference_slots
 from powergeom import backend
-from powergeom.backend import FlowKind
+from powergeom.backend import FlowKind, Jet3
 from powergeom.stability import DEFAULT_BOUNDS, axis_samples
 
 #: The flows in order; a flow's position is its test id and offsets its
@@ -32,37 +33,69 @@ EDGE = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
 
 def assert_matches_reference(kind, a1, a2):
     """Both kernel paths give the reference's bits at every point, and
-    both metric-only paths its f11, f12, f22; returns the slots."""
-    want = np.array([reference_slots(kind, x, y) for x, y in zip(a1, a2)],
-                    dtype=np.float64).reshape(-1, 10)
+    both metric-only paths its f11, f12, f22; returns the slot columns."""
+    want = columns([reference_slots(kind, x, y) for x, y in zip(a1, a2)], 10)
     a1, a2 = np.array(a1, dtype=np.float64), np.array(a2, dtype=np.float64)
-    assert_same_bits(unit_rows(kind, a1, a2), want)
-    assert_same_bits(backend.batch_slots(kind, a1, a2), want)
-    assert_same_bits(metric_rows(kind, a1, a2), want[:, METRIC])
-    assert_same_bits(backend.batch_metric(kind, a1, a2), want[:, METRIC])
+    assert_same_bits(unit_columns(kind, a1, a2), want)
+    assert_same_bits(batch_slots(kind, a1, a2), want)
+    assert_same_bits(metric_columns(kind, a1, a2), want[METRIC])
+    assert_same_bits(batch_metric(kind, a1, a2), want[METRIC])
     return want
 
 
-#: The columns of f11, f12 and f22 in a row of slots.
+#: The f11, f12 and f22 columns among a jet's ten.
 METRIC = slice(3, 6)
 
 
-def metric_rows(kind, a1, a2):
+def columns(rows, width):
+    """Per-point slot tuples as ``width`` float64 columns."""
+    return tuple(np.array(rows, dtype=np.float64).reshape(-1, width).T)
+
+
+def metric_columns(kind, a1, a2):
     """The kernel's metric-only path on floats, one point at a time."""
-    rows = [backend._slots(kind, math.tan(x), math.tan(y), metric=True)
-            for x, y in zip(a1.tolist(), a2.tolist())]
-    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+    return columns([backend._slots(kind, math.tan(x), math.tan(y), metric=True)
+                    for x, y in zip(a1.tolist(), a2.tolist())], 3)
 
 
-def unit_rows(kind, a1, a2):
-    rows = [backend.unit_slots(kind, x, y)
-            for x, y in zip(a1.tolist(), a2.tolist())]
-    return np.array(rows, dtype=np.float64).reshape(-1, 10)
+def unit_columns(kind, a1, a2):
+    return columns([backend.unit_slots(kind, x, y)
+                    for x, y in zip(a1.tolist(), a2.tolist())], 10)
+
+
+def owned(cols, n):
+    """``cols``, once checked to be distinct, owned, C-contiguous float64
+    columns of ``n`` elements."""
+    assert len({id(col) for col in cols}) == len(cols)
+    for col in cols:
+        assert type(col) is np.ndarray and col.dtype == np.float64
+        assert col.shape == (n,) and col.base is None
+        assert col.flags.c_contiguous and col.flags.writeable
+    return cols
+
+
+def batch_slots(kind, a1, a2):
+    """``backend.batch_slots``, checked to return a Jet3 of ten owned
+    columns."""
+    jets = backend.batch_slots(kind, a1, a2)
+    assert type(jets) is Jet3
+    return owned(jets, len(a1))
+
+
+def batch_metric(kind, a1, a2):
+    """``backend.batch_metric``, checked to return a tuple of three owned
+    columns."""
+    cols = backend.batch_metric(kind, a1, a2)
+    assert type(cols) is tuple and len(cols) == 3
+    return owned(cols, len(a1))
 
 
 def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    """As many columns as ``want``, each with its shape and bits."""
+    assert len(got) == len(want)
+    for col, expected in zip(got, want):
+        assert col.shape == expected.shape
+        assert (col.view(np.uint64) == expected.view(np.uint64)).all()
 
 
 def random_points(seed, n, lo=-1.57, hi=1.57):
@@ -103,7 +136,7 @@ class TestKernelAgainstReference:
             [y for _ in EDGE for y in EDGE])
         # 1 + u*u >= 1 at every finite angle, so no slot blows up, even
         # where tan is largest.
-        assert np.isfinite(slots).all()
+        assert all(np.isfinite(col).all() for col in slots)
 
     def test_random_and_equal_angle_points(self, kind):
         a1, a2 = random_points(51 + CODES.index(kind), 3000)
@@ -115,43 +148,40 @@ class TestKernelAgainstReference:
 class TestBatchAgainstUnit:
     def test_random_points(self, kind):
         a1, a2 = random_points(31 + CODES.index(kind), 5000)
-        assert_same_bits(backend.batch_slots(kind, a1, a2),
-                         unit_rows(kind, a1, a2))
+        assert_same_bits(batch_slots(kind, a1, a2),
+                         unit_columns(kind, a1, a2))
 
     def test_default_grid_256(self, kind):
-        axis = np.array(axis_samples(DEFAULT_BOUNDS, 256))
+        axis = axis_samples(DEFAULT_BOUNDS, 256)
         a1, a2 = np.tile(axis, 256), np.repeat(axis, 256)
-        assert_same_bits(backend.batch_slots(kind, a1, a2),
-                         unit_rows(kind, a1, a2))
+        assert_same_bits(batch_slots(kind, a1, a2),
+                         unit_columns(kind, a1, a2))
 
     def test_diagonal_4001(self, kind):
-        a = np.array(axis_samples(DEFAULT_BOUNDS, 4001))
-        assert_same_bits(backend.batch_slots(kind, a, a),
-                         unit_rows(kind, a, a))
+        a = axis_samples(DEFAULT_BOUNDS, 4001)
+        assert_same_bits(batch_slots(kind, a, a), unit_columns(kind, a, a))
 
     def test_metric_columns_of_random_points(self, kind):
         a1, a2 = random_points(37 + CODES.index(kind), 5000)
         a1[:1000] = a2[:1000]
-        assert_same_bits(backend.batch_metric(kind, a1, a2),
-                         backend.batch_slots(kind, a1, a2)[:, METRIC])
+        assert_same_bits(batch_metric(kind, a1, a2),
+                         batch_slots(kind, a1, a2)[METRIC])
 
 
 class TestBlocks:
     def test_slices_at_any_offset_give_the_same_bits(self):
         n = 3 * BLOCK + 123
         a1, a2 = random_points(41, n)
-        whole = backend.batch_slots(FlowKind.COMPLEX, a1, a2)
+        whole = batch_slots(FlowKind.COMPLEX, a1, a2)
         for start, stop in ((0, 1), (1, BLOCK + 1), (BLOCK - 7, 2 * BLOCK + 5),
                             (777, n - 333), (2 * BLOCK + 1, n), (n - 1, n)):
-            part = backend.batch_slots(FlowKind.COMPLEX,
-                                       a1[start:stop], a2[start:stop])
-            assert_same_bits(part, whole[start:stop])
+            part = batch_slots(FlowKind.COMPLEX, a1[start:stop],
+                               a2[start:stop])
+            assert_same_bits(part, [col[start:stop] for col in whole])
 
     def test_empty_input(self):
-        out = backend.batch_slots(FlowKind.REAL, np.zeros(0), np.zeros(0))
-        assert out.shape == (0, 10)
-        out = backend.batch_metric(FlowKind.REAL, np.zeros(0), np.zeros(0))
-        assert out.shape == (0, 3)
+        assert len(batch_slots(FlowKind.REAL, np.zeros(0), np.zeros(0))) == 10
+        assert len(batch_metric(FlowKind.REAL, np.zeros(0), np.zeros(0))) == 3
 
 
 class TestInputChecks:

@@ -324,6 +324,33 @@ class TestBusPower:
         assert stdout.endswith(
             f"\nplain,{format_float(p)},{format_float(q)}\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("network,pq", [
+        ({"buses": [{"id": "a"}, {"id": "b"}],
+          "branches": [{"from": "a", "to": "b", "ymag": 1e308, "g": 1e308}]},
+         "(inf, 0.0)"),
+        ({"buses": [{"id": "a", "vmag": 1e200}, {"id": "b", "vmag": 1e200}],
+          "branches": [{"from": "a", "to": "b", "ymag": 1e200, "g": 0.0,
+                        "b": 0.0}]},
+         "(nan, nan)"),
+    ], ids=["inf", "nan"])
+    def test_overflowing_injection_is_one_error_line(self, network, pq, fmt,
+                                                     tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(network))
+        code, stdout, err = run(["bus-power", str(path), "--format", fmt],
+                                capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == ("error: OverflowError: bus 'a': injection (p, q) = "
+                       f"{pq} is not finite\n")
+        out = tmp_path / f"inj.{fmt}"
+        code, stdout, _ = run(["bus-power", str(path), "--format", fmt,
+                               "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,problem", [
         ('{"buses": 5}', "'buses' must be a list of objects, got 5"),
         ("[]", "network must be a JSON object, got list"),

@@ -359,19 +359,22 @@ class TestUnitScaleClassifier:
         unit curvature to rounding, not to the few bits left in det^2."""
         a1 = np.array([1.1, -0.3, 0.7])
         a2 = np.array([0.4, 0.9, -1.2])
-        unit = geometry_columns(
-            Jet3(*backend.batch_slots(kind, a1, a2).T), 1.0)["curvature"]
-        got = geometry_columns(
-            Jet3(*backend.batch_slots(kind, a1, a2).T), k)["curvature"]
+        unit = geometry_columns(backend.batch_slots(kind, a1, a2),
+                                1.0)["curvature"]
+        got = geometry_columns(backend.batch_slots(kind, a1, a2),
+                               k)["curvature"]
         assert np.all(np.abs(got * k - unit) <= 1e-14 * np.abs(unit))
 
     def test_columns_are_scaled_in_place(self):
         slots = backend.batch_slots(FlowKind.COMPLEX, np.array([0.3, -0.4]),
                                     np.array([0.1, 0.2]))
-        unit = slots.copy()
-        cols = geometry_columns(Jet3(*slots.T), 2.5)
-        assert (slots == 2.5 * unit).all()
-        assert np.shares_memory(cols["g12"], slots)
+        unit = [slot.copy() for slot in slots]
+        cols = geometry_columns(slots, 2.5)
+        for slot, before in zip(slots, unit):
+            assert (slot == 2.5 * before).all()
+        for name, slot in (("value", slots.f), ("g11", slots.f11),
+                           ("g12", slots.f12), ("g22", slots.f22)):
+            assert cols[name] is slot
 
     def test_is_degenerate_is_an_exact_zero(self):
         assert is_degenerate(0.0) and is_degenerate(-0.0)

@@ -224,7 +224,7 @@ def _scan_tables(draw, extra_metadata=st.just({})):
     bounds = [tuple(sorted(draw(st.lists(st.floats(-1.5, 1.5), min_size=2,
                                          max_size=2, unique=True))))
               for _ in range(1 + grid)]
-    axes = [np.array(axis_samples(b, n)) for b in bounds]
+    axes = [axis_samples(b, n) for b in bounds]
     size = n * n if grid else n
     value, g11, g12, g22, curvature = (
         np.array(draw(st.lists(_doubles, min_size=size, max_size=size)))
@@ -838,8 +838,6 @@ class TestRedundancy:
         assert str(info.value) == f"{path}: {rule}"
 
     @each_format
-    # g11*g22 overflows (the scale defect, ROADMAP item 1) and numpy warns
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_det_where_the_metric_overflows(self, tmp_path, fmt):
         model = PowerModel(FlowKind.COMPLEX, v=1e76, r0=0.1)
         table = grid_table(scan_grid(model, n=8))
@@ -920,12 +918,11 @@ class TestMetadataRescan:
                 scan_io._rescan(meta, 22 * rows - 1, "f")
 
     @each_format
-    # the re-scan's g11*g22 overflows (the scale defect, ROADMAP item 1)
+    # g11*g22 of the scan and of its re-scan overflows
     def test_scale_that_overflows_is_read_without_warnings(self, tmp_path,
                                                            fmt):
         model = PowerModel(FlowKind.COMPLEX, v=1e76, r0=0.1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = grid_table(scan_grid(model, n=8))
+        table = grid_table(scan_grid(model, n=8))
         path = tmp_path / f"scan.{fmt}"
         write_table(table, str(path), fmt)
         assert rows_equal(read_scan(str(path)).rows, table.rows)

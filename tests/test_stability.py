@@ -63,7 +63,14 @@ class TestScanGrid:
     def test_sample_positions_follow_the_formula(self):
         samples = axis_samples((-1.0, 1.0), 5)
         step = 2.0 / 4
-        assert samples == [-1.0 + i * step for i in range(5)]
+        assert samples.tolist() == [-1.0 + i * step for i in range(5)]
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            lo, hi = sorted(rng.uniform(-1.5, 1.5, 2).tolist())
+            n = int(rng.integers(2, 300))
+            step = (hi - lo) / (n - 1)
+            assert [x.hex() for x in axis_samples((lo, hi), n).tolist()] == [
+                (lo + i * step).hex() for i in range(n)]
 
     def test_refinement_shares_points_bitwise(self):
         n = 65  # the fine grid spans several kernel blocks
@@ -114,8 +121,8 @@ class TestScanGrid:
 
     def test_asymmetric_axes(self):
         scan = scan_grid(REAL, (-0.5, 0.5), (0.1, 0.9), n=3)
-        assert scan.spec.a1_axis == [-0.5, 0.0, 0.5]
-        assert scan.spec.a2_axis == [0.1, 0.5, 0.9]
+        assert scan.spec.a1_axis.tolist() == [-0.5, 0.0, 0.5]
+        assert scan.spec.a2_axis.tolist() == [0.1, 0.5, 0.9]
 
 
 class TestScanDiagonal:
@@ -218,6 +225,41 @@ class TestScanSpec:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+
+class TestScanMemory:
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_a_scan_keeps_only_its_columns(self, kind, monkeypatch):
+        """A 512^2 scan keeps its a1, a2, value, g11, g12, g22, det and
+        curvature columns and its codes, 65 B a point, and none of the
+        jet's other slots; its traced peak stays at 141 B a point."""
+        batch_slots = backend.batch_slots
+
+        def checked(kind, a1, a2):
+            jets = batch_slots(kind, a1, a2)
+            assert len({id(slot) for slot in jets}) == len(jets) == 10
+            for slot in jets:
+                assert slot.base is None and slot.flags.c_contiguous
+            return jets
+
+        monkeypatch.setattr(backend, "batch_slots", checked)
+        n = 512
+        tracemalloc.start()
+        try:
+            scan = scan_grid(PowerModel(kind, v=1.3, r0=0.7), n=n)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 66 * n * n
+        assert peak <= 141.1 * n * n
+        spec = scan.spec
+        for axis, (lo, hi) in ((spec.a1_axis, spec.a1_bounds),
+                               (spec.a2_axis, spec.a2_bounds)):
+            step = (hi - lo) / (n - 1)
+            assert axis.dtype == np.float64 and not axis.flags.writeable
+            assert [x.hex() for x in axis.tolist()] == [
+                (lo + i * step).hex() for i in range(n)]
+        assert spec.a1_axis is spec.a1_axis
 
 
 def diagonal_crossings(field, positions):

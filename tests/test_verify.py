@@ -392,7 +392,7 @@ def reference_check_quantity(q, model, samples, seed):
 def reference_diagonal_identities(kind):
     """The equal-angle identities one point and one unit-scale jet at a
     time."""
-    samples = [a for a in axis_samples(verify.DEFAULT_BOUNDS, 101)
+    samples = [a for a in axis_samples(verify.DEFAULT_BOUNDS, 101).tolist()
                if abs(a) >= 0.05]
     worst = 0.0
     for a in samples:
