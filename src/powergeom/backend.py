@@ -165,9 +165,10 @@ def unit_slots(kind: FlowKind, a1: float, a2: float) -> Jet3:
 
 
 def per_element(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` (``math.tan``, ``math.cos``, ...) of each element of ``a``,
-    as the float path computes it; numpy's own ``tan`` rounds differently
-    at some points."""
+    """``fn`` of each element of ``a``, as the float path computes it.
+    It serves the kernel's ``math.tan``: ``np.tan`` rounds differently at
+    some points. (``np.cos`` and ``np.sin`` do not, and ``verify`` takes
+    its cosines and sines from them.)"""
     return np.fromiter(map(fn, a.tolist()), dtype=np.float64,
                        count=a.shape[0])
 

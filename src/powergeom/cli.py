@@ -144,6 +144,11 @@ def _cmd_classify(args) -> int:
         "det": rep.det,
         "curvature": None if math.isnan(rep.curvature) else rep.curvature,
     }
+    for name in ("value", "g11", "g12", "g22", "det", "curvature"):
+        x = out[name]
+        if x is not None and not math.isfinite(x):
+            raise ValueError(f"{name} is {x!r} at k = V^2/R0 = {model.k!r}: "
+                             "the scaled geometry is out of float range")
     print(json.dumps(out, indent=1))
     return 0
 

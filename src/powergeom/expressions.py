@@ -19,10 +19,15 @@ and :meth:`Prefactor.value` take floats, float64 columns, or
 :class:`Powers` tables of either, and read every ``x**e`` off a table, so
 a quantity's numerators, denominators and prefactor share one table per
 variable. A column's ``x**0`` and ``x**1`` are exact (``1.0`` and the
-column), its other entries come from libm ``pow`` per element, as ``**``
-takes them. Each polynomial compiles its terms once, to a float
-coefficient and the factors of nonzero exponent (a product with
-``x**0 = 1.0`` changes no bit). A term's factors are multiplied and the
+column), its other entries come from ``np.float_power``, libm ``pow``
+per element as ``**`` takes it. The verifier takes its columns of cosines
+and sines from ``np.cos`` and ``np.sin``; the kernel keeps ``math.tan``,
+because ``np.tan`` rounds differently at some points.
+``tests/test_expressions.py::TestNumpyRoutinesMatchMath`` holds the three
+numpy routines to ``math`` bit for bit, so a numpy build whose SIMD paths
+round them differently fails it. Each polynomial compiles its terms once,
+to a float coefficient and the factors of nonzero exponent (a product
+with ``x**0 = 1.0`` changes no bit). A term's factors are multiplied and the
 terms added left to right in source order, so a column holds the same
 bits as the floats at each of its points. :meth:`Powers.subset` narrows a
 table to some of its elements, so entries that only some points need are
@@ -41,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -62,20 +66,21 @@ class Powers:
 
     ``x`` is a float or a float64 column. A column's ``x**0`` is the
     scalar ``1.0`` and its ``x**1`` the column itself, as Python ``**``
-    gives them for every float. A positive exponent takes libm ``pow`` on
-    each element through ``math.pow``, the function ``**`` calls; a
-    negative one takes ``**`` per element, which raises
-    ``ZeroDivisionError`` on a zero as a float does. ``np.power`` is never
-    used: its fast paths can round differently. So every element has the
-    float's bits.
+    gives them for every float. Any other exponent takes
+    ``np.float_power``, libm ``pow`` per element, the function ``**``
+    calls; ``tests/test_expressions.py::TestNumpyRoutinesMatchMath`` holds
+    it to ``**`` bit for bit. ``np.power`` is not used: its SIMD paths
+    round differently. Where ``**`` raises, so does the column: at the
+    first element whose power is infinite though the element is finite,
+    ``ZeroDivisionError`` at a zero and ``OverflowError`` elsewhere. So
+    every element has the float's bits.
     """
 
-    __slots__ = ("x", "_table", "_list")
+    __slots__ = ("x", "_table")
 
     def __init__(self, x):
         self.x = x
         self._table = {}
-        self._list = None
 
     def __getitem__(self, e: int):
         power = self._table.get(e)
@@ -88,11 +93,15 @@ class Powers:
             elif e == 1:
                 power = x
             else:
-                if self._list is None:
-                    self._list = x.tolist()
-                powers = (map(math.pow, self._list, repeat(float(e))) if e > 0
-                          else (v**e for v in self._list))
-                power = np.fromiter(powers, np.float64, len(x))
+                with np.errstate(all="ignore"):
+                    power = np.float_power(x, float(e))
+                out_of_range = np.isinf(power) & np.isfinite(x)
+                if out_of_range.any():
+                    v = x.item(int(np.argmax(out_of_range)))
+                    if v == 0.0:
+                        raise ZeroDivisionError(
+                            f"{v!r} cannot be raised to a negative power")
+                    raise OverflowError(f"{v!r}**{e} is out of float range")
             self._table[e] = power
         return power
 

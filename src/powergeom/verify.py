@@ -253,11 +253,10 @@ def _check_quantity(q: PaperQuantity, model: PowerModel, samples: int,
     while used < samples and drawn < draws:
         size = _chunk_size(samples - used, drawn, used, draws - drawn)
         a1, a2 = _draw(uniform, size)
-        # math.cos/math.sin per element, as one draw at a time takes them
-        c1 = Powers(backend.per_element(math.cos, a1))
-        s1 = Powers(backend.per_element(math.sin, a1))
-        c2 = Powers(backend.per_element(math.cos, a2))
-        s2 = Powers(backend.per_element(math.sin, a2))
+        # np.cos/np.sin have the bits of math.cos/math.sin, as one draw at
+        # a time takes them (TestNumpyRoutinesMatchMath; np.tan would not)
+        c1, s1 = Powers(np.cos(a1)), Powers(np.sin(a1))
+        c2, s2 = Powers(np.cos(a2)), Powers(np.sin(a2))
         # the values at the draws kept, ``rows`` of the chunk, may still
         # overflow: silence their warnings, the walk below rejects them
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -205,6 +205,33 @@ class TestClassify:
         assert code == 1
         assert "pole" in err
 
+    @pytest.mark.parametrize("scale", [["--v", "1e77", "--r0", "1"],
+                                       ["--v", "1e154", "--r0", "1e154"]])
+    def test_non_finite_result_is_one_error_line(self, scale, tmp_path):
+        """At k = 1e154 the scaled ``g11*g22 - g12^2`` is ``inf - inf``:
+        one error line naming the determinant and k, not ``"det": NaN``."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "powergeom.cli", "classify", "--model",
+             "complex", *scale, "--a1", "1.5", "--a2", "-1.5"],
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+            timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: det is nan at k = V^2/R0 = 1e+154: the scaled geometry "
+            "is out of float range"]
+
+    @pytest.mark.parametrize("flow", ["real", "imaginary", "complex"])
+    @pytest.mark.parametrize("v", ["1", "1e50"])
+    def test_output_is_strict_json(self, flow, v, capsys):
+        code, stdout, _ = run(["classify", "--model", flow, "--v", v,
+                               "--a1", "1.5", "--a2", "-1.5"], capsys)
+        assert code == 0
+        report = _strict_json(stdout)
+        for key in ("value", "g11", "g12", "g22", "det", "curvature"):
+            assert math.isfinite(report[key]), key
+
 
 class TestVerifyPaper:
     def test_report_file_deterministic(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -177,6 +178,148 @@ class TestPowerTables:
         got = poly.eval_cs(*cols)
         assert isinstance(got, np.ndarray) and got.tolist() == [2.0, 2.0]
         assert poly.eval_cs(0.5, 0.5, 0.5, 0.5) == 2.0
+
+
+class TestPowerErrors:
+    """A column raises what ``**`` raises at its first element that
+    ``**`` rejects, in column order, and nothing where ``**`` gives a
+    float."""
+
+    def test_overflow_before_a_zero_is_an_overflow(self):
+        with pytest.raises(OverflowError):
+            Powers(np.array([1e-250, 0.0]))[-2]
+
+    def test_zero_before_an_overflow_is_a_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            Powers(np.array([0.0, 1e-250]))[-2]
+
+    def test_negative_zero_to_a_negative_power(self):
+        with pytest.raises(ZeroDivisionError):
+            Powers(np.array([-0.0]))[-3]
+
+    def test_infinity_to_a_negative_power_is_zero(self):
+        power = Powers(np.array([np.inf]))[-2]
+        assert power.tolist() == [float("inf") ** -2] == [0.0]
+
+    def test_infinite_and_nan_elements_raise_nothing(self):
+        values = [np.inf, -np.inf, np.nan, 2.0]
+        power = Powers(np.array(values))[3]
+        want = np.array([v**3 for v in values])
+        assert (power.view(np.uint64) == want.view(np.uint64)).all()
+
+
+#: Exponents the tripwire checks: every one the tables use (-2 and
+#: 2...15) and all of -15...-1.
+TRIPWIRE_EXPONENTS = (*range(-15, 0), *range(2, 16))
+
+
+def _numpy_build() -> str:
+    """numpy's version and the CPU features its dispatch has on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    on = " ".join(name for name, enabled in __cpu_features__.items()
+                  if enabled)
+    return f"numpy {np.__version__}, CPU features on: {on}"
+
+
+def _near(values, ulps=3):
+    """Each value and the doubles up to ``ulps`` steps either side."""
+    out = list(values)
+    for v in values:
+        below = above = v
+        for _ in range(ulps):
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+def _tripwire_values():
+    """Angles for cos and sin, and cosines and sines for the powers: a
+    seeded set of 100,000 of each over [-1.6, 1.6], the model's domain
+    with room to spare, plus signed zeros, the smallest subnormals, values
+    next to +-1, +-1.4 and +-1.6, and values near +-1e-150, whose powers
+    overflow or underflow to subnormals and signed zeros."""
+    draw = random.Random("numpy-routines-match-math").random
+    angles = [-1.6 + 3.2 * draw() for _ in range(100_000)]
+    special = [0.0, -0.0, 5e-324, -5e-324,
+               *_near([1.0, -1.0, 1.4, -1.4, 1.6, -1.6])]
+    tiny = [1e-151 + 9e-150 * draw() for _ in range(200)]
+    special += tiny + [-t for t in tiny] + _near([1e-150, -1e-150])
+    bases = [f(a) for a in angles for f in (math.cos, math.sin)]
+    return (np.array(angles + special), np.array(bases + special))
+
+
+class TestNumpyRoutinesMatchMath:
+    """The tripwire for the numpy routines the verifier uses in place of
+    ``math``: ``np.float_power`` (:class:`Powers`), ``np.cos`` and
+    ``np.sin`` (``verify``) must give the bits of ``**``, ``math.cos`` and
+    ``math.sin`` at every input, or verify reports would depend on the
+    numpy build. They do on builds whose float64 loops call libm; a build
+    that routes them to SIMD code rounding differently fails here.
+
+    The fix for a failure is to go back to ``math`` per element in
+    :class:`Powers` or ``verify`` for the routine named, never to loosen
+    this test. Each routine is checked on a contiguous column and on a
+    strided view, as ``verify`` draws its angles."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        return _tripwire_values()
+
+    @staticmethod
+    def _layouts(x):
+        """``x`` contiguous and as a view of stride two."""
+        doubled = np.empty(2 * len(x))
+        doubled[0::2] = x
+        return x, doubled[0::2]
+
+    @staticmethod
+    def _assert_no_mismatch(routine, inputs, bad, got, want):
+        bad = np.flatnonzero(bad)
+        assert not bad.size, (
+            f"{routine} differs from math at {bad.size} of {len(inputs)} "
+            f"inputs; first at x = {float(inputs[bad[0]]).hex()}: got "
+            f"{float(got[bad[0]]).hex()}, math gives "
+            f"{float(want[bad[0]]).hex()} ({_numpy_build()}). Take this "
+            "routine from math again; do not loosen this test.")
+
+    @pytest.mark.parametrize("name", ["cos", "sin"])
+    def test_cos_and_sin(self, name, values):
+        angles, _ = values
+        want = np.fromiter(map(getattr(math, name), angles.tolist()),
+                           np.float64, len(angles))
+        for column in self._layouts(angles):
+            got = getattr(np, name)(column)
+            self._assert_no_mismatch(
+                f"np.{name}", angles,
+                got.view(np.uint64) != want.view(np.uint64), got, want)
+
+    @pytest.mark.parametrize("e", TRIPWIRE_EXPONENTS)
+    def test_float_power(self, e, values):
+        """Bit for bit where ``**`` gives a float; infinite where it
+        raises, which :class:`Powers` turns back into ``**``'s error."""
+        _, bases = values
+        want = np.fromiter(map(_power_or_nan, bases.tolist(), repeat(e)),
+                           np.float64, len(bases))
+        raises = np.isnan(want)
+        for column in self._layouts(bases):
+            with np.errstate(all="ignore"):
+                got = np.float_power(column, float(e))
+            bad = np.where(raises, ~np.isinf(got),
+                           got.view(np.uint64) != want.view(np.uint64))
+            self._assert_no_mismatch(f"np.float_power(x, {e})", bases, bad,
+                                     got, want)
+
+
+def _power_or_nan(v: float, e: int) -> float:
+    """``v**e``, or nan where ``**`` raises (no base here is nan)."""
+    try:
+        return v**e
+    except ArithmeticError:
+        return math.nan
 
 
 class TestReconstruction:
