@@ -95,13 +95,8 @@ class Powers:
             else:
                 with np.errstate(all="ignore"):
                     power = np.float_power(x, float(e))
-                out_of_range = np.isinf(power) & np.isfinite(x)
-                if out_of_range.any():
-                    v = x.item(int(np.argmax(out_of_range)))
-                    if v == 0.0:
-                        raise ZeroDivisionError(
-                            f"{v!r} cannot be raised to a negative power")
-                    raise OverflowError(f"{v!r}**{e} is out of float range")
+                if np.isinf(power).any():
+                    _raise_out_of_range(x, power, e)
             self._table[e] = power
         return power
 
@@ -113,6 +108,18 @@ class Powers:
         subset._table.update((e, p[rows] if isinstance(p, np.ndarray) else p)
                              for e, p in self._table.items())
         return subset
+
+
+def _raise_out_of_range(x: np.ndarray, power: np.ndarray, e: int) -> None:
+    """Raise what ``**`` raises at the first element of ``x`` whose power
+    is infinite though the element is finite, if there is one."""
+    out_of_range = np.isinf(power) & np.isfinite(x)
+    if out_of_range.any():
+        v = x.item(int(np.argmax(out_of_range)))
+        if v == 0.0:
+            raise ZeroDivisionError(
+                f"{v!r} cannot be raised to a negative power")
+        raise OverflowError(f"{v!r}**{e} is out of float range")
 
 
 def _powers(x) -> Powers:

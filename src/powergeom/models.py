@@ -69,18 +69,24 @@ def check_angle(a: float) -> float:
     return float(a)
 
 
-def unit_surface(kind: FlowKind, u):
-    """The surface at k = 1 as a function of u = tan a1 - tan a2.
+def unit_surfaces(u) -> tuple:
+    """The three surfaces at k = 1 as functions of u = tan a1 - tan a2,
+    in :class:`FlowKind` order, over one ``1 + u*u``.
 
-    Number-generic: a float u gives the float surface, a Decimal u the
-    Decimal one (in the current context).
+    Number-generic: a float u gives the float surfaces, a Decimal u the
+    Decimal ones (in the current context).
     """
     den = 1 + u * u
-    if kind is FlowKind.REAL:
-        return 1 / den
-    if kind is FlowKind.IMAGINARY:
-        return u / den
-    return (1 + u) / den
+    return 1 / den, u / den, (1 + u) / den
+
+
+#: Each flow's place in :func:`unit_surfaces`.
+FLOW_INDEX = {kind: i for i, kind in enumerate(FlowKind)}
+
+
+def unit_surface(kind: FlowKind, u):
+    """The flow's surface at k = 1: its entry of :func:`unit_surfaces`."""
+    return unit_surfaces(u)[FLOW_INDEX[kind]]
 
 
 def eval_power(model: PowerModel, a1: float, a2: float) -> float:

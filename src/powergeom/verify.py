@@ -65,11 +65,14 @@ RESAMPLE_DENOM_TOL = 1e-6
 
 DEFAULT_BOUNDS = (-1.4, 1.4)
 
-#: Most draws evaluated together. Larger chunks gain no speed but hold more
-#: power-table and jet columns at once: at 4096 draws the verify
-#: benchmark's peak RSS was 1.7 MB (4.7%) above one draw at a time. One
-#: chunk's jets fit in one ``backend.BLOCK``.
-CHUNK = 1024
+#: Most draws evaluated together. At 1000 samples a quantity's first
+#: chunk asks for 1,063 draws; a cap of 1024 split off a second chunk of
+#: 6-16 draws, which makes as many numpy calls as a full one. Larger
+#: chunks hold more power-table and jet columns at once: at 2048 the
+#: verify benchmark's peak RSS was 0.18 MB above 1024, and at 4096 it
+#: was 1.7 MB (4.7%) above one draw at a time. One chunk's jets fit in
+#: one ``backend.BLOCK``.
+CHUNK = 2048
 
 _DEGEN_CODE = geometry.CLASS_ORDER.index(geometry.StabilityClass.DEGENERATE)
 

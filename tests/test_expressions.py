@@ -1,5 +1,6 @@
 """Tabulated expansions: anchors, structure, bounds, reconstruction."""
 
+import hashlib
 import math
 import random
 from itertools import repeat
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powergeom import _tables
 from powergeom.errors import DenominatorZero
 from powergeom.expressions import (
     QUANTITIES,
@@ -124,6 +126,23 @@ def test_pole_structure_kills_cosine_terms():
 #: The exponents a power table is asked for: the prefactor's c^-2 and
 #: every exponent the tables use, and more.
 EXPONENTS = (-2, *range(15))
+
+#: sha256 of ``NAME = repr(value)`` lines, names sorted, over every
+#: public table of ``_tables`` and ``EXPONENT_REPAIRS``. It was taken from
+#: the tables as tuple literals, so rewriting how they are written cannot
+#: change a term unnoticed.
+TABLES_DIGEST = (
+    "3e62a92c125ccaa3c6ee79f1231cc16a0510d5571898cf619b06107c8df1d9dc")
+
+
+def test_transcribed_tables_keep_their_values():
+    names = sorted(name for name, value in vars(_tables).items()
+                   if not name.startswith("_")
+                   and isinstance(value, (tuple, dict)))
+    text = "".join(f"{name} = {getattr(_tables, name)!r}\n" for name in names)
+    assert len(names) == 37
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_DIGEST
+
 
 #: Cosines and sines, signed zeros, the smallest subnormals, +-1 and values
 #: near 1e-150, whose powers underflow to subnormals and signed zeros.

@@ -1,15 +1,22 @@
 """The finite-difference oracle: accuracy, context hygiene, regressions."""
 
 import decimal
+import math
 from decimal import Context, Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powergeom import fdcheck
+from powergeom import backend, fdcheck
 from powergeom.backend import Jet3
-from powergeom.fdcheck import central_difference, decimal_tan, max_jet_deviation
+from powergeom.fdcheck import (
+    central_difference,
+    decimal_tan,
+    max_jet_deviation,
+    max_jet_deviations,
+)
 from powergeom.models import FlowKind, unit_surface
 from powergeom.selfcheck import _check_jets_vs_differences, _points
 
@@ -91,6 +98,46 @@ def test_lattice_oracle_has_the_central_difference_bits(kind, seed):
         got = fdcheck._oracle(kind, a1, a2)
         want = assembled_oracle(kind, a1, a2)
         assert [x.hex() for x in got] == [x.hex() for x in want], (a1, a2)
+
+
+@pytest.mark.parametrize("seed", [0, 54])
+def test_one_lattice_for_all_flows_has_the_central_difference_bits(seed):
+    kinds = tuple(FlowKind)
+    for a1, a2 in _points(seed, 100):
+        got = fdcheck._oracles(kinds, a1, a2)
+        want = [assembled_oracle(kind, a1, a2) for kind in kinds]
+        assert ([[x.hex() for x in slots] for slots in got]
+                == [[x.hex() for x in slots] for slots in want]), (a1, a2)
+
+
+def test_multi_flow_deviations_are_the_single_flow_ones():
+    points = _points(7, 20)
+    together = max_jet_deviations(tuple(FlowKind), points)
+    assert together == {kind: max_jet_deviation(kind, points)
+                        for kind in FlowKind}
+    assert all(worst > 0.0 and info["point"] in points
+               for worst, info in together.values())
+    assert max_jet_deviations(tuple(FlowKind), []) == {
+        kind: (0.0, {}) for kind in FlowKind}
+
+
+def test_nan_jet_slot_fails_the_check(monkeypatch):
+    """A NaN deviation is the worst one, not one that ``dev > worst``
+    skips."""
+    batch_slots = backend.batch_slots
+
+    def one_nan(kind, a1, a2):
+        jet = batch_slots(kind, a1, a2)
+        f122 = jet.f122.copy()
+        f122[3] = np.nan
+        return jet._replace(f122=f122)
+
+    monkeypatch.setattr(backend, "batch_slots", one_nan)
+    worst, info = max_jet_deviation(FlowKind.REAL, _points(0, 10))
+    assert math.isnan(worst)
+    assert info["slot"] == "f122" and info["point"] == _points(0, 10)[3]
+    result = _check_jets_vs_differences(100, 0)
+    assert not result.passed, result.detail
 
 
 @pytest.mark.parametrize("a", ["NaN", "Infinity", "-2", "3"])

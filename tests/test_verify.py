@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jet_reference import one_point
-from powergeom import backend, expressions, geometry, verify
+from powergeom import backend, expressions, geometry, selfcheck, verify
 from powergeom.cli import main
 from powergeom.errors import DegenerateMetric, DenominatorZero
 from powergeom.expressions import (
@@ -23,7 +23,7 @@ from powergeom.expressions import (
     TrigPolynomial,
     reconstruct_quantity,
 )
-from powergeom.models import FlowKind, PowerModel
+from powergeom.models import FlowKind, PowerModel, eval_power
 from powergeom.selfcheck import run_self_checks
 from powergeom.stability import axis_samples, evaluate_points
 from powergeom.verify import _diagonal_identities, verify_against_autodiff
@@ -303,6 +303,20 @@ def test_self_checks_all_pass():
     assert len(results) == 11
 
 
+def test_nan_flow_value_fails_the_symmetry_check(monkeypatch):
+    """A NaN deviation fails the check rather than losing to ``max``."""
+    calls = []
+
+    def one_nan(model, a1, a2):
+        calls.append(None)
+        return math.nan if len(calls) == 40 else eval_power(model, a1, a2)
+
+    monkeypatch.setattr(selfcheck, "eval_power", one_nan)
+    result = selfcheck._check_flow_symmetries(100, 0)
+    assert len(calls) == 500
+    assert not result.passed, result.detail
+
+
 #: The power p of k = V^2/R0 that each target goes as.
 TARGET_POWERS = {"g11": 1, "g12": 1, "g22": 1, "det": 2, "curvature": -1}
 
@@ -489,6 +503,16 @@ class TestChunkedSampling:
         assert max(sizes) <= verify.CHUNK
         assert max(sizes) > verify.CHUNK // 2  # the cap is what binds
         assert sum(sizes) > 5 * 5000
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_report_does_not_depend_on_the_chunk_size(self, kind,
+                                                      monkeypatch):
+        reports = set()
+        for chunk in (7, 1024, 2048):
+            monkeypatch.setattr(verify, "CHUNK", chunk)
+            reports.add(verify_against_autodiff(PowerModel(kind), samples=300,
+                                                seed=5).to_json())
+        assert len(reports) == 1
 
     @pytest.mark.parametrize("flow", [k.value for k in FlowKind])
     @pytest.mark.parametrize("scale", [[], ["--v", "1.3", "--r0", "0.7"]],
