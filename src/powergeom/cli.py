@@ -24,9 +24,11 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__, scan_io
 from .errors import PowergeomError
-from .geometry import geometry_report
+from .geometry import CLASS_LABELS, StabilityClass, geometry_report
 from .models import (
     FlowKind,
     PowerModel,
@@ -39,6 +41,9 @@ from .stability import (
     scan_diagonal,
     scan_grid,
 )
+
+
+_DEGEN = CLASS_LABELS.index(StabilityClass.DEGENERATE.label)
 
 
 def verify_against_autodiff(*args, **kwargs):
@@ -97,9 +102,30 @@ def _transition_summary(transitions) -> str:
     return "\n".join(lines)
 
 
+def _check_finite(scan) -> None:
+    """Raise ValueError naming the first quantity of ``scan`` that is not
+    finite, and k: a float out of range once scaled is a data error. A
+    nan curvature is the undefined curvature of a DEGEN point."""
+    columns = scan.columns
+    degen = columns["codes"] == _DEGEN
+    for name in ("value", "g11", "g12", "g22", "det", "curvature"):
+        bad = ~np.isfinite(columns[name])
+        if name == "curvature":
+            bad &= ~degen
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise ValueError(
+                f"{name} is {float(columns[name][at])!r} at k = V^2/R0 = "
+                f"{scan.spec.model.k!r} (a1 = {float(columns['a1'][at])!r}, "
+                f"a2 = {float(columns['a2'][at])!r}): the scaled geometry "
+                "is out of float range")
+
+
 def _write_scan(args, scan, to_table, find_transitions: bool) -> int:
     """Write ``to_table(scan)`` to ``--out`` a block of rows at a time and
-    report it; a write that fails part way leaves no file behind."""
+    report it; a write that fails part way leaves no file behind, and a
+    scan with a non-finite quantity writes none."""
+    _check_finite(scan)
     summary = ""
     if find_transitions:  # first, so a rejected threshold writes nothing
         summary = _transition_summary(locate_transitions(

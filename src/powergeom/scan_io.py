@@ -12,11 +12,14 @@ named tuples in column order, made on demand from a scan's float64
 columns and int8 class codes and the axis samples of its spec. The
 renderers yield the file text one block of :data:`BLOCK_ROWS` rows at a
 time, and :func:`write_table` writes each block as it comes, so a scan
-file is written in the memory of one block. A CSV row is one
-``%``-template applied to the row, JSON float text comes from the C
-encoder (``json.dumps`` of a column as a list), and the axis values are
-formatted once per axis. The JSON text is the ``json.dumps(...,
-indent=1)`` layout of ``{"metadata": ..., "records": [...]}``.
+file is written in the memory of one block. A CSV block is a matrix of
+fixed-width cells, a row per CSV row: an integer kernel writes the
+``%.17g`` text of each float column into its cells (see "CSV float text"
+below), and deleting the pad bytes leaves the block's text. JSON float
+text comes from the C encoder (``json.dumps`` of a column as a list).
+The axis values are formatted once per axis. The JSON text is the
+``json.dumps(..., indent=1)`` layout of ``{"metadata": ...,
+"records": [...]}``.
 
 A scan file is a pure function of its metadata (flow, V, R0, bounds, n
 and command), so the reader parses nothing else: it re-runs the scan of
@@ -38,6 +41,8 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import BadDomain, SchemaMismatch
 from .geometry import CLASS_LABELS
@@ -64,9 +69,6 @@ _RECORDS = '\n "records": [\n'
 
 #: Rows per block the writers render and write at a time.
 BLOCK_ROWS = 1024
-#: One CSV data row: the a1 and a2 text, the six other floats with 17
-#: significant digits, then the class label.
-_CSV_ROW = "%s,%s," + "%.17g," * 6 + "%s\n"
 #: One JSON record at its nesting depth in the ``indent=1`` layout.
 _JSON_RECORD = ("  {\n"
                 + ",\n".join(f'   "{name}": %s' for name in SCAN_COLUMNS)
@@ -157,24 +159,196 @@ def diagonal_table(scan: Scan) -> ScanTable:
     return _scan_table(scan)
 
 
-def _blocks(rows: _ScanRows, texts: Callable[..., list[str]]):
-    """Per block of :data:`BLOCK_ROWS` rows: the a1 and a2 text as
-    ``texts`` writes a float column, then the six other float columns and
-    the labels. The axis values are written once, not per row."""
+# CSV float text. A CSV row is rendered as a row of little-endian 64-bit
+# words: one 48-byte cell per float, holding its ``%.17g`` text, pad bytes
+# and a comma, then one 8-byte cell holding the class label, pad bytes and
+# the line break. Deleting the pad byte from a block of such rows leaves
+# the block's text. The pad is a space: no ``%.17g`` text and no label
+# holds one.
+#
+# A normal double x = m*2**q whose 17-digit decimal exponent E lies in
+# [-11, 16] takes the integer path below. With s = 16 - E (so 5**s < 2**63)
+# its 17 digits are D = round-half-even(m * 5**s * 2**(q + s)), found with a
+# 128-bit product and one shift (Gay 1990; Adams, OOPSLA 2019). np.log10
+# only estimates E; E is corrected until 10**16 <= floor(m*5**s*2**(q+s))
+# < 10**17. No double in this range rounds up to 10**17: 10**0 to 10**17
+# are doubles, and the doubles just below 10**-10 to 10**-1 lie more than
+# half a unit of the 17th digit below them. Every other value (zeros, nan,
+# infinities, subnormals, |x| < 1e-11 and |x| >= 1e17) takes the padded
+# ``%.17g`` template, which writes exactly ``%.17g``.
+#
+# The cell's bytes, before pads are deleted: the sign at 0, the "0.000"
+# prefix of -4 <= E < 0 at 1-5, digit i at 6 + 2i with its gap byte after
+# it (pad, or the point), the exponent of e-notation at 40-43, the comma
+# at 47. Trailing zeros of the fraction, and a point with no fraction
+# left, are turned into pads.
+
+_CELL_WORDS = 6
+_PAD = b" "
+_CSV_FLOAT = f"%-{8 * _CELL_WORDS - 1}.17g,"
+#: 5**s for s in [0, 27], in 32-bit halves.
+_FIVES_LOW = np.array([5 ** s & 0xFFFFFFFF for s in range(28)], np.uint64)
+_FIVES_HIGH = np.array([5 ** s >> 32 for s in range(28)], np.uint64)
+
+
+def _words(text: str, rows: int | None = None) -> np.ndarray:
+    """``text`` as native 64-bit words read little-endian, split into
+    ``rows`` rows if given."""
+    words = np.frombuffer(text.encode("latin-1"), "<u8").astype(np.uint64)
+    return words if rows is None else words.reshape(rows, -1)
+
+
+def _exponent_tables():
+    """Per E in [-11, 17]: word 0 of a cell (sign pad, prefix, the lead
+    digit's "0"), its gap bytes in words 0-4 (pads, and the point after
+    the last integer digit), its word 5 (exponent, pads, comma) and the
+    number of digits after the point."""
+    heads, gaps, tails, fraction = [], [], [], []
+    for e in range(-11, 18):
+        fixed = -4 <= e < 17
+        small = fixed and e < 0
+        heads.append(" " + ("0." + "0" * (-e - 1) if small else "").ljust(5)
+                     + "0\0")
+        point = 0 if small else e + 1 if fixed else 1
+        gaps.append("\0" * 7 + "\0".join(
+            "." if i == point else " " for i in range(1, 18)))
+        tails.append(("" if fixed else f"e{e:+03d}").ljust(7) + ",")
+        fraction.append(17 if small else 17 - point)
+    return (_words("".join(heads)), _words("".join(gaps), 29),
+            _words("".join(tails)), np.array(fraction))
+
+
+_HEADS, _GAPS, _TAILS, _FRACTION = _exponent_tables()
+#: Words 0-4 of a cell kept up to byte c and pads from there, by c.
+_STRIPS = _words("".join("\xff" * c + " " * (40 - c) for c in range(41)), 41)
+_QUAD_DIGITS = np.indices((10,) * 4).reshape(4, -1).T
+#: The digits of 0 to 9999 at the even bytes of a word, pads between.
+_QUADS = np.full((10000, 8), ord(" "), np.uint8)
+_QUADS[:, ::2] = _QUAD_DIGITS + ord("0")
+_QUADS = _QUADS.view("<u8").astype(np.uint64).ravel()
+#: Trailing zeros of 0 to 9999 written with four digits.
+_QUAD_ZEROS = (_QUAD_DIGITS[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
+del _QUAD_DIGITS
+_LABELS = _words("".join(label.ljust(7) + "\n" for label in CLASS_LABELS))
+
+
+def _decimal(x: np.ndarray):
+    """Which floats of ``x`` take the integer path, and for those their
+    17 digits D as an integer in [10**16, 10**17) and their exponent E."""
+    bits = x.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    # 2**-37 <= |x| < 2**57: the binary exponents whose E can be in range.
+    fast = biased - 986 < 94
+    if not fast.any():
+        return fast, None, None
+    log = np.zeros(len(x))
+    np.log10(np.abs(x), out=log, where=fast)
+    e = np.floor(log, out=log).astype(np.int64)
+    fast &= (e + 11).view(np.uint64) < 28  # -11 <= E <= 16
+    q16 = biased.view(np.int64) - 1059  # q + 16
+    m = (bits & ((1 << 52) - 1)) | (1 << 52)
+    ml, mh = m & 0xFFFFFFFF, m >> 32
+    while True:
+        shift = q16 - e  # q + s: -63 to 5 where E is at most one off
+        bounded = np.minimum(np.maximum(shift, -63), 7)
+        fast &= shift == bounded
+        # (hi:lo) = m * 5**s from 32-bit halves
+        pl = np.take(_FIVES_LOW, 16 - e, mode="clip")
+        ph = np.take(_FIVES_HIGH, 16 - e, mode="clip")
+        ll = ml * pl
+        mid = ml * ph + mh * pl + (ll >> 32)
+        lo = (mid << 32) | (ll & 0xFFFFFFFF)
+        hi = mh * ph + (mid >> 32)
+        # d = floor((hi:lo) * 2**(q + s)), and whether it reaches 2**64
+        right = np.maximum(-bounded, 0).astype(np.uint64)
+        left = np.maximum(bounded, 0).astype(np.uint64)
+        d = (hi << ((64 - right) & 63)) | (lo >> right)
+        big = ((hi >> right) | (d >> (63 - left) >> 1)) != 0
+        d <<= left
+        off = fast & (big | (d - 10 ** 16 >= 9 * 10 ** 16))
+        if not off.any():
+            break
+        e += off * np.where(big | (d > 10 ** 16), 1, -1)
+        fast &= (e + 11).view(np.uint64) < 28
+    # Round half to even: up when 2*remainder + (d odd) > 2**right.
+    one = 1 << right
+    d += ((lo & (one - 1)) << 1 | (d & 1)) > one
+    return fast, d, e
+
+
+def _write_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the CSV cell of each float of ``x`` to the rows of ``out``, a
+    ``(len(x), 6)`` array of ``<u8`` words. Callers pass at most
+    :data:`BLOCK_ROWS` floats: the temporaries then stay under 64 KiB and
+    are reused from the heap, not mapped and faulted in afresh."""
+    x = np.ascontiguousarray(x, np.float64)
+    fast, d, e = _decimal(x)
+    if fast.any():  # every row is written; the slow ones again below
+        lead = d // 10 ** 16
+        rest = (d - lead * 10 ** 16).view(np.int64)
+        quads = np.empty((len(x), 4), np.intp)
+        high = rest // 10 ** 8
+        low = rest - high * 10 ** 8
+        quads[:, 0] = high // 10 ** 4
+        quads[:, 1] = high - quads[:, 0] * 10 ** 4
+        quads[:, 2] = low // 10 ** 4
+        quads[:, 3] = low - quads[:, 2] * 10 ** 4
+        zeros = np.take(_QUAD_ZEROS, quads)
+        trailing = zeros[:, 3]
+        for j in (2, 1, 0):  # four zeros reach into the quad before
+            trailing = trailing + (trailing == 4 * (3 - j)) * zeros[:, j]
+        i = e + 11
+        cut = 39 - 2 * np.minimum(trailing,
+                                  np.take(_FRACTION, i, mode="clip"))
+        cells = np.empty((len(x), 5), np.uint64)
+        sign = x.view(np.uint64) >> 63
+        cells[:, 0] = (np.take(_HEADS, i, mode="clip") + (lead << 48)
+                       + sign * (ord("-") - ord(" ")))
+        cells[:, 1:] = np.take(_QUADS, quads)
+        cells |= np.take(_GAPS, i, axis=0, mode="clip")
+        # Every byte of words 0-4 has the pad's bit set, so masking a byte
+        # with the pad leaves a pad.
+        cells &= np.take(_STRIPS, cut, axis=0, mode="clip")
+        out[:, :5] = cells
+        out[:, 5] = np.take(_TAILS, i, mode="clip")
+    slow = ~fast
+    if slow.any():
+        values = x[slow].tolist()
+        out[slow] = np.frombuffer((_CSV_FLOAT * len(values) % tuple(values))
+                                  .encode(), "<u8").reshape(-1, _CELL_WORDS)
+
+
+def _blocks(rows: _ScanRows, texts: Callable[[np.ndarray], np.ndarray]):
+    """Per block of :data:`BLOCK_ROWS` rows: its first row and the row
+    after its last, then the a1 and a2 text of its rows, taken from what
+    ``texts`` writes for each axis (an entry or a row per sample). An axis
+    is written once, not per row."""
     spec = rows.spec
     n = spec.n
-    ax1 = texts(spec.a1_axis.tolist())
-    ax2 = None if spec.command == "diagonal" else texts(spec.a2_axis.tolist())
+    ax1 = texts(spec.a1_axis)
+    ax2 = None if spec.command == "diagonal" else texts(spec.a2_axis)
     for start in range(0, len(rows), BLOCK_ROWS):
-        span = range(start, min(start + BLOCK_ROWS, len(rows)))
-        a1 = [ax1[i % n] for i in span]  # a1 runs fastest
-        a2 = a1 if ax2 is None else [ax2[i // n] for i in span]
-        yield a1, a2, rows.block(span.start, span.stop,
-                                 SCAN_COLUMNS[2:-1])
+        stop = min(start + BLOCK_ROWS, len(rows))
+        if ax2 is None:
+            yield start, stop, ax1[start:stop], ax1[start:stop]
+        else:
+            at = np.arange(start, stop)  # a1 runs fastest
+            yield start, stop, ax1[at % n], ax2[at // n]
+
+
+def _csv_cells(column: np.ndarray) -> np.ndarray:
+    """The CSV cells of a float column, a row of words per float."""
+    cells = np.empty((len(column), _CELL_WORDS), "<u8")
+    for start in range(0, len(column), BLOCK_ROWS):
+        _write_cells(column[start:start + BLOCK_ROWS],
+                     cells[start:start + BLOCK_ROWS])
+    return cells
 
 
 def _csv_texts(column: Sequence[float]) -> list[str]:
-    return list(map("%.17g".__mod__, column))
+    """The CSV text of each float of ``column``: its ``%.17g``."""
+    return (_csv_cells(np.asarray(column, np.float64)).tobytes()
+            .translate(None, _PAD).decode("ascii").split(",")[:-1])
 
 
 def _json_texts(column: Sequence[float], nan: str = "NaN") -> list[str]:
@@ -183,13 +357,28 @@ def _json_texts(column: Sequence[float], nan: str = "NaN") -> list[str]:
     return json.dumps(column)[1:-1].replace("NaN", nan).split(", ")
 
 
+def _json_axis(axis: np.ndarray) -> np.ndarray:
+    """The JSON text of an axis, an entry per sample."""
+    return np.array(_json_texts(axis.tolist()), object)
+
+
 def render_csv(table: ScanTable) -> Iterator[str]:
     """The CSV text of ``table``: its head, then one piece per block."""
     yield ("".join(f"# {key}={value}\n"
                    for key, value in table.metadata.items())
            + ",".join(SCAN_COLUMNS) + "\n")
-    for a1, a2, rest in _blocks(table.rows, _csv_texts):
-        yield "".join(map(_CSV_ROW.__mod__, zip(a1, a2, *rest)))
+    columns = table.rows.columns
+    # One row of words per CSV row: a cell per float, then the label's.
+    words = np.empty((BLOCK_ROWS, 8 * _CELL_WORDS + 1), "<u8")
+    for start, stop, a1, a2 in _blocks(table.rows, _csv_cells):
+        rows = words[:stop - start]
+        rows[:, :_CELL_WORDS] = a1
+        rows[:, _CELL_WORDS:2 * _CELL_WORDS] = a2
+        for at, name in enumerate(SCAN_COLUMNS[2:-1], 2):
+            _write_cells(columns[name][start:stop],
+                         rows[:, at * _CELL_WORDS:(at + 1) * _CELL_WORDS])
+        rows[:, -1] = np.take(_LABELS, columns["codes"][start:stop])
+        yield rows.tobytes().translate(None, _PAD).decode("ascii")
 
 
 def render_json(table: ScanTable) -> Iterator[str]:
@@ -198,10 +387,11 @@ def render_json(table: ScanTable) -> Iterator[str]:
     # indenting every line break nests the metadata object one level.
     metadata = json.dumps(table.metadata, indent=1).replace("\n", "\n ")
     join = '{\n "metadata": ' + metadata + "," + _RECORDS
-    for a1, a2, (*floats, curvature, labels) in _blocks(table.rows,
-                                                        _json_texts):
+    for start, stop, a1, a2 in _blocks(table.rows, _json_axis):
+        *floats, curvature, labels = table.rows.block(start, stop,
+                                                      SCAN_COLUMNS[2:-1])
         # Undefined curvature is written as null.
-        texts = [a1, a2, *map(_json_texts, floats),
+        texts = [a1.tolist(), a2.tolist(), *map(_json_texts, floats),
                  _json_texts(curvature, "null")]
         encoded = {label: json.dumps(label) for label in set(labels)}
         texts.append(map(encoded.__getitem__, labels))

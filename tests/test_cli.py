@@ -16,9 +16,10 @@ import pytest
 import powergeom
 from powergeom import backend, cli
 from powergeom.cli import main
-from powergeom.geometry import geometry_report
+from powergeom.geometry import CLASS_LABELS, geometry_report
 from powergeom.models import FlowKind, PowerModel
 from powergeom.scan_io import format_float, read_scan_csv
+from powergeom.stability import scan_diagonal
 
 
 def run(argv, capsys):
@@ -123,6 +124,66 @@ class TestDiagonal:
                                "--out", str(out)], capsys)
         assert code == 0
         assert "|R| > 10" in stdout
+
+
+class TestNonFiniteScan:
+    """A scan whose scaled floats leave the float range is a data error:
+    one error line naming the quantity and k, and no file."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [["scan", "--n", "8"],
+                                         ["diagonal", "--n", "9"]],
+                             ids=lambda argv: argv[0])
+    def test_overflowing_scale(self, command, fmt, tmp_path):
+        """At k = 1e153 the scaled ``g11*g22 - g12^2`` is ``inf - inf``;
+        the error comes before transitions are bisected, so no numpy
+        warning is printed either."""
+        out = tmp_path / f"s.{fmt}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "powergeom.cli", *command, "--model",
+             "complex", "--v", "1e76", "--r0", "0.1", "--format", fmt,
+             "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+            timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: det is nan at k = V^2/R0 = 1e+153 (a1 = -1.55, a2 = "
+            "-1.55): the scaled geometry is out of float range"]
+        assert not out.exists()
+
+    def test_curvature_off_a_degen_point(self, tmp_path, capsys,
+                                         monkeypatch):
+        changed = []
+
+        def with_infinite_curvature(*args, **kwargs):
+            scan = scan_diagonal(*args, **kwargs)
+            at = list(scan.columns["codes"]).index(CLASS_LABELS.index("INDEF"))
+            scan.columns["curvature"][at] = math.inf
+            changed.append(float(scan.columns["a1"][at]))
+            return scan
+
+        monkeypatch.setattr(cli, "scan_diagonal", with_infinite_curvature)
+        out = tmp_path / "d.csv"
+        code, stdout, stderr = run(["diagonal", "--model", "complex", "--n",
+                                    "11", "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        a = changed[0]
+        assert stderr == (f"error: curvature is inf at k = V^2/R0 = 1.0 "
+                          f"(a1 = {a!r}, a2 = {a!r}): the scaled geometry is "
+                          "out of float range\n")
+        assert not out.exists()
+
+    def test_nan_curvature_of_degen_points_is_written(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "d.csv"
+        code, _, _ = run(["diagonal", "--model", "real", "--n", "11",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        rows = read_scan_csv(str(out)).rows
+        assert all(r.label == "DEGEN" and math.isnan(r.curvature)
+                   for r in rows)
 
 
 @pytest.mark.parametrize("argv,message", [

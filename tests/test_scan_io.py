@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -316,6 +317,161 @@ class TestByteIdentity:
 each_format = pytest.mark.parametrize("fmt", ["csv", "json"])
 FORMATS = (("csv", render_csv, reference_csv),
            ("json", render_json, reference_json))
+
+
+def _doubles_from_bits(bits):
+    return np.asarray(bits, np.uint64).view(np.float64)
+
+
+class TestCsvFloatKernel:
+    """The CSV writer's float text is ``'%.17g' % x`` for every double: on
+    its integer path (normal doubles of decimal exponent -11 to 16) and on
+    the padded template it takes for every other value."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, np.float64)
+        for start in range(0, len(values), 1 << 16):
+            chunk = values[start:start + (1 << 16)].tolist()
+            got = scan_io._csv_texts(chunk)
+            want = ("%.17g," * len(chunk) % tuple(chunk)).split(",")[:-1]
+            if got != want:
+                bad = [(x.hex(), g, w) for x, g, w in zip(chunk, got, want)
+                       if g != w]
+                raise AssertionError(
+                    f"numpy {np.__version__}: {len(bad)} of {len(chunk)} "
+                    f"differ (hex, got, want): {bad[:5]}")
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261020)
+        self._check(_doubles_from_bits(
+            rng.integers(0, 1 << 64, 1_000_000, dtype=np.uint64)))
+
+    def test_doubles_of_the_fast_range(self):
+        rng = np.random.default_rng(28)
+        size = 300_000
+        sign = rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+        exponent = rng.integers(986, 1080, size, dtype=np.uint64)
+        mantissa = rng.integers(0, 1 << 52, size, dtype=np.uint64)
+        self._check(_doubles_from_bits(
+            sign | exponent << np.uint64(52) | mantissa))
+
+    def test_powers_of_ten_within_three_ulps(self):
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        bits = tens.view(np.int64)[:, None] + np.arange(-3, 4)
+        positive = bits[bits >= 0].astype(np.uint64)
+        self._check(_doubles_from_bits(
+            np.concatenate([positive, positive | np.uint64(1 << 63)])))
+
+    def test_exact_ties(self):
+        """x = o/2**(s+1) with o odd and o*5**s/2 a 17-digit number plus
+        one half: the 17th digit is a tie, which rounds to even."""
+        rng = np.random.default_rng(5)
+        ties = []
+        for s in range(1, 28):
+            lo = -(-2 * 10 ** 16 // 5 ** s) | 1
+            hi = min(2 * 10 ** 17 // 5 ** s, 1 << 53)
+            if lo < hi:
+                odd = rng.integers(lo // 2, (hi + 1) // 2, 2000) * 2 + 1
+                ties += [o / 2 ** (s + 1) for o in odd.tolist() if o < hi]
+        assert len(ties) > 40_000
+        assert all(math.fmod(x * 2 ** 60, 1) == 0 for x in ties)  # exact
+        self._check(ties + [-x for x in ties])
+
+    def test_just_below_powers_of_ten(self):
+        """The double nearest each power of ten and the four below it.
+        Where one of them rounds up to the power in 17 digits it lies
+        outside the integer path, which has no such carry."""
+        values = []
+        for k in range(-322, 309):
+            values.append(float(f"1e{k}"))
+            for _ in range(4):
+                values.append(math.nextafter(values[-1], 0.0))
+        self._check(values + [-x for x in values])
+        carries = [x for x in values if Decimal(x) < Decimal("%.17g" % x)
+                   and Decimal("%.17g" % x).normalize().as_tuple().digits
+                   == (1,)]
+        assert carries
+        assert not [x for x in carries if 1e-11 <= x < 1e17]
+
+    def test_neighbours_of_the_range_edges(self):
+        edges = np.array([1e-11, 1e-5, 1e-4, 1e16, 1e17, 2.0 ** -37,
+                          2.0 ** 57])
+        bits = edges.view(np.int64)[:, None] + np.arange(-50, 51)
+        values = _doubles_from_bits(bits.ravel().astype(np.uint64))
+        self._check(np.concatenate([values, -values]))
+
+    def test_special_values(self):
+        self._check([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -5e-324, 2.2250738585072014e-308,
+                     2.225073858507201e-308, sys.float_info.max,
+                     -sys.float_info.max, 1.0, -1.0, 0.1, 1e-11, 1e16])
+
+
+def _assert_read_back(table, path, fmt="csv"):
+    write_table(table, str(path), fmt)
+    back = read_scan(str(path))
+    for name, column in table.rows.columns.items():
+        assert back.rows.columns[name].tobytes() == column.tobytes(), name
+
+
+class TestFastPathExit:
+    """Values the CSV kernel's integer path does not hold render through
+    the padded template, alone and mixed with the others in one block,
+    and read back bit for bit."""
+
+    @staticmethod
+    def _on_fast_path(column):
+        return scan_io._decimal(np.ascontiguousarray(column))[0]
+
+    @pytest.mark.parametrize("v", [1e-20, 1e20])  # k = 1e-40 and 1e40
+    def test_scales_with_no_value_on_the_fast_path(self, tmp_path, v):
+        table = grid_table(scan_grid(PowerModel(FlowKind.COMPLEX, v=v),
+                                     n=33))
+        for name in SCAN_COLUMNS[2:-1]:
+            assert not self._on_fast_path(table.rows.columns[name]).any()
+        assert text(render_csv, table) == reference_csv(table)
+        _assert_read_back(table, tmp_path / "scan.csv")
+
+    def test_real_diagonal(self, tmp_path):
+        table = diagonal_table(scan_diagonal(PowerModel(FlowKind.REAL), n=65))
+        columns = table.rows.columns
+        assert (columns["det"] == 0.0).all()
+        assert np.isnan(columns["curvature"]).all()
+        assert text(render_csv, table) == reference_csv(table)
+        _assert_read_back(table, tmp_path / "diag.csv")
+
+    def test_block_of_both_kinds(self, tmp_path):
+        table = grid_table(scan_grid(IMAG, (-1.2, 0.9), n=32))
+        fast = np.concatenate([self._on_fast_path(table.rows.columns[name])
+                               for name in SCAN_COLUMNS[2:-1]])
+        assert fast.any() and not fast.all()
+        assert text(render_csv, table) == reference_csv(table)
+        _assert_read_back(table, tmp_path / "scan.csv")
+        values = [0.5, 0.0, math.nan, -1e-300, 2.5e20, -3.25, math.inf,
+                  1e-11, 5e-324, 123456789.125]
+        columns = dict(table.rows.columns)
+        for name in SCAN_COLUMNS[2:-1]:
+            columns[name] = np.resize(values, len(columns[name]))
+        mixed = grid_table(Scan(table.rows.spec, columns))
+        assert text(render_csv, mixed) == reference_csv(mixed)
+
+    def test_last_block_of_a_4001_point_diagonal(self, tmp_path, capsys):
+        assert 4001 % BLOCK_ROWS == 929
+        path = tmp_path / "diag.csv"
+        assert main(["diagonal", "--model", "complex", "--n", "4001",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        scan = scan_diagonal(PowerModel(FlowKind.COMPLEX), n=4001)
+        table = diagonal_table(scan)
+        pieces = list(render_csv(table))
+        assert pieces[-1].count("\n") == 929
+        want = reference_csv(table)
+        assert pieces[-1] == want[-len(pieces[-1]):]
+        assert path.read_text() == want
+        back = read_scan(str(path))
+        for name, column in scan.columns.items():
+            assert back.rows.columns[name].tobytes() == column.tobytes()
 
 
 class TestBlockJoins:
