@@ -283,7 +283,8 @@ def _write_cells(x: np.ndarray, out: np.ndarray) -> None:
     are reused from the heap, not mapped and faulted in afresh."""
     x = np.ascontiguousarray(x, np.float64)
     fast, d, e = _decimal(x)
-    if fast.any():  # every row is written; the slow ones again below
+    some = fast.any()
+    if some:  # every row is written; the slow ones again below
         lead = d // 10 ** 16
         rest = (d - lead * 10 ** 16).view(np.int64)
         quads = np.empty((len(x), 4), np.intp)
@@ -311,8 +312,9 @@ def _write_cells(x: np.ndarray, out: np.ndarray) -> None:
         cells &= np.take(_STRIPS, cut, axis=0, mode="clip")
         out[:, :5] = cells
         out[:, 5] = np.take(_TAILS, i, mode="clip")
-    slow = ~fast
-    if slow.any():
+    # Where no float is fast, a slice costs less than a mask of every row.
+    slow = ~fast if some else slice(None)
+    if not some or slow.any():
         values = x[slow].tolist()
         out[slow] = np.frombuffer((_CSV_FLOAT * len(values) % tuple(values))
                                   .encode(), "<u8").reshape(-1, _CELL_WORDS)
