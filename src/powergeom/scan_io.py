@@ -221,13 +221,15 @@ def _exponent_tables():
 _HEADS, _GAPS, _TAILS, _FRACTION = _exponent_tables()
 #: Words 0-4 of a cell kept up to byte c and pads from there, by c.
 _STRIPS = _words("".join("\xff" * c + " " * (40 - c) for c in range(41)), 41)
-_QUAD_DIGITS = np.indices((10,) * 4).reshape(4, -1).T
+# Built from bytes, so that importing allocates no large temporaries.
+_QUAD_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
 #: The digits of 0 to 9999 at the even bytes of a word, pads between.
 _QUADS = np.full((10000, 8), ord(" "), np.uint8)
 _QUADS[:, ::2] = _QUAD_DIGITS + ord("0")
 _QUADS = _QUADS.view("<u8").astype(np.uint64).ravel()
 #: Trailing zeros of 0 to 9999 written with four digits.
-_QUAD_ZEROS = (_QUAD_DIGITS[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
+_QUAD_ZEROS = np.logical_and.accumulate(_QUAD_DIGITS[:, ::-1] == 0,
+                                        axis=1).sum(axis=1)
 del _QUAD_DIGITS
 _LABELS = _words("".join(label.ljust(7) + "\n" for label in CLASS_LABELS))
 

@@ -408,6 +408,18 @@ class TestCsvFloatKernel:
                      -sys.float_info.max, 1.0, -1.0, 0.1, 1e-11, 1e16])
 
 
+def _assert_same_text(got, want):
+    """``got == want``, failing with the first character that differs:
+    pytest's own diff of two scan files' text runs for minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        raise AssertionError(
+            f"character {at} of {len(got)} (want {len(want)}) differs: "
+            f"{got[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
 def _assert_read_back(table, path, fmt="csv"):
     write_table(table, str(path), fmt)
     back = read_scan(str(path))
@@ -430,7 +442,7 @@ class TestFastPathExit:
                                      n=33))
         for name in SCAN_COLUMNS[2:-1]:
             assert not self._on_fast_path(table.rows.columns[name]).any()
-        assert text(render_csv, table) == reference_csv(table)
+        _assert_same_text(text(render_csv, table), reference_csv(table))
         _assert_read_back(table, tmp_path / "scan.csv")
 
     def test_real_diagonal(self, tmp_path):
@@ -438,7 +450,7 @@ class TestFastPathExit:
         columns = table.rows.columns
         assert (columns["det"] == 0.0).all()
         assert np.isnan(columns["curvature"]).all()
-        assert text(render_csv, table) == reference_csv(table)
+        _assert_same_text(text(render_csv, table), reference_csv(table))
         _assert_read_back(table, tmp_path / "diag.csv")
 
     def test_block_of_both_kinds(self, tmp_path):
@@ -446,7 +458,7 @@ class TestFastPathExit:
         fast = np.concatenate([self._on_fast_path(table.rows.columns[name])
                                for name in SCAN_COLUMNS[2:-1]])
         assert fast.any() and not fast.all()
-        assert text(render_csv, table) == reference_csv(table)
+        _assert_same_text(text(render_csv, table), reference_csv(table))
         _assert_read_back(table, tmp_path / "scan.csv")
         values = [0.5, 0.0, math.nan, -1e-300, 2.5e20, -3.25, math.inf,
                   1e-11, 5e-324, 123456789.125]
@@ -454,7 +466,7 @@ class TestFastPathExit:
         for name in SCAN_COLUMNS[2:-1]:
             columns[name] = np.resize(values, len(columns[name]))
         mixed = grid_table(Scan(table.rows.spec, columns))
-        assert text(render_csv, mixed) == reference_csv(mixed)
+        _assert_same_text(text(render_csv, mixed), reference_csv(mixed))
 
     def test_last_block_of_a_4001_point_diagonal(self, tmp_path, capsys):
         assert 4001 % BLOCK_ROWS == 929
@@ -467,8 +479,8 @@ class TestFastPathExit:
         pieces = list(render_csv(table))
         assert pieces[-1].count("\n") == 929
         want = reference_csv(table)
-        assert pieces[-1] == want[-len(pieces[-1]):]
-        assert path.read_text() == want
+        _assert_same_text(pieces[-1], want[-len(pieces[-1]):])
+        _assert_same_text(path.read_text(), want)
         back = read_scan(str(path))
         for name, column in scan.columns.items():
             assert back.rows.columns[name].tobytes() == column.tobytes()
