@@ -28,22 +28,22 @@ import numpy as np
 
 from . import __version__, scan_io
 from .errors import PowergeomError
-from .geometry import CLASS_LABELS, StabilityClass, geometry_report
+from .geometry import CLASS_LABELS, DEGEN_CODE
 from .models import (
     FlowKind,
     PowerModel,
     bus_injections,
+    check_angle,
     load_bus_network,
 )
 from .stability import (
     DEFAULT_BOUNDS,
+    check_finite,
+    evaluate_points,
     locate_transitions,
     scan_diagonal,
     scan_grid,
 )
-
-
-_DEGEN = CLASS_LABELS.index(StabilityClass.DEGENERATE.label)
 
 
 def verify_against_autodiff(*args, **kwargs):
@@ -102,30 +102,11 @@ def _transition_summary(transitions) -> str:
     return "\n".join(lines)
 
 
-def _check_finite(scan) -> None:
-    """Raise ValueError naming the first quantity of ``scan`` that is not
-    finite, and k: a float out of range once scaled is a data error. A
-    nan curvature is the undefined curvature of a DEGEN point."""
-    columns = scan.columns
-    degen = columns["codes"] == _DEGEN
-    for name in ("value", "g11", "g12", "g22", "det", "curvature"):
-        bad = ~np.isfinite(columns[name])
-        if name == "curvature":
-            bad &= ~degen
-        if bad.any():
-            at = int(np.argmax(bad))
-            raise ValueError(
-                f"{name} is {float(columns[name][at])!r} at k = V^2/R0 = "
-                f"{scan.spec.model.k!r} (a1 = {float(columns['a1'][at])!r}, "
-                f"a2 = {float(columns['a2'][at])!r}): the scaled geometry "
-                "is out of float range")
-
-
 def _write_scan(args, scan, to_table, find_transitions: bool) -> int:
     """Write ``to_table(scan)`` to ``--out`` a block of rows at a time and
     report it; a write that fails part way leaves no file behind, and a
     scan with a non-finite quantity writes none."""
-    _check_finite(scan)
+    check_finite(scan.columns, scan.spec.model.k)
     summary = ""
     if find_transitions:  # first, so a rejected threshold writes nothing
         summary = _transition_summary(locate_transitions(
@@ -156,25 +137,16 @@ def _cmd_diagonal(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = _model_from(args)
-    a1 = _angle(args.a1, args.unit)
-    a2 = _angle(args.a2, args.unit)
-    rep = geometry_report(model, (a1, a2))
-    out = {
-        "a1": a1,
-        "a2": a2,
-        "class": rep.classification.label,
-        "value": rep.value,
-        "g11": rep.metric.g11,
-        "g12": rep.metric.g12,
-        "g22": rep.metric.g22,
-        "det": rep.det,
-        "curvature": None if math.isnan(rep.curvature) else rep.curvature,
-    }
-    for name in ("value", "g11", "g12", "g22", "det", "curvature"):
-        x = out[name]
-        if x is not None and not math.isfinite(x):
-            raise ValueError(f"{name} is {x!r} at k = V^2/R0 = {model.k!r}: "
-                             "the scaled geometry is out of float range")
+    a1, a2 = (np.array([check_angle(_angle(a, args.unit))])
+              for a in (args.a1, args.a2))
+    cols = evaluate_points(model, a1, a2)
+    check_finite(cols, model.k)
+    one = {key: col.item() for key, col in cols.items()}
+    code = one.pop("codes")
+    out = {"a1": one.pop("a1"), "a2": one.pop("a2"),
+           "class": CLASS_LABELS[code], **one}
+    if code == DEGEN_CODE:
+        out["curvature"] = None
     print(json.dumps(out, indent=1))
     return 0
 

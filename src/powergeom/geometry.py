@@ -65,7 +65,8 @@ CLASS_ORDER = (StabilityClass.STABLE, StabilityClass.NEGATIVE_DEFINITE,
                StabilityClass.INDEFINITE, StabilityClass.DEGENERATE)
 #: Label of each class code, in code order.
 CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
-_STABLE, _NEGDEF, _INDEF, _DEGEN = range(4)
+#: Class codes in code order; DEGEN_CODE marks a degenerate point.
+_STABLE, _NEGDEF, _INDEF, DEGEN_CODE = range(4)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def geometry_columns(jet: Jet3, k: float) -> dict:
         det = determinant(g11, g12, g22)
         degen = is_degenerate(det)
         codes = np.where(
-            degen, _DEGEN,
+            degen, DEGEN_CODE,
             np.where(det < 0.0, _INDEF,
                      np.where((g11 > 0.0) & (g22 > 0.0), _STABLE, _NEGDEF))
         ).astype(np.int8)

@@ -20,10 +20,13 @@ k = V^2/R0.
 
 Transition location takes the determinant's exact zeros and sign changes
 along every row and column of a grid, or along the diagonal, from the
-det column. It bisects all the sign-change brackets of a scan together
-on the continuous determinant, one determinant column per step from the
-kernel's metric slots alone, and lists curvature magnitudes beyond a
-spike threshold.
+det column, and refuses a det column that is not finite. It bisects all
+the sign-change brackets of a scan together on the continuous unit-scale
+determinant, the one the classes read, one determinant column per step
+from the kernel's metric slots alone. So the roots do not depend on k
+where the det column's signs do not; k enters only what a crossing
+reports, its determinant at scale k, and the bound that goes with it.
+It also lists curvature magnitudes beyond a spike threshold.
 """
 
 from __future__ import annotations
@@ -38,12 +41,15 @@ import numpy as np
 
 from . import backend
 from .errors import BadDomain
-from .geometry import CLASS_LABELS, determinant, geometry_columns
-from .models import HALF_PI, PowerModel
+from .geometry import CLASS_LABELS, DEGEN_CODE, determinant, geometry_columns
+from .models import HALF_PI, FlowKind, PowerModel
 
 DEFAULT_BOUNDS = (-1.55, 1.55)
 DEFAULT_GUARD = 0.02
 BISECT_XTOL = 1e-10
+#: |determinant| within which a bisected root of the unit-scale (k = 1)
+#: determinant may stop; a :class:`TransitionSet` reports it times k^2.
+UNIT_DET_BOUND = 1e-8
 #: Live brackets from which a bisection step evaluates its midpoints in one
 #: ``batch_metric`` call rather than one ``unit_slots`` call each: the
 #: batch costs 80-105 us on 1 to 32 points, ``unit_slots`` about 5.5 us
@@ -86,10 +92,30 @@ def evaluate_points(model: PowerModel, a1: np.ndarray,
     jets at the model's k, plus the ``a1`` and ``a2`` columns themselves.
 
     Point i has the bits of ``geometry_report(model, (a1[i], a2[i]))``.
-    Scans and ``verify-paper`` both evaluate their points here.
+    Scans, ``classify`` and ``verify-paper`` evaluate their points here.
     """
     jets = backend.batch_slots(model.kind, a1, a2)
     return {**geometry_columns(jets, model.k), "a1": a1, "a2": a2}
+
+
+def check_finite(columns: dict[str, np.ndarray], k: float,
+                 names: Sequence[str] = ("value", "g11", "g12", "g22",
+                                         "det", "curvature")) -> None:
+    """Raise ValueError naming the first of the quantities ``names`` of
+    :func:`evaluate_points` columns that is not finite, with its value, k
+    and the point: a float out of range once scaled is a data error. A nan
+    curvature is the undefined curvature of a DEGEN point."""
+    for name in names:
+        bad = ~np.isfinite(columns[name])
+        if name == "curvature":
+            bad &= columns["codes"] != DEGEN_CODE
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise ValueError(
+                f"{name} is {float(columns[name][at])!r} at k = V^2/R0 = "
+                f"{k!r} (a1 = {float(columns['a1'][at])!r}, "
+                f"a2 = {float(columns['a2'][at])!r}): the scaled geometry "
+                "is out of float range")
 
 
 @dataclass(frozen=True)
@@ -196,6 +222,11 @@ class CurvatureSpike:
 
 @dataclass(frozen=True)
 class TransitionSet:
+    """Determinant zeros and curvature spikes of a scan. The zeros are
+    bisected on the unit-scale determinant to :data:`UNIT_DET_BOUND`; each
+    bisected one reports ``det_at_root``, the determinant at scale k at its
+    root, and ``det_bound`` is the unit bound times k^2."""
+
     det_zeros: tuple[DetZeroCrossing, ...]
     curvature_spikes: tuple[CurvatureSpike, ...]
     spike_threshold: float
@@ -204,70 +235,69 @@ class TransitionSet:
     det_evaluations: int  # determinant points the bisection evaluated
 
 
-def _det_at(model: PowerModel, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Metric determinant of a model at the points (a1, a2): per point,
-    the bits of ``determinant(k*f11, k*f12, k*f22)`` of ``unit_slots``.
+def _det_at(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Unit-scale (k = 1) metric determinant of flow ``kind`` at the
+    points (a1, a2), the determinant whose sign the classes read: per
+    point, the bits of ``determinant(f11, f12, f22)`` of ``unit_slots``.
 
     Fewer than ``BISECT_BATCH_MIN`` points go through ``unit_slots`` one
     at a time, more through one ``batch_metric`` call, which gives the
     same bits.
     """
-    kind, k = model.kind, model.k
     if a1.shape[0] < BISECT_BATCH_MIN:
         jets = map(backend.unit_slots, repeat(kind), a1.tolist(), a2.tolist())
-        return np.array([determinant(k * s.f11, k * s.f12, k * s.f22)
-                         for s in jets], dtype=np.float64)
-    f11, f12, f22 = backend.batch_metric(kind, a1, a2)
-    return determinant(k * f11, k * f12, k * f22)
+        return np.array([determinant(s.f11, s.f12, s.f22) for s in jets],
+                        dtype=np.float64)
+    return determinant(*backend.batch_metric(kind, a1, a2))
 
 
 def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, xtol: float,
-            fbound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+            lo: np.ndarray, hi: np.ndarray, neg: np.ndarray, xtol: float,
+            fbound: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Roots of bracketed sign changes, every bracket halved at each step:
-    per bracket (root, bracket width, f(root)), and the midpoints
-    evaluated.
+    per bracket (root, bracket width), and the midpoints evaluated.
 
-    ``f(idx, x)`` is f of bracket ``idx[m]`` at ``x[m]``. A bracket stops
-    when its midpoint no longer splits it, when f is exactly zero there,
-    or once it is within ``xtol`` and its best point within ``fbound``;
-    after 200 halvings at most. Its root is the point of least |f| seen.
+    ``f(idx, x)`` is f of bracket ``idx[m]`` at ``x[m]``, and ``neg`` says
+    whether f is negative at ``lo``; that sign never changes, since lo
+    moves only to a midpoint of the same sign. A bracket stops when its
+    midpoint no longer splits it, when f is exactly zero there, or once it
+    is within ``xtol`` and its best point within ``fbound``; after 200
+    halvings at most. Its root is the midpoint of least |f| seen, ``lo``
+    if none has a finite f.
     """
     n = lo.shape[0]
-    root, width, froot = np.empty(n), np.empty(n), np.empty(n)
+    root, width = np.empty(n), np.empty(n)
     idx = np.arange(n)
-    best_x, best_f = lo, flo
+    best_x, best_f = lo, np.full(n, np.inf)
     evaluations = 0
 
     def retire(keep):
         gone = ~keep
         out = idx[gone]
-        root[out], froot[out] = best_x[gone], best_f[gone]
-        width[out] = hi[gone] - lo[gone]
-        return [a[keep] for a in (idx, lo, hi, flo, best_x, best_f)]
+        root[out], width[out] = best_x[gone], hi[gone] - lo[gone]
+        return [a[keep] for a in (idx, lo, hi, neg, best_x, best_f)]
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         splits = (mid > lo) & (mid < hi)
         if not splits.all():
-            idx, lo, hi, flo, best_x, best_f = retire(splits)
+            idx, lo, hi, neg, best_x, best_f = retire(splits)
             mid = mid[splits]
         if not idx.size:
             break
         fmid = f(idx, mid)
         evaluations += idx.size
-        better = np.abs(fmid) < np.abs(best_f)
+        better = np.abs(fmid) < best_f
         best_x = np.where(better, mid, best_x)
-        best_f = np.where(better, fmid, best_f)
+        best_f = np.where(better, np.abs(fmid), best_f)
         hit = fmid == 0.0
-        same = (flo < 0.0) == (fmid < 0.0)
+        same = neg == (fmid < 0.0)
         lo = np.where(same | hit, mid, lo)
         hi = np.where(same & ~hit, hi, mid)
-        flo = np.where(same, fmid, flo)
-        done = hit | ((hi - lo <= xtol) & (np.abs(best_f) <= fbound))
-        idx, lo, hi, flo, best_x, best_f = retire(~done)
+        done = hit | ((hi - lo <= xtol) & (best_f <= fbound))
+        idx, lo, hi, neg, best_x, best_f = retire(~done)
     retire(np.zeros(idx.shape, dtype=bool))
-    return root, width, froot, evaluations
+    return root, width, evaluations
 
 
 #: The coordinates, (a1, a2), that the position along each kind of scan
@@ -277,7 +307,8 @@ _VARIES = {"row": (True, False), "col": (False, True), "diag": (True, True)}
 def _det_crossings(lines: Sequence[tuple[str, np.ndarray, np.ndarray,
                                          np.ndarray]],
                    det_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   xtol: float, fbound: float
+                   xtol: float, fbound: float,
+                   report: Callable[[np.ndarray, np.ndarray], np.ndarray]
                    ) -> tuple[list[DetZeroCrossing], int]:
     """Determinant zeros along scan lines, and the midpoints evaluated.
 
@@ -287,7 +318,9 @@ def _det_crossings(lines: Sequence[tuple[str, np.ndarray, np.ndarray,
     line, and in order along each line. A sample where the determinant is
     exactly zero is a crossing of width 0. A sign change between nonzero
     neighbours is a bracket; all brackets are bisected together on
-    ``det_at(a1, a2)``, which maps point columns to the determinant column.
+    ``det_at(a1, a2)``, which maps point columns to a determinant column
+    with the signs, not necessarily the scale, of ``dets``. A bisected
+    crossing's ``det_at_root`` is ``report`` at its root, evaluated once.
     """
     parts = []
     for family, (_, levels, positions, dets) in enumerate(lines):
@@ -305,12 +338,14 @@ def _det_crossings(lines: Sequence[tuple[str, np.ndarray, np.ndarray,
     varies = np.array([_VARIES[kind] for kind, *_ in lines])[family[b]]
     vary1, vary2, fixed = varies[:, 0], varies[:, 1], level[b]
 
-    def det_of(idx, x):
-        return det_at(np.where(vary1[idx], x, fixed[idx]),
-                      np.where(vary2[idx], x, fixed[idx]))
+    def point(idx, x):
+        return (np.where(vary1[idx], x, fixed[idx]),
+                np.where(vary2[idx], x, fixed[idx]))
 
-    root[b], width[b], froot[b], evaluations = _bisect(
-        det_of, lo[b], hi[b], flo[b], xtol, fbound)
+    root[b], width[b], evaluations = _bisect(
+        lambda idx, x: det_at(*point(idx, x)), lo[b], hi[b], flo[b] < 0.0,
+        xtol, fbound)
+    froot[b] = report(*point(slice(None), root[b]))
     kinds = [lines[f][0] for f in family.tolist()]
     return (list(map(DetZeroCrossing, kinds, level.tolist(), root.tolist(),
                      width.tolist(), froot.tolist())), evaluations)
@@ -320,17 +355,23 @@ def locate_transitions(scan: Scan,
                        spike_threshold: float | None = None) -> TransitionSet:
     """Determinant zeros (bisected) and curvature spikes of a scan.
 
-    A spike is a finite curvature with |R| above ``spike_threshold``
-    (default 1e6/k), which must be finite and positive.
+    The brackets come from the scan's det column, which must be finite
+    (``ValueError`` otherwise, before any bisection), and are bisected on
+    the unit-scale determinant to ``UNIT_DET_BOUND``. Each bisected
+    crossing reports the determinant at scale k at its root, with the bits
+    the det column would hold there, and ``det_bound`` is the bound at that
+    scale. A spike is a
+    finite curvature with |R| above ``spike_threshold`` (default 1e6/k),
+    which must be finite and positive.
     """
     spec, cols = scan.spec, scan.columns
-    k = spec.model.k
+    kind, k = spec.model.kind, spec.model.k
     if spike_threshold is None:
         spike_threshold = 1e6 / k
     elif not (math.isfinite(spike_threshold) and spike_threshold > 0.0):
         raise ValueError("spike threshold must be finite and > 0, "
                          f"got {spike_threshold!r}")
-    fbound = 1e-8 * k * k
+    check_finite(cols, k, ("det",))
     if spec.command == "scan":
         det = cols["det"].reshape(spec.n, spec.n)  # [i2, i1]
         lines = [("row", spec.a2_axis, spec.a1_axis, det),
@@ -339,7 +380,9 @@ def locate_transitions(scan: Scan,
         lines = [("diag", np.array([math.nan]), cols["a1"],
                   cols["det"][np.newaxis])]
     zeros, evaluations = _det_crossings(
-        lines, partial(_det_at, spec.model), BISECT_XTOL, fbound)
+        lines, partial(_det_at, kind), BISECT_XTOL, UNIT_DET_BOUND,
+        lambda a1, a2: determinant(
+            *(k * f for f in backend.batch_metric(kind, a1, a2))))
 
     curv = cols["curvature"]
     hits = np.flatnonzero(np.isfinite(curv) & (np.abs(curv) > spike_threshold))
@@ -351,5 +394,5 @@ def locate_transitions(scan: Scan,
                          curvature_spikes=spikes,
                          spike_threshold=spike_threshold,
                          bisect_xtol=BISECT_XTOL,
-                         det_bound=fbound,
+                         det_bound=UNIT_DET_BOUND * k * k,
                          det_evaluations=evaluations)

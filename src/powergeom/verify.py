@@ -51,6 +51,7 @@ import numpy as np
 from . import backend, geometry
 from .errors import DegenerateMetric
 from .expressions import PaperQuantity, Powers, poly_sum, quantities_for
+from .geometry import DEGEN_CODE
 from .models import FlowKind, PowerModel
 from .stability import axis_samples, evaluate_points
 
@@ -73,8 +74,6 @@ DEFAULT_BOUNDS = (-1.4, 1.4)
 #: was 1.7 MB (4.7%) above one draw at a time. One chunk's jets fit in
 #: one ``backend.BLOCK``.
 CHUNK = 2048
-
-_DEGEN_CODE = geometry.CLASS_ORDER.index(geometry.StabilityClass.DEGENERATE)
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def _autodiff_columns(target: str, kind: FlowKind, a1: np.ndarray,
     ``eval_power_jet(PowerModel(kind), a1[i], a2[i])``."""
     if target == "curvature":
         cols = evaluate_points(PowerModel(kind), a1, a2)
-        return cols["curvature"], cols["codes"] != _DEGEN_CODE
+        return cols["curvature"], cols["codes"] != DEGEN_CODE
     g11, g12, g22 = backend.batch_metric(kind, a1, a2)
     values = {"g11": g11, "g12": g12, "g22": g22}.get(target)
     if values is None:
@@ -328,7 +327,7 @@ def _diagonal_identities(kind: FlowKind) -> tuple[dict[str, float], tuple[str, .
             "diagonal point is degenerate; a banded nonzero diagonal "
             "determinant profile is not a property of this surface")
     elif kind is FlowKind.IMAGINARY:
-        degenerate = np.flatnonzero(cols["codes"] == _DEGEN_CODE)
+        degenerate = np.flatnonzero(cols["codes"] == DEGEN_CODE)
         if degenerate.size:
             i = int(degenerate[0])
             raise DegenerateMetric(

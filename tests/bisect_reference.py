@@ -15,12 +15,16 @@ from typing import Callable, Sequence
 from powergeom import backend
 from powergeom.geometry import determinant
 from powergeom.models import PowerModel
-from powergeom.stability import BISECT_XTOL, DetZeroCrossing
+from powergeom.stability import (BISECT_XTOL, UNIT_DET_BOUND,
+                                 DetZeroCrossing)
 
 
-def det_function(model: PowerModel) -> Callable[[float, float], float]:
-    """Continuous metric determinant of a model at one point."""
-    kind, k = model.kind, model.k
+def det_function(model: PowerModel,
+                 k: float = 1.0) -> Callable[[float, float], float]:
+    """Continuous metric determinant of a model's flow at one point, of
+    the metric scaled by ``k``: by default the unit-scale determinant the
+    bisection runs on, and at the model's k the one a root reports."""
+    kind = model.kind
 
     def det_at(a1: float, a2: float) -> float:
         s = backend.unit_slots(kind, a1, a2)
@@ -30,36 +34,39 @@ def det_function(model: PowerModel) -> Callable[[float, float], float]:
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float,
-           flo: float, xtol: float, fbound: float) -> tuple[float, float, float]:
-    """Root of a bracketed sign change: (root, bracket width, f(root)).
+           neg: bool, xtol: float, fbound: float) -> tuple[float, float]:
+    """Root of a bracketed sign change, with f negative at ``lo`` when
+    ``neg``: (root, bracket width).
 
     Bisects to the width tolerance, then keeps halving while the best
-    endpoint still misses ``fbound`` and the bracket can shrink.
+    midpoint still misses ``fbound`` and the bracket can shrink. The root
+    is ``lo`` until a midpoint has a finite f.
     """
-    best_x, best_f = lo, flo
+    best_x, best_f = lo, math.inf
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
         fmid = f(mid)
-        if abs(fmid) < abs(best_f):
-            best_x, best_f = mid, fmid
+        if abs(fmid) < best_f:
+            best_x, best_f = mid, abs(fmid)
         if fmid == 0.0:
             lo = hi = mid
             break
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
+        if neg == (fmid < 0.0):
+            lo = mid
         else:
             hi = mid
-        if hi - lo <= xtol and abs(best_f) <= fbound:
+        if hi - lo <= xtol and best_f <= fbound:
             break
-    return best_x, hi - lo, best_f
+    return best_x, hi - lo
 
 
 def line_crossings(line: str, level: float, positions: Sequence[float],
                    dets: Sequence[float], f: Callable[[float], float],
-                   xtol: float, fbound: float) -> list[DetZeroCrossing]:
-    """Exact zeros and bisected sign changes of one scan line, in order."""
+                   report: Callable[[float], float]) -> list[DetZeroCrossing]:
+    """Exact zeros and bisected sign changes of one scan line, in order:
+    brackets are bisected on ``f`` and report ``report`` at their root."""
     out = []
     for i in range(len(positions) - 1):
         d0, d1 = dets[i], dets[i + 1]
@@ -69,9 +76,10 @@ def line_crossings(line: str, level: float, positions: Sequence[float],
         if d1 == 0.0:
             continue  # recorded as the left endpoint of the next pair
         if (d0 < 0.0) != (d1 < 0.0):
-            root, width, froot = bisect(f, positions[i], positions[i + 1],
-                                        d0, xtol, fbound)
-            out.append(DetZeroCrossing(line, level, root, width, froot))
+            root, width = bisect(f, positions[i], positions[i + 1],
+                                 d0 < 0.0, BISECT_XTOL, UNIT_DET_BOUND)
+            out.append(DetZeroCrossing(line, level, root, width,
+                                       report(root)))
     if dets[-1] == 0.0:
         out.append(DetZeroCrossing(line, level, positions[-1], 0.0, 0.0))
     return out
@@ -82,15 +90,14 @@ def reference_crossings(scan) -> tuple[list[DetZeroCrossing], int]:
     (rows, then columns, of a grid, or the diagonal) and the number of
     points their bisection evaluates."""
     spec = scan.spec
-    k = spec.model.k
-    fbound = 1e-8 * k * k
-    det_point = det_function(spec.model)
+    unit, scaled = det_function(spec.model), det_function(spec.model,
+                                                          spec.model.k)
     evaluations = 0
 
     def det_at(a1: float, a2: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return det_point(a1, a2)
+        return unit(a1, a2)
 
     cols = scan.columns
     zeros: list[DetZeroCrossing] = []
@@ -101,13 +108,15 @@ def reference_crossings(scan) -> tuple[list[DetZeroCrossing], int]:
         for level, dets in zip(ax2, det.tolist()):
             zeros.extend(line_crossings(
                 "row", level, ax1, dets,
-                lambda x, lev=level: det_at(x, lev), BISECT_XTOL, fbound))
+                lambda x, lev=level: det_at(x, lev),
+                lambda x, lev=level: scaled(x, lev)))
         for level, dets in zip(ax1, det.T.tolist()):
             zeros.extend(line_crossings(
                 "col", level, ax2, dets,
-                lambda y, lev=level: det_at(lev, y), BISECT_XTOL, fbound))
+                lambda y, lev=level: det_at(lev, y),
+                lambda y, lev=level: scaled(lev, y)))
     else:
         zeros.extend(line_crossings(
             "diag", math.nan, cols["a1"].tolist(), cols["det"].tolist(),
-            lambda a: det_at(a, a), BISECT_XTOL, fbound))
+            lambda a: det_at(a, a), lambda a: scaled(a, a)))
     return zeros, evaluations

@@ -1,25 +1,31 @@
 """Command-line interface: exit codes, files, determinism, units."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powergeom
 from powergeom import backend, cli
 from powergeom.cli import main
 from powergeom.geometry import CLASS_LABELS, geometry_report
-from powergeom.models import FlowKind, PowerModel
+from powergeom.models import DOMAIN_GUARD, HALF_PI, FlowKind, PowerModel
 from powergeom.scan_io import format_float, read_scan_csv
-from powergeom.stability import scan_diagonal
+from powergeom.stability import DEFAULT_GUARD, scan_diagonal
 
 
 def run(argv, capsys):
@@ -280,8 +286,8 @@ class TestClassify:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
-            "error: det is nan at k = V^2/R0 = 1e+154: the scaled geometry "
-            "is out of float range"]
+            "error: det is nan at k = V^2/R0 = 1e+154 (a1 = 1.5, a2 = -1.5): "
+            "the scaled geometry is out of float range"]
 
     @pytest.mark.parametrize("flow", ["real", "imaginary", "complex"])
     @pytest.mark.parametrize("v", ["1", "1e50"])
@@ -762,3 +768,97 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         assert here[0] == code, argv
         assert here == (proc.returncode, proc.stdout, proc.stderr), argv
         assert written == (out.read_bytes() if out.exists() else None)
+
+
+def _bits_to_double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Doubles across the whole range: any float hypothesis draws (nan, the
+#: infinities and subnormals among them), random bit patterns, a mantissa
+#: times any power of ten, +-0, the extremes, and a few ulps about +-pi/2
+#: and the two pole guards.
+_ANY_DOUBLE = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(_bits_to_double),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99),
+              st.integers(-323, 308)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.builds(lambda c, j: c + j * math.ulp(c),
+              st.sampled_from([sign * (HALF_PI - guard) for sign in (1, -1)
+                               for guard in (0.0, DOMAIN_GUARD,
+                                             DEFAULT_GUARD)]),
+              st.integers(-3, 3)),
+)
+
+
+def _double(ordinary):
+    """One float argument as Python prints it: one time in five any
+    double, else a draw of ``ordinary``, so that many calls succeed."""
+    return st.integers(0, 4).flatmap(
+        lambda i: _ANY_DOUBLE if i == 0 else ordinary).map(repr)
+
+
+@st.composite
+def _any_call(draw):
+    """A ``cli.main`` argv for ``classify``, ``scan``, ``diagonal`` or
+    ``verify-paper``, and the scan file format, or None where no file is
+    written."""
+    verb = draw(st.sampled_from(["classify", "scan", "diagonal",
+                                 "verify-paper"]))
+    # V and R0 near 1, over many decades, and about 1e75, where k^2 times
+    # the metric's products nears the float limit
+    scale = _double(st.one_of(
+        st.floats(0.1, 10.0),
+        st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                  st.integers(-77, 77)),
+        st.floats(1e74, 1e77)))
+    argv = [verb, "--model", draw(st.sampled_from(["real", "imaginary",
+                                                   "complex"])),
+            f"--v={draw(scale)}", f"--r0={draw(scale)}"]
+    if verb == "verify-paper":
+        return argv + ["--samples", str(draw(st.integers(1, 3)))], None
+    argv.append(f"--unit={draw(st.sampled_from(['rad', 'deg']))}")
+    if verb == "classify":
+        angle = _double(st.floats(-1.56, 1.56))
+        return argv + [f"--a1={draw(angle)}", f"--a2={draw(angle)}"], None
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    lo, hi = _double(st.floats(-1.5, -0.01)), _double(st.floats(0.0, 1.5))
+    argv += [f"--n={draw(st.integers(2, 9))}", f"--format={fmt}",
+             f"--min={draw(lo)}", f"--max={draw(hi)}"]
+    if verb == "scan":
+        argv += [f"--min2={draw(lo)}", f"--max2={draw(hi)}"]
+    if draw(st.booleans()):
+        argv.append(f"--spike-threshold={draw(_double(st.floats(1e-3, 1e9)))}")
+    return argv, fmt
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(call=_any_call())
+def test_cli_contract_at_any_double(call):
+    """Whatever the doubles, a call exits 0, 1 or 2, and exit 1 prints
+    exactly one ``error:`` line; no exception escapes and no warning is
+    raised; ``classify``'s output, the ``verify-paper`` report and JSON
+    scan files are strict JSON."""
+    argv, fmt = call
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, f"scan.{fmt}")
+        if fmt:
+            argv = [*argv, "--out", out]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert stderr.getvalue().startswith("error: "), argv
+            assert stderr.getvalue().count("\n") == 1, argv
+        if code != 0:
+            return
+        if fmt == "json":
+            with open(out, encoding="utf-8") as fh:
+                _strict_json(fh.read())
+        elif fmt is None:
+            _strict_json(stdout.getvalue())

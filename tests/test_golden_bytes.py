@@ -144,17 +144,17 @@ ROOTS_GOLDEN = {
     ("real", "diagonal"): (401, "818d0eefd026fe6b83515e80c9db39d0a57e070ffacae556964cb2416dfab629"),
     ("imaginary", "grid"): (400, "3195ebf2bef4c148934fabe7963666a05a388ca28c2c6a1c842422bf817f7e09"),
     ("imaginary", "diagonal"): (1, "1c540ebbbb3dc674f922feea387141093be29c06640e230b0208974160f2a903"),
-    ("complex", "grid"): (442, "777bc429a40c9f3eec0728ee01ef61cf93f83e31b589abf42724ac1ea997fb15"),
+    ("complex", "grid"): (442, "2bb93b288d162406ee2cab4a9a6a24cb2ef41fe8590d670040b4b5746b3d02b7"),
     ("complex", "diagonal"): (1, "1c540ebbbb3dc674f922feea387141093be29c06640e230b0208974160f2a903"),
-    ("imaginary", "box"): (324, "776bc830c8ea582d3b9ddadd8766bb30b8e8f9c5320386060c9dbfd373ada42f"),
-    ("complex", "box"): (393, "26505c453790c38189f300637a2d9f367fcf40844f0496ac980e37b3046e9f55"),
+    ("imaginary", "box"): (324, "a229e2485d2477f43582223ce59e3f51bf7773d39d06f480cd8a98b3a8746156"),
+    ("complex", "box"): (393, "9cbbd3dceb718615704a1d3304d4c29b1c823bbfde836040780a66f390824528"),
     ("real", "box"): (69, "3d50e9258d22434a6b657d71958328693b912643d8202dc3fa7c56a0c312ec94"),
 }
 
 #: (V, R0, a1 bounds, a2 bounds) of the "box" scans. Their rows and
 #: columns have different cell widths, so brackets take different numbers
 #: of halvings. The imaginary box has 2 roots that miss ``det_bound``; the
-#: complex box (k about 0.21) has 9 such roots and 2 exact zeros; the real
+#: complex box (k about 0.21) has 11 such roots and 2 exact zeros; the real
 #: box has 2 exact zeros.
 ROOT_BOXES = {
     "imaginary": (1.3, 0.7, (-1.5, -0.85), (-1.5, 0.4)),

@@ -1,11 +1,12 @@
 """Scans, classification, and transition location."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisect_reference import reference_crossings
@@ -271,7 +272,7 @@ def diagonal_crossings(field, positions):
     a = np.array(positions)
     zeros, _ = _det_crossings([("diag", np.array([math.nan]), a,
                                 det_at(a, a)[np.newaxis])],
-                              det_at, BISECT_XTOL, 1e-8)
+                              det_at, BISECT_XTOL, 1e-8, det_at)
     return zeros
 
 
@@ -366,6 +367,50 @@ class TestLocateTransitions:
             with pytest.raises(ValueError, match=f"got {bad!r}"):
                 locate_transitions(scan, spike_threshold=bad)
 
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_a_non_finite_det_column_is_refused(self, kind):
+        """At k = 1e153 the scaled determinant overflows near the poles:
+        the first nan or inf det is named, with k and its point, before
+        any bisection."""
+        model = PowerModel(kind, v=1e76, r0=0.1)
+        for scan in (scan_grid(model, n=64), scan_diagonal(model, n=4001)):
+            det, a1, a2 = (scan.columns[key] for key in ("det", "a1", "a2"))
+            at = int(np.argmax(~np.isfinite(det)))
+            assert not math.isfinite(det[at])
+            message = (f"det is {float(det[at])!r} at k = V^2/R0 = "
+                       f"{model.k!r} (a1 = {float(a1[at])!r}, "
+                       f"a2 = {float(a2[at])!r}): the scaled geometry is "
+                       "out of float range")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                locate_transitions(scan)
+
+    def test_crossings_come_from_the_written_det_column(self):
+        """Crossing events are the written det column's exact zeros and
+        sign changes between nonzero neighbours, rows then columns, as a
+        reader of the scan file counts them. At (1.5, 1.4999999999999998)
+        of this real-flow tile the unit determinant cancels to exactly 0.0,
+        so the point is DEGEN, yet its written det is 1.52587890625e-05:
+        events taken from the class codes would count other crossings."""
+        model = PowerModel(FlowKind.REAL, v=1.9958212043420633,
+                           r0=1.1393733799817543)
+        n = 64
+        scan = scan_grid(model, (-0.1650852405725588, 1.5),
+                         (-0.4913465889749535, 1.5), n=n)
+        cols = scan.columns
+        assert (cols["a1"][-1], cols["a2"][-1]) == (1.5, 1.4999999999999998)
+        assert CLASS_ORDER[cols["codes"][-1]] is StabilityClass.DEGENERATE
+        assert cols["det"][-1] == 1.52587890625e-05
+
+        def events(dets):
+            zero, neg = dets == 0.0, dets < 0.0
+            return int(zero.sum() + (~zero[:-1] & ~zero[1:]
+                                     & (neg[:-1] != neg[1:])).sum())
+
+        det = cols["det"].reshape(n, n)
+        expected = sum(map(events, [*det, *det.T]))
+        assert expected == 201
+        assert len(locate_transitions(scan).det_zeros) == expected
+
 
 #: Scales from 1e-6 to 1e6: a mantissa times a power of ten, or an end.
 _DECADES = st.one_of(
@@ -378,19 +423,24 @@ class TestClassificationInvariance:
     @settings(max_examples=90, deadline=None, derandomize=True)
     @given(flow=st.sampled_from(list(FlowKind)), v=_DECADES, r0=_DECADES,
            n=st.integers(2, 24), diagonal=st.booleans())
+    @example(flow=FlowKind.COMPLEX, v=1.3, r0=0.7, n=64, diagonal=False)
     def test_classes_and_crossings_do_not_depend_on_k(self, flow, v, r0, n,
                                                       diagonal):
         """The stability class is a sign pattern of a metric that goes as
-        k = V^2/R0: at any V and R0 in 1e-6...1e6 a scan's class codes and
-        determinant-zero crossing count are those at k = 1."""
+        k = V^2/R0: at any V and R0 in 1e-6...1e6 a scan's class codes are
+        those at k = 1. Its crossings are bisected on the unit determinant,
+        so each one's line, level, root and bracket, and the determinant
+        evaluations, are those at k = 1 bit for bit."""
         def scan(model):
             return (scan_diagonal(model, n=n) if diagonal
                     else scan_grid(model, n=n))
 
         unit, scaled = scan(PowerModel(flow)), scan(PowerModel(flow, v, r0))
         assert (scaled.columns["codes"] == unit.columns["codes"]).all()
-        assert (len(locate_transitions(scaled).det_zeros)
-                == len(locate_transitions(unit).det_zeros))
+        at_unit, at_k = locate_transitions(unit), locate_transitions(scaled)
+        assert ([bits[:4] for bits in _crossing_bits(at_k.det_zeros)]
+                == [bits[:4] for bits in _crossing_bits(at_unit.det_zeros)])
+        assert at_k.det_evaluations == at_unit.det_evaluations
 
     @pytest.mark.parametrize("n", [33, 64, 256])
     def test_transpose_relations(self, n):
