@@ -22,24 +22,15 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-
-import numpy as np
 
 from . import __version__, scan_io
 from .errors import PowergeomError
-from .geometry import CLASS_LABELS, DEGEN_CODE
-from .models import (
-    FlowKind,
-    PowerModel,
-    bus_injections,
-    check_angle,
-    load_bus_network,
-)
+from .geometry import StabilityClass, check_finite, geometry_report
+from .models import FlowKind, PowerModel, bus_injections, load_bus_network
 from .stability import (
     DEFAULT_BOUNDS,
-    check_finite,
-    evaluate_points,
     locate_transitions,
     scan_diagonal,
     scan_grid,
@@ -136,17 +127,14 @@ def _cmd_diagonal(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    model = _model_from(args)
-    a1, a2 = (np.array([check_angle(_angle(a, args.unit))])
-              for a in (args.a1, args.a2))
-    cols = evaluate_points(model, a1, a2)
-    check_finite(cols, model.k)
-    one = {key: col.item() for key, col in cols.items()}
-    code = one.pop("codes")
-    out = {"a1": one.pop("a1"), "a2": one.pop("a2"),
-           "class": CLASS_LABELS[code], **one}
-    if code == DEGEN_CODE:
-        out["curvature"] = None
+    report = geometry_report(_model_from(args), (_angle(args.a1, args.unit),
+                                                 _angle(args.a2, args.unit)))
+    metric, cls = report.metric, report.classification
+    out = {"a1": report.point[0], "a2": report.point[1], "class": cls.label,
+           "value": report.value, "g11": metric.g11, "g12": metric.g12,
+           "g22": metric.g22, "det": report.det,
+           "curvature": (None if cls is StabilityClass.DEGENERATE
+                         else report.curvature)}
     print(json.dumps(out, indent=1))
     return 0
 
@@ -194,7 +182,15 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _check_out(out: str | None, source: str) -> None:
+    """Refuse an ``--out`` that names the command's input file, by any
+    path, before the input is read: writing it would replace the input."""
+    if out and os.path.exists(out) and os.path.samefile(out, source):
+        raise ValueError(f"--out {out} is the input file {source}")
+
+
 def _cmd_bus_power(args) -> int:
+    _check_out(args.out, args.network)
     net = load_bus_network(args.network)
     injections = bus_injections(net)
     if args.format == "csv":
@@ -218,6 +214,7 @@ def _cmd_bus_power(args) -> int:
 
 
 def _cmd_plot_script(args) -> int:
+    _check_out(args.out, args.scan)
     out = scan_io.emit_plot_script(args.scan, field=args.field,
                                    out_path=args.out)
     print(f"wrote {out}")

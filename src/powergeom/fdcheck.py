@@ -9,16 +9,17 @@ derivative) and rounding (1e-45 amplified by at most h^-3) both sit near
 
 The surfaces depend on the angles through ``u = tan a1 - tan a2`` only.
 ``tan a`` comes once per axis from the sin and cos Taylor series, and each
-shifted abscissa from ``tan(a + s) = (tan a + tan s) / (1 - tan a tan s)``;
-the stencil points share them, through a small cache keyed by the angle.
+shifted abscissa from ``tan(a + s) = (tan a + tan s) / (1 - tan a tan s)``.
 The slots' stencils visit 13 points of the integer offset lattice. At
 each, ``u`` and ``1 + u*u`` are computed once, and the three flows'
 surfaces from them (:func:`~powergeom.models.unit_surfaces`). Each slot's
 stencil is a fixed table of (offset, weight) terms over the lattice,
 summed in the order :func:`central_difference` sums them, so it gives the
-same bits. :func:`max_jet_deviations` takes every flow the caller asks
-for in one call, so a point's lattice serves all of them; no lattice or
-slot is kept from one call to the next.
+same bits. :func:`max_jet_deviations` checks all three flows in one call,
+so a point's lattice serves all of them. No lattice or slot is kept from
+one call to the next; only the shifted tangents of the last 256 angles
+are, so a call that repeats the points of an earlier one (a second
+``verify-self`` in one process, say) skips their series.
 
 This is test machinery that ships with the package so ``verify-self`` can
 rerun it anywhere. Only the self-check imports it, so the CLI does not
@@ -96,7 +97,8 @@ with localcontext(_CONTEXT):
 @functools.lru_cache(maxsize=256)
 def _axis_tans(a: float) -> dict[int, Decimal]:
     """{o: tan(a + o * STEP)} over the stencil offsets, from one series
-    for tan a. Cached for the three flows at a point; callers only read it.
+    for tan a. Within one call each angle is read once; the cache serves
+    later calls at the same angles. Callers only read the dict.
     """
     with localcontext(_CONTEXT):
         t = decimal_tan(Decimal(a))
@@ -134,12 +136,12 @@ with localcontext(_CONTEXT):
 _ZERO = Decimal(0)
 
 
-def _oracles(kinds: Sequence[FlowKind], a1: float,
-             a2: float) -> list[list[float]]:
+def _oracles(a1: float, a2: float) -> list[list[float]]:
     """Each flow's ten unit-scale slots at (a1, a2) from central
-    differences: :func:`unit_surfaces` once per lattice point for all the
-    flows, then each slot's stencil on the flow's surface, which gives it
-    the bits of :func:`central_difference` on it.
+    differences, in :class:`FlowKind` order: :func:`unit_surfaces` once
+    per lattice point for all the flows, then each slot's stencil on the
+    flow's surface, which gives it the bits of :func:`central_difference`
+    on it.
 
     Each sum starts from zero and adds its terms in order, as
     :func:`central_difference` does; a weight of 1 or -1 is an add or a
@@ -149,7 +151,7 @@ def _oracles(kinds: Sequence[FlowKind], a1: float,
     with localcontext(_CONTEXT):
         lattice = [unit_surfaces(t1[o1] - t2[o2]) for o1, o2 in _LATTICE]
         flows = []
-        for kind in kinds:
+        for kind in FlowKind:
             flow = FLOW_INDEX[kind]
             surface = [values[flow] for values in lattice]
             slots = []
@@ -167,13 +169,7 @@ def _oracles(kinds: Sequence[FlowKind], a1: float,
         return flows
 
 
-def _oracle(kind: FlowKind, a1: float, a2: float) -> Jet3:
-    """The flow's ten unit-scale slots at (a1, a2), from :func:`_oracles`."""
-    return Jet3(*_oracles((kind,), a1, a2)[0])
-
-
-def max_jet_deviations(kinds: Sequence[FlowKind],
-                       points: Sequence[tuple[float, float]]
+def max_jet_deviations(points: Sequence[tuple[float, float]]
                        ) -> dict[FlowKind, tuple[float, dict]]:
     """Worst slot deviation between each flow's unit-scale jets and oracle.
 
@@ -188,12 +184,12 @@ def max_jet_deviations(kinds: Sequence[FlowKind],
     left as it was.
     """
     if not points:
-        return {kind: (0.0, {}) for kind in kinds}
+        return {kind: (0.0, {}) for kind in FlowKind}
     a1s = np.array([check_angle(a1) for a1, _ in points], dtype=np.float64)
     a2s = np.array([check_angle(a2) for _, a2 in points], dtype=np.float64)
-    oracles = [_oracles(kinds, a1, a2) for a1, a2 in points]
+    oracles = [_oracles(a1, a2) for a1, a2 in points]
     out = {}
-    for f, kind in enumerate(kinds):
+    for f, kind in enumerate(FlowKind):
         got = np.column_stack(backend.batch_slots(kind, a1s, a2s))
         want = np.array([flows[f] for flows in oracles], dtype=np.float64)
         dev = np.abs(got - want) / np.maximum(1.0, np.abs(want))
@@ -205,8 +201,3 @@ def max_jet_deviations(kinds: Sequence[FlowKind],
         out[kind] = worst, info
     return out
 
-
-def max_jet_deviation(kind: FlowKind,
-                      points: Sequence[tuple[float, float]]) -> tuple[float, dict]:
-    """:func:`max_jet_deviations` of the one flow."""
-    return max_jet_deviations((kind,), points)[kind]

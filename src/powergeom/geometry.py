@@ -13,7 +13,8 @@ unit-scale (k = 1) jet columns ``backend.batch_slots`` returns, which it
 scales in place. The class is a sign pattern of a metric that goes as k,
 so it is read off the unit jet, degenerate where the unit determinant is
 exactly zero. :func:`geometry_report` runs it on one point's one-element
-columns, and the scans on whole columns.
+columns, and the scans on whole columns; :func:`check_finite` refuses
+the columns of either where a scaled quantity is out of float range.
 
 :func:`scalar_curvature_oracle` is the independent check of the closed
 form. It assembles Christoffel symbols of the first kind (half the third
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -51,13 +53,6 @@ class StabilityClass(enum.Enum):
     @property
     def label(self) -> str:
         return self.value
-
-    @classmethod
-    def from_label(cls, label: str) -> "StabilityClass":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown stability class label {label!r}")
 
 
 #: Stability classes in code order: code i of a scan column is CLASS_ORDER[i].
@@ -187,13 +182,37 @@ def geometry_columns(jet: Jet3, k: float) -> dict:
             "det": det, "curvature": curvature, "codes": codes}
 
 
+def check_finite(columns: dict[str, np.ndarray], k: float,
+                 names: Sequence[str] = ("value", "g11", "g12", "g22",
+                                         "det", "curvature")) -> None:
+    """Raise ValueError naming the first of the quantities ``names`` that
+    is not finite, with its value, k and point. ``columns`` are
+    :func:`geometry_columns` columns plus the points' ``a1`` and ``a2``.
+    A float out of range once scaled is a data error; a nan curvature is
+    the undefined curvature of a DEGEN point."""
+    for name in names:
+        bad = ~np.isfinite(columns[name])
+        if name == "curvature":
+            bad &= columns["codes"] != DEGEN_CODE
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise ValueError(
+                f"{name} is {float(columns[name][at])!r} at k = V^2/R0 = "
+                f"{k!r} (a1 = {float(columns['a1'][at])!r}, "
+                f"a2 = {float(columns['a2'][at])!r}): the scaled geometry "
+                "is out of float range")
+
+
 def geometry_report(model: models.PowerModel,
                     point: tuple[float, float]) -> GeometryReport:
     """Metric, determinant, curvature (nan if degenerate) and class: the
-    :func:`geometry_columns` of the point's one-element columns."""
+    :func:`geometry_columns` of the point's one-element columns, which
+    :func:`check_finite` accepts (``ValueError`` otherwise)."""
     a1, a2 = models.check_angle(point[0]), models.check_angle(point[1])
     unit = backend.unit_slots(model.kind, a1, a2)
-    cols = geometry_columns(Jet3(*map(np.atleast_1d, unit)), model.k)
+    cols = {**geometry_columns(Jet3(*map(np.atleast_1d, unit)), model.k),
+            "a1": np.array([a1]), "a2": np.array([a2])}
+    check_finite(cols, model.k)
     one = {key: col.item() for key, col in cols.items()}
     return GeometryReport(
         metric=Metric2(one["g11"], one["g12"], one["g22"], (a1, a2)),

@@ -38,6 +38,7 @@ import contextlib
 import json
 import os
 import re
+import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -55,7 +56,7 @@ FORMAT_TAG = "powergeom-scan-v1"
 
 #: ``n`` as the writers write it: >= 2, in at most 18 digits for ``int``.
 _COUNT = re.compile("[2-9]|[1-9][0-9]{1,17}")
-#: Bytes of a file the readers take its metadata from; a writer's
+#: Bytes of a file the reader takes its metadata from; a writer's
 #: metadata head is a few hundred.
 _HEAD_BYTES = 1 << 16
 #: The shortest CSV row: eight 1-character numbers, eight commas, a
@@ -406,7 +407,8 @@ def render_json(table: ScanTable) -> Iterator[str]:
 
 def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
     """Write ``table`` to ``path`` block by block; a write that fails
-    part way removes the file rather than leave it truncated."""
+    part way removes the file rather than leave it truncated, if it is a
+    regular file (a pipe or a device stays)."""
     if fmt == "csv":
         pieces = render_csv(table)
     elif fmt == "json":
@@ -418,9 +420,11 @@ def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
             for piece in pieces:
                 fh.write(piece)
         except BaseException:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             fh.close()
-            with contextlib.suppress(OSError):
-                os.remove(path)
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
             raise
 
 
@@ -549,14 +553,6 @@ def _read(path: str, is_json: bool) -> ScanTable:
                          f"what {metadata['command']} writes for its metadata")
 
 
-def read_scan_csv(path: str) -> ScanTable:
-    return _read(path, False)
-
-
-def read_scan_json(path: str) -> ScanTable:
-    return _read(path, True)
-
-
 def _is_json(path: str) -> bool:
     """Whether a scan file is JSON: its first byte is ``{``. CSV scans
     start with ``#``."""
@@ -648,7 +644,7 @@ def emit_plot_script(scan_path: str, field: str = "det",
     if _is_json(scan_path):
         raise SchemaMismatch(
             f"{scan_path}: is a JSON scan; plot-script needs a CSV scan")
-    read_scan_csv(scan_path)  # validates schema and format tag
+    _read(scan_path, False)  # validates schema and format tag
     if out_path is None:
         out_path = scan_path + f".plot_{field}.py"
     rel = os.path.relpath(os.path.abspath(scan_path),

@@ -47,8 +47,7 @@ def _points(seed: int, n: int):
 
 
 def _check_jets_vs_differences(samples: int, seed: int) -> CheckResult:
-    deviations = max_jet_deviations(tuple(FlowKind),
-                                    _points(seed, min(samples, 100)))
+    deviations = max_jet_deviations(_points(seed, min(samples, 100)))
     # np.max, unlike max, keeps a NaN deviation, which fails the check
     worst = float(np.max([dev for dev, _ in deviations.values()]))
     return CheckResult(

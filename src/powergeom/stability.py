@@ -41,7 +41,7 @@ import numpy as np
 
 from . import backend
 from .errors import BadDomain
-from .geometry import CLASS_LABELS, DEGEN_CODE, determinant, geometry_columns
+from .geometry import check_finite, determinant, geometry_columns
 from .models import HALF_PI, FlowKind, PowerModel
 
 DEFAULT_BOUNDS = (-1.55, 1.55)
@@ -92,30 +92,10 @@ def evaluate_points(model: PowerModel, a1: np.ndarray,
     jets at the model's k, plus the ``a1`` and ``a2`` columns themselves.
 
     Point i has the bits of ``geometry_report(model, (a1[i], a2[i]))``.
-    Scans, ``classify`` and ``verify-paper`` evaluate their points here.
+    Scans and ``verify-paper`` evaluate their points here.
     """
     jets = backend.batch_slots(model.kind, a1, a2)
     return {**geometry_columns(jets, model.k), "a1": a1, "a2": a2}
-
-
-def check_finite(columns: dict[str, np.ndarray], k: float,
-                 names: Sequence[str] = ("value", "g11", "g12", "g22",
-                                         "det", "curvature")) -> None:
-    """Raise ValueError naming the first of the quantities ``names`` of
-    :func:`evaluate_points` columns that is not finite, with its value, k
-    and the point: a float out of range once scaled is a data error. A nan
-    curvature is the undefined curvature of a DEGEN point."""
-    for name in names:
-        bad = ~np.isfinite(columns[name])
-        if name == "curvature":
-            bad &= columns["codes"] != DEGEN_CODE
-        if bad.any():
-            at = int(np.argmax(bad))
-            raise ValueError(
-                f"{name} is {float(columns[name][at])!r} at k = V^2/R0 = "
-                f"{k!r} (a1 = {float(columns['a1'][at])!r}, "
-                f"a2 = {float(columns['a2'][at])!r}): the scaled geometry "
-                "is out of float range")
 
 
 @dataclass(frozen=True)
@@ -174,10 +154,6 @@ class Scan:
 
     def __len__(self) -> int:
         return len(self.columns["codes"])
-
-    def class_labels(self) -> list[str]:
-        return list(map(CLASS_LABELS.__getitem__,
-                        self.columns["codes"].tolist()))
 
 
 def evaluate_scan(spec: ScanSpec) -> Scan:
@@ -252,8 +228,8 @@ def _det_at(kind: FlowKind, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 
 
 def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            lo: np.ndarray, hi: np.ndarray, neg: np.ndarray, xtol: float,
-            fbound: float) -> tuple[np.ndarray, np.ndarray, int]:
+            lo: np.ndarray, hi: np.ndarray,
+            neg: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Roots of bracketed sign changes, every bracket halved at each step:
     per bracket (root, bracket width), and the midpoints evaluated.
 
@@ -261,9 +237,9 @@ def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     whether f is negative at ``lo``; that sign never changes, since lo
     moves only to a midpoint of the same sign. A bracket stops when its
     midpoint no longer splits it, when f is exactly zero there, or once it
-    is within ``xtol`` and its best point within ``fbound``; after 200
-    halvings at most. Its root is the midpoint of least |f| seen, ``lo``
-    if none has a finite f.
+    is within :data:`BISECT_XTOL` and its best point within
+    :data:`UNIT_DET_BOUND`; after 200 halvings at most. Its root is the
+    midpoint of least |f| seen, ``lo`` if none has a finite f.
     """
     n = lo.shape[0]
     root, width = np.empty(n), np.empty(n)
@@ -294,7 +270,7 @@ def _bisect(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         same = neg == (fmid < 0.0)
         lo = np.where(same | hit, mid, lo)
         hi = np.where(same & ~hit, hi, mid)
-        done = hit | ((hi - lo <= xtol) & (best_f <= fbound))
+        done = hit | ((hi - lo <= BISECT_XTOL) & (best_f <= UNIT_DET_BOUND))
         idx, lo, hi, neg, best_x, best_f = retire(~done)
     retire(np.zeros(idx.shape, dtype=bool))
     return root, width, evaluations
@@ -307,7 +283,6 @@ _VARIES = {"row": (True, False), "col": (False, True), "diag": (True, True)}
 def _det_crossings(lines: Sequence[tuple[str, np.ndarray, np.ndarray,
                                          np.ndarray]],
                    det_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   xtol: float, fbound: float,
                    report: Callable[[np.ndarray, np.ndarray], np.ndarray]
                    ) -> tuple[list[DetZeroCrossing], int]:
     """Determinant zeros along scan lines, and the midpoints evaluated.
@@ -343,8 +318,7 @@ def _det_crossings(lines: Sequence[tuple[str, np.ndarray, np.ndarray,
                 np.where(vary2[idx], x, fixed[idx]))
 
     root[b], width[b], evaluations = _bisect(
-        lambda idx, x: det_at(*point(idx, x)), lo[b], hi[b], flo[b] < 0.0,
-        xtol, fbound)
+        lambda idx, x: det_at(*point(idx, x)), lo[b], hi[b], flo[b] < 0.0)
     froot[b] = report(*point(slice(None), root[b]))
     kinds = [lines[f][0] for f in family.tolist()]
     return (list(map(DetZeroCrossing, kinds, level.tolist(), root.tolist(),
@@ -380,7 +354,7 @@ def locate_transitions(scan: Scan,
         lines = [("diag", np.array([math.nan]), cols["a1"],
                   cols["det"][np.newaxis])]
     zeros, evaluations = _det_crossings(
-        lines, partial(_det_at, kind), BISECT_XTOL, UNIT_DET_BOUND,
+        lines, partial(_det_at, kind),
         lambda a1, a2: determinant(
             *(k * f for f in backend.batch_metric(kind, a1, a2))))
 

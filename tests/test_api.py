@@ -5,7 +5,8 @@ import importlib
 import pytest
 
 import powergeom
-from powergeom import backend, errors, models, stability
+from powergeom import (backend, errors, fdcheck, geometry, models,
+                       scan_io, stability)
 
 
 def test_every_exported_name_resolves():
@@ -42,3 +43,14 @@ def test_per_shape_scan_types_are_gone():
         assert not hasattr(powergeom, name), name
     assert stability.Scan is type(stability.scan_grid(
         models.PowerModel(models.FlowKind.REAL), n=2))
+
+
+def test_second_paths_are_gone():
+    """One reader, one oracle entry, no label lookups nothing calls."""
+    for owner, name in ((scan_io, "read_scan_csv"),
+                        (scan_io, "read_scan_json"),
+                        (fdcheck, "max_jet_deviation"), (fdcheck, "_oracle"),
+                        (stability.Scan, "class_labels"),
+                        (geometry.StabilityClass, "from_label")):
+        assert not hasattr(owner, name), name
+        assert not hasattr(powergeom, name), name

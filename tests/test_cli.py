@@ -24,7 +24,7 @@ from powergeom import backend, cli
 from powergeom.cli import main
 from powergeom.geometry import CLASS_LABELS, geometry_report
 from powergeom.models import DOMAIN_GUARD, HALF_PI, FlowKind, PowerModel
-from powergeom.scan_io import format_float, read_scan_csv
+from powergeom.scan_io import format_float, read_scan
 from powergeom.stability import DEFAULT_GUARD, scan_diagonal
 
 
@@ -41,7 +41,7 @@ class TestScan:
                                "--out", str(out)], capsys)
         assert code == 0
         assert "4096 records" in stdout
-        table = read_scan_csv(str(out))
+        table = read_scan(str(out))
         assert len(table.rows) == 4096
         assert table.metadata["model"] == "real"
         assert table.metadata["n"] == "64"
@@ -80,7 +80,7 @@ class TestScan:
                           "--unit", "deg", "--min", "-45", "--max", "45",
                           "--out", str(out)], capsys)
         assert code == 0
-        table = read_scan_csv(str(out))
+        table = read_scan(str(out))
         assert float(table.metadata["a1_max"]) == pytest.approx(math.pi / 4)
         assert table.metadata["unit"] == "rad"
 
@@ -106,7 +106,7 @@ class TestScan:
                           "--min2", "0.0", "--max2", "0.5",
                           "--out", str(out)], capsys)
         assert code == 0
-        meta = read_scan_csv(str(out)).metadata
+        meta = read_scan(str(out)).metadata
         assert float(meta["a2_min"]) == 0.0
         assert float(meta["a2_max"]) == 0.5
 
@@ -119,7 +119,7 @@ class TestDiagonal:
         assert code == 0
         assert "det zero crossings" in stdout
         assert "curvature spikes" in stdout
-        table = read_scan_csv(str(out))
+        table = read_scan(str(out))
         assert table.metadata["command"] == "diagonal"
         assert all(r.a1 == r.a2 for r in table.rows)
 
@@ -187,7 +187,7 @@ class TestNonFiniteScan:
         code, _, _ = run(["diagonal", "--model", "real", "--n", "11",
                           "--out", str(out)], capsys)
         assert code == 0
-        rows = read_scan_csv(str(out)).rows
+        rows = read_scan(str(out)).rows
         assert all(r.label == "DEGEN" and math.isnan(r.curvature)
                    for r in rows)
 
@@ -395,6 +395,19 @@ class TestBusPower:
         code, _, err = run(["bus-power", "/nonexistent/net.json"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
+    def test_out_naming_the_network_is_refused(self, link, tmp_path, capsys):
+        net = self.net(tmp_path)
+        before = Path(net).read_bytes()
+        out = tmp_path / "link.json" if link else Path(net)
+        if link:
+            out.symlink_to(net)
+        code, stdout, err = run(["bus-power", net, "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: --out {out} is the input file {net}\n"
+        assert Path(net).read_bytes() == before
+
     def test_csv_quotes_ids_that_need_it(self, tmp_path, capsys):
         ids = ["a,b", "c\nd", 'e"f', "g\rh", "plain"]
         path = tmp_path / "net.json"
@@ -479,6 +492,22 @@ class TestPlotScript:
     def test_missing_scan_exits_one(self, capsys):
         code, _, err = run(["plot-script", "/nonexistent/scan.csv"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
+    def test_out_naming_the_scan_is_refused(self, link, tmp_path, capsys):
+        scan = tmp_path / "g.csv"
+        run(["scan", "--model", "real", "--n", "4", "--out", str(scan)],
+            capsys)
+        before = scan.read_bytes()
+        out = tmp_path / "link.csv" if link else scan
+        if link:
+            out.symlink_to(scan)
+        code, stdout, err = run(["plot-script", str(scan), "--out", str(out)],
+                                capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: --out {out} is the input file {scan}\n"
+        assert scan.read_bytes() == before
 
     def test_json_scan_exits_one(self, tmp_path, capsys):
         out = tmp_path / "g.JSON"
@@ -573,7 +602,7 @@ class TestScaleRange:
                     assert math.isfinite(curvature) and curvature != 0.0, argv
                     assert (curvature > 0.0) == (_unit_curvature(flow) > 0.0)
                 elif code == 0 and command[0] in ("scan", "diagonal"):
-                    assert read_scan_csv(command[-1]).rows, argv
+                    assert read_scan(command[-1]).rows, argv
 
 
 class TestOutOfMemory:

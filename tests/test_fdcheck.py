@@ -14,7 +14,6 @@ from powergeom.backend import Jet3
 from powergeom.fdcheck import (
     central_difference,
     decimal_tan,
-    max_jet_deviation,
     max_jet_deviations,
 )
 from powergeom.models import FlowKind, unit_surface
@@ -48,7 +47,7 @@ def test_any_seed_agrees_to_far_below_tolerance(seed):
 def test_caller_decimal_context_is_left_alone():
     with decimal.localcontext() as ctx:
         ctx.prec = 7
-        worst, info = max_jet_deviation(FlowKind.COMPLEX, _points(12345, 5))
+        worst, info = max_jet_deviations(_points(12345, 5))[FlowKind.COMPLEX]
         assert decimal.getcontext().prec == 7
     assert worst <= 1e-10, info
 
@@ -57,7 +56,8 @@ def test_seed_54_f222_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     a1, a2 = SEED_54_POINT
     assert SEED_54_POINT in _points(54, 100)
-    oracle = fdcheck._oracle(FlowKind.COMPLEX, a1, a2).f222
+    oracle = Jet3(*dict(zip(FlowKind, fdcheck._oracles(a1, a2)))[
+        FlowKind.COMPLEX]).f222
     with mpmath.workdps(40):
         x, y = mpmath.mpf(a1), mpmath.mpf(a2)
 
@@ -95,7 +95,7 @@ def assembled_oracle(kind, a1, a2):
 @pytest.mark.parametrize("kind", list(FlowKind))
 def test_lattice_oracle_has_the_central_difference_bits(kind, seed):
     for a1, a2 in _points(seed, 100):
-        got = fdcheck._oracle(kind, a1, a2)
+        got = dict(zip(FlowKind, fdcheck._oracles(a1, a2)))[kind]
         want = assembled_oracle(kind, a1, a2)
         assert [x.hex() for x in got] == [x.hex() for x in want], (a1, a2)
 
@@ -104,21 +104,17 @@ def test_lattice_oracle_has_the_central_difference_bits(kind, seed):
 def test_one_lattice_for_all_flows_has_the_central_difference_bits(seed):
     kinds = tuple(FlowKind)
     for a1, a2 in _points(seed, 100):
-        got = fdcheck._oracles(kinds, a1, a2)
+        got = fdcheck._oracles(a1, a2)
         want = [assembled_oracle(kind, a1, a2) for kind in kinds]
         assert ([[x.hex() for x in slots] for slots in got]
                 == [[x.hex() for x in slots] for slots in want]), (a1, a2)
 
 
-def test_multi_flow_deviations_are_the_single_flow_ones():
+def test_deviations_name_their_points_and_no_points_deviate_by_zero():
     points = _points(7, 20)
-    together = max_jet_deviations(tuple(FlowKind), points)
-    assert together == {kind: max_jet_deviation(kind, points)
-                        for kind in FlowKind}
     assert all(worst > 0.0 and info["point"] in points
-               for worst, info in together.values())
-    assert max_jet_deviations(tuple(FlowKind), []) == {
-        kind: (0.0, {}) for kind in FlowKind}
+               for worst, info in max_jet_deviations(points).values())
+    assert max_jet_deviations([]) == {kind: (0.0, {}) for kind in FlowKind}
 
 
 def test_nan_jet_slot_fails_the_check(monkeypatch):
@@ -133,7 +129,7 @@ def test_nan_jet_slot_fails_the_check(monkeypatch):
         return jet._replace(f122=f122)
 
     monkeypatch.setattr(backend, "batch_slots", one_nan)
-    worst, info = max_jet_deviation(FlowKind.REAL, _points(0, 10))
+    worst, info = max_jet_deviations(_points(0, 10))[FlowKind.REAL]
     assert math.isnan(worst)
     assert info["slot"] == "f122" and info["point"] == _points(0, 10)[3]
     result = _check_jets_vs_differences(100, 0)

@@ -260,6 +260,16 @@ class TestReportsAndClassification:
         with pytest.raises(DomainError):
             geometry_report(REAL, (0.2, math.pi / 2))
 
+    def test_report_refuses_a_non_finite_result(self):
+        """At k = 1e154 the scaled ``g11*g22 - g12^2`` is ``inf - inf``:
+        the report refuses it with ``classify``'s message, not det nan."""
+        model = PowerModel(FlowKind.COMPLEX, v=1e154, r0=1e154)
+        with pytest.raises(ValueError) as info:
+            geometry_report(model, (1.5, -1.5))
+        assert str(info.value) == (
+            "det is nan at k = V^2/R0 = 1e+154 (a1 = 1.5, a2 = -1.5): "
+            "the scaled geometry is out of float range")
+
     @pytest.mark.parametrize("v,r0", [(1e-50, 1.0), (1e-3, 1e3), (1.0, 1.0),
                                       (1e3, 1e-3), (1e100, 1e100)])
     def test_real_diagonal_is_degenerate_at_every_scale(self, v, r0):
@@ -270,10 +280,6 @@ class TestReportsAndClassification:
                                   (a, a))
             assert rep.classification is StabilityClass.DEGENERATE
             assert math.isnan(rep.curvature)
-
-    def test_class_labels_round_trip(self):
-        for member in StabilityClass:
-            assert StabilityClass.from_label(member.label) is member
 
 
 def _magnitudes():

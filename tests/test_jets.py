@@ -18,7 +18,7 @@ from jet_reference import (
     jet_tan,
 )
 from powergeom.backend import Jet3
-from powergeom.fdcheck import max_jet_deviation
+from powergeom.fdcheck import max_jet_deviations
 from powergeom.models import FlowKind
 
 ZERO = Jet3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -169,5 +169,5 @@ def test_jets_match_central_differences(kind):
     rng = random.Random(8101)
     points = [(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
               for _ in range(100)]
-    worst, info = max_jet_deviation(kind, points)
+    worst, info = max_jet_deviations(points)[kind]
     assert worst <= 1e-6, f"worst deviation {worst} at {info}"

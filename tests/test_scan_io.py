@@ -5,8 +5,11 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from decimal import Decimal
@@ -32,8 +35,6 @@ from powergeom.scan_io import (
     format_float,
     grid_table,
     read_scan,
-    read_scan_csv,
-    read_scan_json,
     render_csv,
     render_json,
     write_table,
@@ -79,7 +80,7 @@ class TestCsvRoundTrip:
         table = grid_table(scan)
         path = tmp_path / "scan.csv"
         write_table(table, str(path), "csv")
-        back = read_scan_csv(str(path))
+        back = read_scan(str(path))
         assert back.metadata == table.metadata
         assert rows_equal(back.rows, table.rows)
 
@@ -89,7 +90,7 @@ class TestCsvRoundTrip:
         assert any(math.isnan(r.curvature) for r in table.rows)
         path = tmp_path / "diag.csv"
         write_table(table, str(path), "csv")
-        back = read_scan_csv(str(path))
+        back = read_scan(str(path))
         assert rows_equal(back.rows, table.rows)
         assert back.metadata["command"] == "diagonal"
 
@@ -108,9 +109,7 @@ class TestCsvRoundTrip:
         for fmt in ("csv", "json"):
             path = tmp_path / f"scan.{fmt}"
             write_table(tables[0], str(path), fmt)
-            tables.append(
-                (read_scan_csv if fmt == "csv" else read_scan_json)(
-                    str(path)))
+            tables.append(read_scan(str(path)))
         for table in tables:
             for row in table.rows:
                 assert isinstance(row, tuple)
@@ -127,7 +126,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "foreign.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(SchemaMismatch):
-            read_scan_csv(str(path))
+            read_scan(str(path))
 
     def test_metadata_echoes_resolved_config(self, tmp_path):
         scan = scan_grid(PowerModel(FlowKind.COMPLEX, v=2.0, r0=0.5),
@@ -540,7 +539,8 @@ class TestScanBackedRows:
     def _check(rows, scan):
         want = tuple(map(ScanRow, *(scan.columns[name].tolist()
                                     for name in SCAN_COLUMNS[:-1]),
-                         scan.class_labels()))
+                         map(CLASS_LABELS.__getitem__,
+                             scan.columns["codes"].tolist())))
         assert len(rows) == len(want)
         assert tuple(rows) == want
         at = (0, 1023, 1024, -1, -1024, -1025, -len(want))
@@ -586,6 +586,35 @@ class TestFailedWrite:
                      "--format", fmt, "--out", str(path)]) == 1
         assert capsys.readouterr().err == "error: No space left on device\n"
         assert not path.exists()
+
+    def test_a_pipe_is_not_removed(self, tmp_path, monkeypatch):
+        """Only a regular file is removed: a FIFO that ``--out`` names
+        stays when the write fails after its first block."""
+        blocks = scan_io._blocks
+
+        def second_block_fails(rows, texts):
+            pieces = blocks(rows, texts)
+            yield next(pieces)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(scan_io, "_blocks", second_block_fails)
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        read = []
+
+        def drain():
+            with open(path, "rb") as fh:
+                read.append(len(fh.read()))
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        table = grid_table(scan_grid(IMAG, n=64))
+        with pytest.raises(OSError, match="No space left on device"):
+            write_table(table, str(path), "csv")
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert read and read[0] > 0
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
 
 def _write_scan(tmp_path, fmt):
@@ -649,7 +678,7 @@ class TestReaderStrictness:
         text = path.read_text().replace(f"# format={FORMAT_TAG}\n", line)
         path.write_text(text)
         with pytest.raises(SchemaMismatch, match="format tag"):
-            read_scan_csv(str(path))
+            read_scan(str(path))
 
     @pytest.mark.parametrize("tag", [None, "powergeom-scan-v0"])
     def test_json_format_tag(self, tmp_path, tag):
@@ -661,7 +690,7 @@ class TestReaderStrictness:
             data["metadata"]["format"] = tag
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaMismatch, match="format tag"):
-            read_scan_json(str(path))
+            read_scan(str(path))
 
     def test_csv_unknown_label(self, tmp_path):
         path = _write_scan(tmp_path, "csv")
@@ -670,7 +699,7 @@ class TestReaderStrictness:
         lines[-3] = lines[-3].rsplit(",", 1)[0] + ",BOGUS"
         path.write_text("\n".join(lines))
         with pytest.raises(SchemaMismatch) as info:
-            read_scan_csv(str(path))
+            read_scan(str(path))
         assert str(info.value) == _differs(path, before, "row 8, column class")
 
     @pytest.mark.parametrize("field,value", [
@@ -684,7 +713,7 @@ class TestReaderStrictness:
         data["records"][4][field] = value
         _write_json(path, data)
         with pytest.raises(SchemaMismatch) as info:
-            read_scan_json(str(path))
+            read_scan(str(path))
         assert str(info.value) == _differs(path, before,
                                            f"row 5, column {field}")
 
@@ -699,7 +728,7 @@ class TestReaderStrictness:
         path.write_text("\n".join(lines))
         name = SCAN_COLUMNS[column]
         with pytest.raises(SchemaMismatch) as info:
-            read_scan_csv(str(path))
+            read_scan(str(path))
         assert str(info.value) == _differs(path, before,
                                            f"row 7, column {name}")
 
@@ -718,7 +747,7 @@ class TestReaderStrictness:
         path.write_text("\n".join(lines), encoding="utf-8")
         name = SCAN_COLUMNS[column]
         with pytest.raises(SchemaMismatch) as info:
-            read_scan_csv(str(path))
+            read_scan(str(path))
         assert str(info.value) == _differs(path, before,
                                            f"row 7, column {name}")
 
@@ -761,7 +790,7 @@ class TestReaderStrictness:
         lines[-3] += ",extra"
         path.write_text("\n".join(lines))
         with pytest.raises(SchemaMismatch) as info:
-            read_scan_csv(str(path))
+            read_scan(str(path))
         assert str(info.value) == _differs(path, before, "row 8, column class")
         path = _write_scan(tmp_path, "json")
         before = path.read_bytes()
@@ -769,7 +798,7 @@ class TestReaderStrictness:
         del data["records"][2]["g12"]
         _write_json(path, data)
         with pytest.raises(SchemaMismatch) as info:
-            read_scan_json(str(path))
+            read_scan(str(path))
         assert str(info.value) == _differs(path, before, "row 3, column g12")
 
 
@@ -1116,8 +1145,7 @@ class TestDifferencePosition:
             for edit in (bytes([before[at] ^ 1]), b"")[:1 + delete]:
                 path.write_bytes(before[:at] + edit + before[at + 1:])
                 with pytest.raises(SchemaMismatch) as info:
-                    (read_scan_csv if fmt == "csv" else read_scan_json)(
-                        str(path))
+                    read_scan(str(path))
                 assert str(info.value) == _differs(path, before,
                                                    command=command), at
         path.write_bytes(before)
@@ -1195,8 +1223,7 @@ class TestReaderChoice:
         written = _write_scan(tmp_path, fmt)
         path = tmp_path / name
         path.write_bytes(written.read_bytes())
-        want = (read_scan_json if fmt == "json" else read_scan_csv)(
-            str(written))
+        want = read_scan(str(written))
         got = read_scan(str(path))
         assert got.metadata == want.metadata
         assert rows_equal(got.rows, want.rows)
