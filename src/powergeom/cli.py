@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from . import __version__, scan_io
@@ -145,8 +144,7 @@ def _cmd_verify_paper(args) -> int:
                                      seed=args.seed)
     text = report.to_json() if args.format == "json" else report.render_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        scan_io.write_text(args.out, [text])
         discrepant = report.discrepant_ids()
         short = report.short_ids()
         print(f"wrote report to {args.out}: "
@@ -182,15 +180,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _check_out(out: str | None, source: str) -> None:
-    """Refuse an ``--out`` that names the command's input file, by any
-    path, before the input is read: writing it would replace the input."""
-    if out and os.path.exists(out) and os.path.samefile(out, source):
-        raise ValueError(f"--out {out} is the input file {source}")
-
-
 def _cmd_bus_power(args) -> int:
-    _check_out(args.out, args.network)
     net = load_bus_network(args.network)
     injections = bus_injections(net)
     if args.format == "csv":
@@ -205,8 +195,7 @@ def _cmd_bus_power(args) -> int:
                             for bus, inj in zip(net.buses, injections)]},
             indent=1) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        scan_io.write_text(args.out, [text], args.network)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -214,7 +203,6 @@ def _cmd_bus_power(args) -> int:
 
 
 def _cmd_plot_script(args) -> int:
-    _check_out(args.out, args.scan)
     out = scan_io.emit_plot_script(args.scan, field=args.field,
                                    out_path=args.out)
     print(f"wrote {out}")

@@ -1,5 +1,6 @@
-"""Scan serialization: CSV and JSON writers, the reader, and the
-standalone plot-script emitter.
+"""Scan serialization: CSV and JSON writers, the reader, the
+standalone plot-script emitter, and :func:`write_text`, the one writer of
+every output file the package makes.
 
 Numbers are written with 17 significant digits so every float round-trips
 exactly and reruns can be compared byte for byte; nothing volatile (no
@@ -11,15 +12,15 @@ A :class:`ScanTable` holds the metadata and its rows: :class:`ScanRow`
 named tuples in column order, made on demand from a scan's float64
 columns and int8 class codes and the axis samples of its spec. The
 renderers yield the file text one block of :data:`BLOCK_ROWS` rows at a
-time, and :func:`write_table` writes each block as it comes, so a scan
-file is written in the memory of one block. A CSV block is a matrix of
-fixed-width cells, a row per CSV row: an integer kernel writes the
-``%.17g`` text of each float column into its cells (see "CSV float text"
-below), and deleting the pad bytes leaves the block's text. JSON float
-text comes from the C encoder (``json.dumps`` of a column as a list).
-The axis values are formatted once per axis. The JSON text is the
-``json.dumps(..., indent=1)`` layout of ``{"metadata": ...,
-"records": [...]}``.
+time, and :func:`write_table` has :func:`write_text` write each block as
+it comes, so a scan file is written in the memory of one block. A CSV
+block is a matrix of fixed-width cells, a row per CSV row: an integer
+kernel writes the ``%.17g`` text of each float column into its cells
+(see "CSV float text" below), and deleting the pad bytes leaves the
+block's text. JSON float text comes from the C encoder (``json.dumps``
+of a column as a list). The axis values are formatted once per axis.
+The JSON text is the ``json.dumps(..., indent=1)`` layout of
+``{"metadata": ..., "records": [...]}``.
 
 A scan file is a pure function of its metadata (flow, V, R0, bounds, n
 and command), so the reader parses nothing else: it re-runs the scan of
@@ -41,7 +42,7 @@ import re
 import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -405,16 +406,16 @@ def render_json(table: ScanTable) -> Iterator[str]:
     yield "\n ]\n}\n"
 
 
-def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
-    """Write ``table`` to ``path`` block by block; a write that fails
-    part way removes the file rather than leave it truncated, if it is a
-    regular file (a pipe or a device stays)."""
-    if fmt == "csv":
-        pieces = render_csv(table)
-    elif fmt == "json":
-        pieces = render_json(table)
-    else:
-        raise ValueError(f"unknown scan format {fmt!r}")
+def write_text(path: str, pieces: Iterable[str],
+               source: str | None = None) -> None:
+    """Write ``pieces`` to ``path`` as they come: the one writer of every
+    output file. A ``path`` that is the file ``source``, by any name, is
+    refused before anything is written. A write that fails part way
+    removes the file it wrote rather than leave it truncated, if that is
+    a regular file: through a symlink the link's target, never the link;
+    a pipe or a device stays."""
+    if source and os.path.exists(path) and os.path.samefile(path, source):
+        raise ValueError(f"--out {path} is the input file {source}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         try:
             for piece in pieces:
@@ -424,8 +425,17 @@ def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
             fh.close()
             if regular:
                 with contextlib.suppress(OSError):
-                    os.remove(path)
+                    os.remove(os.path.realpath(path))
             raise
+
+
+def write_table(table: ScanTable, path: str, fmt: str = "csv") -> None:
+    """Write ``table`` to ``path`` in format ``fmt`` ("csv" or "json")
+    block by block, through :func:`write_text`."""
+    render = {"csv": render_csv, "json": render_json}.get(fmt)
+    if render is None:
+        raise ValueError(f"unknown scan format {fmt!r}")
+    write_text(path, render(table))
 
 
 def _csv_metadata(head: str, where: str) -> dict[str, str]:
@@ -636,7 +646,8 @@ def emit_plot_script(scan_path: str, field: str = "det",
     """Write a standalone matplotlib script next to a scan CSV.
 
     Grid scans get a heatmap, diagonal scans a line plot. The script
-    references the CSV by a path relative to its own location.
+    references the CSV by a path relative to its own location. An
+    ``out_path`` that is the scan itself is refused (``ValueError``).
     """
     if field not in PLOT_FIELDS:
         raise ValueError(
@@ -652,6 +663,5 @@ def emit_plot_script(scan_path: str, field: str = "det",
     script = _PLOT_TEMPLATE.format(
         field=field, csv_name=os.path.basename(scan_path),
         rel_path=rel, column_index=PLOT_FIELDS[field])
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(script)
+    write_text(out_path, [script], scan_path)
     return out_path

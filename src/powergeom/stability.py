@@ -332,11 +332,11 @@ def locate_transitions(scan: Scan,
     The brackets come from the scan's det column, which must be finite
     (``ValueError`` otherwise, before any bisection), and are bisected on
     the unit-scale determinant to ``UNIT_DET_BOUND``. Each bisected
-    crossing reports the determinant at scale k at its root, with the bits
-    the det column would hold there, and ``det_bound`` is the bound at that
-    scale. A spike is a
-    finite curvature with |R| above ``spike_threshold`` (default 1e6/k),
-    which must be finite and positive.
+    crossing reports the determinant at scale k at its root, the det
+    column of :func:`evaluate_points` there, and ``det_bound`` is the
+    bound at that scale. A spike is a finite curvature with |R| above
+    ``spike_threshold`` (default 1e6/k), which must be finite and
+    positive.
     """
     spec, cols = scan.spec, scan.columns
     kind, k = spec.model.kind, spec.model.k
@@ -355,8 +355,7 @@ def locate_transitions(scan: Scan,
                   cols["det"][np.newaxis])]
     zeros, evaluations = _det_crossings(
         lines, partial(_det_at, kind),
-        lambda a1, a2: determinant(
-            *(k * f for f in backend.batch_metric(kind, a1, a2))))
+        lambda a1, a2: evaluate_points(spec.model, a1, a2)["det"])
 
     curv = cols["curvature"]
     hits = np.flatnonzero(np.isfinite(curv) & (np.abs(curv) > spike_threshold))

@@ -1,6 +1,8 @@
-"""The package's public names."""
+"""The package's public names and structure."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +56,54 @@ def test_second_paths_are_gone():
                         (geometry.StabilityClass, "from_label")):
         assert not hasattr(owner, name), name
         assert not hasattr(powergeom, name), name
+
+
+def _write_opens(tree):
+    """(function, line) of every ``open`` call in ``tree`` whose mode may
+    write: a mode holding w, a, x or +, or one that is not a string
+    literal (``os.open``'s flags among them)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            # open(path, mode) and io.open/os.open, but path.open(mode)
+            at = int(getattr(getattr(func, "value", func), "id", "")
+                     in ("open", "io", "os"))
+            mode = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = mode or node.args[at:at + 1]
+            if name == "open" and mode and not (
+                    isinstance(mode[0], ast.Constant)
+                    and isinstance(mode[0].value, str)
+                    and not set(mode[0].value) & set("wax+")):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_writer_opens_files_for_writing():
+    """Every output file goes through ``scan_io.write_text``: it holds the
+    package's only ``open`` call with a writing mode."""
+    found = {}
+    for path in sorted(Path(powergeom.__file__).parent.glob("*.py")):
+        for function, line in _write_opens(ast.parse(path.read_text())):
+            found.setdefault(path.name, []).append(function)
+    assert found == {"scan_io.py": ["write_text"]}
+
+
+def test_write_open_finder_sees_every_writing_mode():
+    tree = ast.parse(
+        "def f(p, m):\n"
+        "    open(p, 'w'); open(p, 'ab'); open(p, mode='x')\n"
+        "    open(p, 'r+'); open(p, m); p.open('w')\n"
+        "    io.open(p, 'w'); os.open(p, os.O_WRONLY)\n"
+        "    open(p); open(p, 'rb'); p.open(); io.open(p, encoding='ascii')\n"
+        "    p.open('r'); io.open(p, 'r')\n")
+    assert ([line for _, line in _write_opens(tree)]
+            == [2, 2, 2, 3, 3, 3, 4, 4])

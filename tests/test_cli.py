@@ -349,6 +349,19 @@ class TestVerifyPaper:
             assert ([q for q in got["quantities"] if q["id"] != "CURV_R"]
                     == [q for q in want["quantities"] if q["id"] != "CURV_R"])
 
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        target, link = tmp_path / "report.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        code, stdout, _ = run(["verify-paper", "--model", "real",
+                               "--samples", "5", "--out", str(link)], capsys)
+        assert code == 0
+        assert stdout.startswith(f"wrote report to {link}: ")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        _, report, _ = run(["verify-paper", "--model", "real",
+                            "--samples", "5"], capsys)
+        assert target.read_text() == report
+
     def test_text_format_to_stdout(self, capsys):
         code, stdout, _ = run(["verify-paper", "--model", "complex",
                                "--samples", "25", "--format", "text"], capsys)
@@ -394,6 +407,16 @@ class TestBusPower:
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(["bus-power", "/nonexistent/net.json"], capsys)
         assert code == 1
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        net = self.net(tmp_path)
+        target, link = tmp_path / "inj.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        code, stdout, _ = run(["bus-power", net, "--out", str(link)], capsys)
+        assert (code, stdout) == (0, f"wrote {link}\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == run(["bus-power", net], capsys)[1]
 
     @pytest.mark.parametrize("link", [False, True], ids=["same", "symlink"])
     def test_out_naming_the_network_is_refused(self, link, tmp_path, capsys):

@@ -92,15 +92,6 @@ def assembled_oracle(kind, a1, a2):
 
 
 @pytest.mark.parametrize("seed", [0, 54])
-@pytest.mark.parametrize("kind", list(FlowKind))
-def test_lattice_oracle_has_the_central_difference_bits(kind, seed):
-    for a1, a2 in _points(seed, 100):
-        got = dict(zip(FlowKind, fdcheck._oracles(a1, a2)))[kind]
-        want = assembled_oracle(kind, a1, a2)
-        assert [x.hex() for x in got] == [x.hex() for x in want], (a1, a2)
-
-
-@pytest.mark.parametrize("seed", [0, 54])
 def test_one_lattice_for_all_flows_has_the_central_difference_bits(seed):
     kinds = tuple(FlowKind)
     for a1, a2 in _points(seed, 100):

@@ -616,6 +616,39 @@ class TestFailedWrite:
         assert read and read[0] > 0
         assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_symlink_stays_and_its_target_goes(self, tmp_path, monkeypatch,
+                                                 capsys, fmt):
+        """Through a symlink to a regular file, a failed write removes the
+        file it wrote, the link's target, and keeps the link."""
+        blocks = scan_io._blocks
+
+        def second_block_fails(rows, texts):
+            pieces = blocks(rows, texts)
+            yield next(pieces)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(scan_io, "_blocks", second_block_fails)
+        target, link = tmp_path / f"target.{fmt}", tmp_path / f"link.{fmt}"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["scan", "--model", "imaginary", "--n", "64",
+                     "--format", fmt, "--out", str(link)]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert sorted(tmp_path.iterdir()) == [link]
+
+    def test_failing_pieces_leave_no_file(self, tmp_path):
+        def pieces():
+            yield "first piece\n"
+            raise RuntimeError("render failed")
+
+        path = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError, match="render failed"):
+            scan_io.write_text(str(path), pieces())
+        assert list(tmp_path.iterdir()) == []
+
 
 def _write_scan(tmp_path, fmt):
     table = grid_table(scan_grid(IMAG, (-1.0, 1.0), n=3))
@@ -1268,6 +1301,13 @@ class TestPlotScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert list(tmp_path.glob("*.png"))
+
+    def test_out_path_naming_the_scan_is_refused(self, tmp_path):
+        csv_path = _write_scan(tmp_path, "csv")
+        before = csv_path.read_bytes()
+        with pytest.raises(ValueError, match="is the input file"):
+            emit_plot_script(str(csv_path), out_path=str(csv_path))
+        assert csv_path.read_bytes() == before
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
