@@ -13,14 +13,15 @@ named tuples in column order, made on demand from a scan's float64
 columns and int8 class codes and the axis samples of its spec. The
 renderers yield the file text one block of :data:`BLOCK_ROWS` rows at a
 time, and :func:`write_table` has :func:`write_text` write each block as
-it comes, so a scan file is written in the memory of one block. A CSV
-block is a matrix of fixed-width cells, a row per CSV row: an integer
-kernel writes the ``%.17g`` text of each float column into its cells
-(see "CSV float text" below), and deleting the pad bytes leaves the
-block's text. JSON float text comes from the C encoder (``json.dumps``
-of a column as a list). The axis values are formatted once per axis.
-The JSON text is the ``json.dumps(..., indent=1)`` layout of
-``{"metadata": ..., "records": [...]}``.
+it comes, so a scan file is written in the memory of one block. A block
+is a matrix of words, a row per CSV row or JSON record: one integer
+kernel writes each float column into fixed-width cells, ``%.17g`` for
+CSV and ``repr`` (the shortest text that reads back) for JSON, between
+the row's fixed text (see "Float text" below), and deleting the pad
+bytes leaves the block's text. Values off the kernel's integer path are
+written by ``%.17g`` or ``repr`` itself. The axis values are formatted
+once per axis. The JSON text is the ``json.dumps(..., indent=1)`` layout
+of ``{"metadata": ..., "records": [...]}``.
 
 A scan file is a pure function of its metadata (flow, V, R0, bounds, n
 and command), so the reader parses nothing else: it re-runs the scan of
@@ -42,6 +43,7 @@ import re
 import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -71,10 +73,6 @@ _RECORDS = '\n "records": [\n'
 
 #: Rows per block the writers render and write at a time.
 BLOCK_ROWS = 1024
-#: One JSON record at its nesting depth in the ``indent=1`` layout.
-_JSON_RECORD = ("  {\n"
-                + ",\n".join(f'   "{name}": %s' for name in SCAN_COLUMNS)
-                + "\n  }")
 
 
 def format_float(x: float) -> str:
@@ -113,12 +111,11 @@ class _ScanRows(Sequence):
     def __len__(self) -> int:
         return len(self.columns["codes"])
 
-    def block(self, start: int, stop: int,
-              names: Sequence[str] = SCAN_COLUMNS[:-1]) -> list[list]:
-        """The float columns ``names`` of rows start..stop, then the
-        labels."""
+    def block(self, start: int, stop: int) -> list[list]:
+        """The float columns of rows start..stop, then the labels."""
         cols = self.columns
-        return [cols[name][start:stop].tolist() for name in names] + [
+        return [cols[name][start:stop].tolist()
+                for name in SCAN_COLUMNS[:-1]] + [
             list(map(CLASS_LABELS.__getitem__,
                      cols["codes"][start:stop].tolist()))]
 
@@ -161,33 +158,47 @@ def diagonal_table(scan: Scan) -> ScanTable:
     return _scan_table(scan)
 
 
-# CSV float text. A CSV row is rendered as a row of little-endian 64-bit
-# words: one 48-byte cell per float, holding its ``%.17g`` text, pad bytes
-# and a comma, then one 8-byte cell holding the class label, pad bytes and
-# the line break. Deleting the pad byte from a block of such rows leaves
-# the block's text. The pad is a space: no ``%.17g`` text and no label
-# holds one.
+# Float text. A block of rows is rendered as a matrix of little-endian
+# 64-bit words: per float its key's text (none in CSV, '\n   "a2": ' and
+# the like in JSON) padded to whole words, then a 48-byte cell with the
+# float's text, pad bytes and a comma; the label's words end the row.
+# Deleting the pad byte leaves the block's text. The pad is a space: no
+# float text or label holds one, and a key's spaces are written as
+# _SPACE, which the same bytes.translate turns into spaces.
 #
 # A normal double x = m*2**q whose 17-digit decimal exponent E lies in
-# [-11, 16] takes the integer path below. With s = 16 - E (so 5**s < 2**63)
-# its 17 digits are D = round-half-even(m * 5**s * 2**(q + s)), found with a
-# 128-bit product and one shift (Gay 1990; Adams, OOPSLA 2019). np.log10
-# only estimates E; E is corrected until 10**16 <= floor(m*5**s*2**(q+s))
-# < 10**17. No double in this range rounds up to 10**17: 10**0 to 10**17
-# are doubles, and the doubles just below 10**-10 to 10**-1 lie more than
-# half a unit of the 17th digit below them. Every other value (zeros, nan,
-# infinities, subnormals, |x| < 1e-11 and |x| >= 1e17) takes the padded
-# ``%.17g`` template, which writes exactly ``%.17g``.
+# [-11, 16] takes the integer path of _decimal. With s = 16 - E (so
+# 5**s < 2**63), X = x*10**s = m*5**s*2**(q+s) and its 17 digits D =
+# round-half-even(X) come from a 128-bit product and one shift (Gay 1990;
+# Adams, OOPSLA 2019). np.log10 only estimates E; E is corrected until
+# 10**16 <= floor(X) < 10**17. No double in this range rounds up to
+# 10**17: 10**0 to 10**17 are doubles, and the doubles just below 10**-10
+# to 10**-1 lie more than half a unit of the 17th digit below them.
+#
+# CSV writes D (``%.17g``), JSON repr's digits: the shortest decimal
+# inside x's rounding interval, the closer of two (Steele & White 1990;
+# Gay 1990; Adams, PLDI 2018). The interval reaches half a gap 2**q
+# either side of x, a quarter below x where m = 2**52, and holds its ends
+# where m is even. Only X's two n-digit neighbours can be the closest
+# n-digit decimal inside it, and each is tested in exact integers: a
+# 15-digit hit wins over a 16-digit one, and with neither D stands.
+# Values with a 14-digit hit, or two equally close 16-digit hits, leave
+# the path. Every value off it (zeros, nan, infinities, subnormals, |x| <
+# 1e-11 or >= 1e17) takes the style's padded ``%.17g`` or ``repr``
+# template, and nan and the infinities then the style's words for them.
 #
 # The cell's bytes, before pads are deleted: the sign at 0, the "0.000"
 # prefix of -4 <= E < 0 at 1-5, digit i at 6 + 2i with its gap byte after
 # it (pad, or the point), the exponent of e-notation at 40-43, the comma
 # at 47. Trailing zeros of the fraction, and a point with no fraction
-# left, are turned into pads.
+# left, are turned into pads; repr keeps one zero after the point of an
+# integral value. ``%.17g`` takes e-notation from E = 17, repr from 16.
 
 _CELL_WORDS = 6
 _PAD = b" "
-_CSV_FLOAT = f"%-{8 * _CELL_WORDS - 1}.17g,"
+#: A space in a key's text; deleting the pads maps it to a space.
+_SPACE = "\x01"
+_UNPAD = bytes.maketrans(_SPACE.encode(), b" ")
 #: 5**s for s in [0, 27], in 32-bit halves.
 _FIVES_LOW = np.array([5 ** s & 0xFFFFFFFF for s in range(28)], np.uint64)
 _FIVES_HIGH = np.array([5 ** s >> 32 for s in range(28)], np.uint64)
@@ -200,27 +211,45 @@ def _words(text: str, rows: int | None = None) -> np.ndarray:
     return words if rows is None else words.reshape(rows, -1)
 
 
-def _exponent_tables():
-    """Per E in [-11, 17]: word 0 of a cell (sign pad, prefix, the lead
-    digit's "0"), its gap bytes in words 0-4 (pads, and the point after
-    the last integer digit), its word 5 (exponent, pads, comma) and the
-    number of digits after the point."""
-    heads, gaps, tails, fraction = [], [], [], []
+class _Style(NamedTuple):
+    """Cells of ``repr`` if ``shortest``, else of ``%.17g``. Per E in
+    [-11, 17]: the gap bytes of words 0-4 (pads, and the point after the
+    last integer digit), word 5 (exponent, pads, comma) and the trailing
+    zeros that may go. Then the template off the integer path, and the
+    cells of nan, inf and -inf."""
+
+    shortest: bool
+    gaps: np.ndarray
+    tails: np.ndarray
+    fraction: np.ndarray
+    template: str
+    specials: np.ndarray
+
+
+def _style(shortest: bool, specials: tuple[str, str, str]) -> _Style:
+    gaps, tails, fraction = [], [], []
     for e in range(-11, 18):
-        fixed = -4 <= e < 17
+        fixed = -4 <= e < 17 - shortest
         small = fixed and e < 0
-        heads.append(" " + ("0." + "0" * (-e - 1) if small else "").ljust(5)
-                     + "0\0")
         point = 0 if small else e + 1 if fixed else 1
         gaps.append("\0" * 7 + "\0".join(
             "." if i == point else " " for i in range(1, 18)))
         tails.append(("" if fixed else f"e{e:+03d}").ljust(7) + ",")
-        fraction.append(17 if small else 17 - point)
-    return (_words("".join(heads)), _words("".join(gaps), 29),
-            _words("".join(tails)), np.array(fraction))
+        fraction.append(17 if small else 17 - point - (fixed and shortest))
+    return _Style(shortest, _words("".join(gaps), 29),
+                  _words("".join(tails)), np.array(fraction),
+                  "%-47r," if shortest else "%-47.17g,",
+                  _words("".join(f"{text:47}," for text in specials), 3))
 
 
-_HEADS, _GAPS, _TAILS, _FRACTION = _exponent_tables()
+_CSV = _style(False, ("nan", "inf", "-inf"))
+_JSON = _style(True, ("NaN", "Infinity", "-Infinity"))
+#: JSON's curvature, undefined (nan) where it is null.
+_JSON_NULL = _style(True, ("null", "Infinity", "-Infinity"))
+#: Per E, word 0 of a cell: sign pad, prefix, the lead digit's "0".
+_HEADS = _words("".join(
+    " " + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "").ljust(5) + "0\0"
+    for e in range(-11, 18)))
 #: Words 0-4 of a cell kept up to byte c and pads from there, by c.
 _STRIPS = _words("".join("\xff" * c + " " * (40 - c) for c in range(41)), 41)
 # Built from bytes, so that importing allocates no large temporaries.
@@ -233,12 +262,13 @@ _QUADS = _QUADS.view("<u8").astype(np.uint64).ravel()
 _QUAD_ZEROS = np.logical_and.accumulate(_QUAD_DIGITS[:, ::-1] == 0,
                                         axis=1).sum(axis=1)
 del _QUAD_DIGITS
-_LABELS = _words("".join(label.ljust(7) + "\n" for label in CLASS_LABELS))
 
 
-def _decimal(x: np.ndarray):
+def _decimal(x: np.ndarray, shortest: bool = False):
     """Which floats of ``x`` take the integer path, and for those their
-    17 digits D as an integer in [10**16, 10**17) and their exponent E."""
+    digits D as an integer in [10**16, 10**17) and their exponent E: the
+    17 digits of ``%.17g``, or if ``shortest`` those of ``repr`` with
+    zeros appended."""
     bits = x.view(np.uint64)
     biased = (bits >> 52) & 0x7FF
     # 2**-37 <= |x| < 2**57: the binary exponents whose E can be in range.
@@ -274,19 +304,57 @@ def _decimal(x: np.ndarray):
             break
         e += off * np.where(big | (d > 10 ** 16), 1, -1)
         fast &= (e + 11).view(np.uint64) < 28
-    # Round half to even: up when 2*remainder + (d odd) > 2**right.
     one = 1 << right
-    d += ((lo & (one - 1)) << 1 | (d & 1)) > one
-    return fast, d, e
+    low = lo & (one - 1)  # X = d + low / 2**right
+    # Round half to even: up when 2*low + (d odd) > 2**right.
+    rounded = d + (((low << 1) | (d & 1)) > one)
+    if not shortest:
+        return fast, rounded, e
+    # Doubled distances from X, in units of D, as a whole part and a
+    # fraction over w = 2**(right + 1), which compare exactly. Doubled,
+    # the half gap is g / w with g = 5**s << left << 1, at most 23 units.
+    mask = (one << 1) - 1
+    wide = right + 1
+    g = ((ph << 32) | pl) << left << 1
+    even = (m & 1) == 0
+    c, r = (low << 2) >> wide, (low << 2) & mask  # 2*(X - d)
+    # L, X's n-digit neighbour below, is inside when 2*(X - L) = a + r/w
+    # reaches at most a gap below x, half one where m = 2**52: when
+    # a < below. Its neighbour above, L + 10**k, is inside when
+    # 2*10**k - a - r/w reaches at most a gap: when a + above > 2*10**k.
+    reach = g >> (m == 1 << 52)
+    below = (reach >> wide) + (r < (reach & mask) + even)
+    over = r + (g & mask)
+    above = (g >> wide) + (over > mask) + (even | ((over & mask) != 0))
+
+    def neighbours(ten):
+        floor = d // ten * ten
+        a = (d - floor) * 2 + c
+        return floor, a, a < below, a + above > ten + ten
+
+    # Both 16-digit neighbours can be inside (15-digit ones, 100 apart,
+    # cannot). Then the closer is taken: the one above where a >= 10.
+    # Where they are equally close, the choice is left to repr.
+    ten, hundred = np.uint64(10), np.uint64(100)
+    floor, a, down, up = neighbours(ten)
+    fast &= ~(down & up & (a == 10) & (r == 0))
+    digits = np.where(down | up, floor + (up & (~down | (a >= 10))) * ten,
+                      rounded)
+    floor, a, down, up = neighbours(hundred)
+    digits = np.where(down | up, floor + up * hundred, digits)
+    # A 14-digit neighbour inside: repr has 14 digits or fewer.
+    _, _, down, up = neighbours(np.uint64(1000))
+    fast &= ~(down | up)
+    return fast, digits, e
 
 
-def _write_cells(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the CSV cell of each float of ``x`` to the rows of ``out``, a
-    ``(len(x), 6)`` array of ``<u8`` words. Callers pass at most
+def _write_cells(x: np.ndarray, out: np.ndarray, style: _Style) -> None:
+    """Write the cell of each float of ``x`` in ``style`` to the rows of
+    ``out``, a ``(len(x), 6)`` array of ``<u8`` words. Callers pass at most
     :data:`BLOCK_ROWS` floats: the temporaries then stay under 64 KiB and
     are reused from the heap, not mapped and faulted in afresh."""
     x = np.ascontiguousarray(x, np.float64)
-    fast, d, e = _decimal(x)
+    fast, d, e = _decimal(x, style.shortest)
     some = fast.any()
     if some:  # every row is written; the slow ones again below
         lead = d // 10 ** 16
@@ -304,31 +372,37 @@ def _write_cells(x: np.ndarray, out: np.ndarray) -> None:
             trailing = trailing + (trailing == 4 * (3 - j)) * zeros[:, j]
         i = e + 11
         cut = 39 - 2 * np.minimum(trailing,
-                                  np.take(_FRACTION, i, mode="clip"))
+                                  np.take(style.fraction, i, mode="clip"))
         cells = np.empty((len(x), 5), np.uint64)
         sign = x.view(np.uint64) >> 63
         cells[:, 0] = (np.take(_HEADS, i, mode="clip") + (lead << 48)
                        + sign * (ord("-") - ord(" ")))
         cells[:, 1:] = np.take(_QUADS, quads)
-        cells |= np.take(_GAPS, i, axis=0, mode="clip")
+        cells |= np.take(style.gaps, i, axis=0, mode="clip")
         # Every byte of words 0-4 has the pad's bit set, so masking a byte
         # with the pad leaves a pad.
         cells &= np.take(_STRIPS, cut, axis=0, mode="clip")
         out[:, :5] = cells
-        out[:, 5] = np.take(_TAILS, i, mode="clip")
+        out[:, 5] = np.take(style.tails, i, mode="clip")
     # Where no float is fast, a slice costs less than a mask of every row.
     slow = ~fast if some else slice(None)
     if not some or slow.any():
         values = x[slow].tolist()
-        out[slow] = np.frombuffer((_CSV_FLOAT * len(values) % tuple(values))
-                                  .encode(), "<u8").reshape(-1, _CELL_WORDS)
+        out[slow] = np.frombuffer((style.template * len(values)
+                                   % tuple(values)).encode(),
+                                  "<u8").reshape(-1, _CELL_WORDS)
+        special = ~np.isfinite(x)
+        if special.any():
+            odd = x[special]
+            out[special] = np.take(style.specials, np.isinf(odd)
+                                   * (1 + np.signbit(odd)), axis=0)
 
 
 def _blocks(rows: _ScanRows, texts: Callable[[np.ndarray], np.ndarray]):
     """Per block of :data:`BLOCK_ROWS` rows: its first row and the row
     after its last, then the a1 and a2 text of its rows, taken from what
-    ``texts`` writes for each axis (an entry or a row per sample). An axis
-    is written once, not per row."""
+    ``texts`` writes for each axis (a row of cells per sample). An axis is
+    written once, not per row."""
     spec = rows.spec
     n = spec.n
     ax1 = texts(spec.a1_axis)
@@ -342,30 +416,82 @@ def _blocks(rows: _ScanRows, texts: Callable[[np.ndarray], np.ndarray]):
             yield start, stop, ax1[at % n], ax2[at // n]
 
 
-def _csv_cells(column: np.ndarray) -> np.ndarray:
-    """The CSV cells of a float column, a row of words per float."""
+def _cells(column: np.ndarray, style: _Style) -> np.ndarray:
+    """The cells of a float column in ``style``, a row of words per
+    float."""
     cells = np.empty((len(column), _CELL_WORDS), "<u8")
     for start in range(0, len(column), BLOCK_ROWS):
         _write_cells(column[start:start + BLOCK_ROWS],
-                     cells[start:start + BLOCK_ROWS])
+                     cells[start:start + BLOCK_ROWS], style)
     return cells
 
 
-def _csv_texts(column: Sequence[float]) -> list[str]:
-    """The CSV text of each float of ``column``: its ``%.17g``."""
-    return (_csv_cells(np.asarray(column, np.float64)).tobytes()
+def _texts(column: Sequence[float], style: _Style) -> list[str]:
+    """The text of each float of ``column`` in ``style``."""
+    return (_cells(np.asarray(column, np.float64), style).tobytes()
             .translate(None, _PAD).decode("ascii").split(",")[:-1])
 
 
-def _json_texts(column: Sequence[float], nan: str = "NaN") -> list[str]:
-    # Float text from the C encoder, with ``nan`` for a nan; no float repr
-    # contains ", ", and "NaN" is only ever the whole token of a nan.
-    return json.dumps(column)[1:-1].replace("NaN", nan).split(", ")
+class _Layout(NamedTuple):
+    """A file's rows as words: ``row`` holds a row's fixed text, float
+    column i has its cell at word ``cells[i]`` in ``styles[i]``, and the
+    words of ``labels``, by class code, end the row."""
+
+    row: np.ndarray
+    cells: tuple[int, ...]
+    styles: tuple[_Style, ...]
+    labels: np.ndarray
 
 
-def _json_axis(axis: np.ndarray) -> np.ndarray:
-    """The JSON text of an axis, an entry per sample."""
-    return np.array(_json_texts(axis.tolist()), object)
+def _layout(keys: Sequence[str], labels: Sequence[str],
+            styles: tuple[_Style, ...]) -> _Layout:
+    """The layout with ``keys[i]`` before float column i's cell and the
+    last key before the label, each padded to whole words."""
+    def padded(text: str, size: int) -> str:
+        return text.replace(" ", _SPACE).ljust(-(-size // 8) * 8)
+
+    row, cells = "", []
+    for key in keys[:-1]:
+        row += padded(key, len(key))
+        cells.append(len(row) // 8)
+        row += "\0" * 8 * _CELL_WORDS
+    size = max(map(len, labels))
+    row += padded(keys[-1], len(keys[-1])) + padded("", size)
+    return _Layout(_words(row), tuple(cells), styles, _words(
+        "".join(padded(label, size) for label in labels), len(labels)))
+
+
+_CSV_ROWS = _layout(("",) * 9, [label + "\n" for label in CLASS_LABELS],
+                    (_CSV,) * 8)
+#: A JSON record at its nesting depth in the ``indent=1`` layout, after
+#: the ",\n" that joins it to the record before it.
+_JSON_ROWS = _layout(
+    [",\n  {" * (name == "a1") + f'\n   "{name}": ' for name in SCAN_COLUMNS],
+    [json.dumps(label) + "\n  }" for label in CLASS_LABELS],
+    (_JSON,) * 7 + (_JSON_NULL,))
+
+
+def _rows(table: ScanTable, layout: _Layout) -> Iterator[str]:
+    """The text of ``table``'s rows in ``layout``, one piece per block."""
+    columns = table.rows.columns
+    # Words over a bytearray, which translates without a copy to bytes.
+    buffer = bytearray(8 * BLOCK_ROWS * len(layout.row))
+    words = np.frombuffer(buffer, "<u8").reshape(BLOCK_ROWS, -1)
+    words[:] = layout.row
+    a1, a2, *spans = [slice(at, at + _CELL_WORDS) for at in layout.cells]
+    labels = slice(-layout.labels.shape[1], None)
+    # Both axes are written in a1's style.
+    for start, stop, ax1, ax2 in _blocks(
+            table.rows, partial(_cells, style=layout.styles[0])):
+        rows = words[:stop - start]
+        rows[:, a1], rows[:, a2] = ax1, ax2
+        for span, name, style in zip(spans, SCAN_COLUMNS[2:-1],
+                                     layout.styles[2:]):
+            _write_cells(columns[name][start:stop], rows[:, span], style)
+        rows[:, labels] = np.take(layout.labels, columns["codes"][start:stop],
+                                  axis=0)
+        text = buffer if len(rows) == BLOCK_ROWS else buffer[:rows.nbytes]
+        yield text.translate(_UNPAD, _PAD).decode("ascii")
 
 
 def render_csv(table: ScanTable) -> Iterator[str]:
@@ -373,18 +499,7 @@ def render_csv(table: ScanTable) -> Iterator[str]:
     yield ("".join(f"# {key}={value}\n"
                    for key, value in table.metadata.items())
            + ",".join(SCAN_COLUMNS) + "\n")
-    columns = table.rows.columns
-    # One row of words per CSV row: a cell per float, then the label's.
-    words = np.empty((BLOCK_ROWS, 8 * _CELL_WORDS + 1), "<u8")
-    for start, stop, a1, a2 in _blocks(table.rows, _csv_cells):
-        rows = words[:stop - start]
-        rows[:, :_CELL_WORDS] = a1
-        rows[:, _CELL_WORDS:2 * _CELL_WORDS] = a2
-        for at, name in enumerate(SCAN_COLUMNS[2:-1], 2):
-            _write_cells(columns[name][start:stop],
-                         rows[:, at * _CELL_WORDS:(at + 1) * _CELL_WORDS])
-        rows[:, -1] = np.take(_LABELS, columns["codes"][start:stop])
-        yield rows.tobytes().translate(None, _PAD).decode("ascii")
+    yield from _rows(table, _CSV_ROWS)
 
 
 def render_json(table: ScanTable) -> Iterator[str]:
@@ -392,17 +507,11 @@ def render_json(table: ScanTable) -> Iterator[str]:
     # json.dumps(indent=1) never puts a raw newline inside a value, so
     # indenting every line break nests the metadata object one level.
     metadata = json.dumps(table.metadata, indent=1).replace("\n", "\n ")
-    join = '{\n "metadata": ' + metadata + "," + _RECORDS
-    for start, stop, a1, a2 in _blocks(table.rows, _json_axis):
-        *floats, curvature, labels = table.rows.block(start, stop,
-                                                      SCAN_COLUMNS[2:-1])
-        # Undefined curvature is written as null.
-        texts = [a1.tolist(), a2.tolist(), *map(_json_texts, floats),
-                 _json_texts(curvature, "null")]
-        encoded = {label: json.dumps(label) for label in set(labels)}
-        texts.append(map(encoded.__getitem__, labels))
-        yield join + ",\n".join(map(_JSON_RECORD.__mod__, zip(*texts)))
-        join = ",\n"
+    head = '{\n "metadata": ' + metadata + "," + _RECORDS
+    skip = len(",\n")  # the first record follows the head
+    for piece in _rows(table, _JSON_ROWS):
+        yield head + piece[skip:]
+        head, skip = "", 0
     yield "\n ]\n}\n"
 
 

@@ -12,7 +12,8 @@ import sys
 import threading
 import time
 import tracemalloc
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,9 +275,11 @@ class TestByteIdentity:
         def bits(xs):
             return ["nan" if math.isnan(x) else float(x).hex() for x in xs]
         want = bits(column)
-        assert bits(map(float, scan_io._csv_texts(column))) == want
-        assert bits(map(json.loads, scan_io._json_texts(column))) == want
-        nulls = list(map(json.loads, scan_io._json_texts(column, "null")))
+        csv, floats, nulls = (scan_io._texts(column, style) for style in (
+            scan_io._CSV, scan_io._JSON, scan_io._JSON_NULL))
+        assert bits(map(float, csv)) == want
+        assert bits(map(json.loads, floats)) == want
+        nulls = list(map(json.loads, nulls))
         assert [x is None for x in nulls] == list(map(math.isnan, column))
         assert bits(x for x in nulls if x is not None) == [
             b for b in want if b != "nan"]
@@ -332,7 +335,7 @@ class TestCsvFloatKernel:
         values = np.asarray(values, np.float64)
         for start in range(0, len(values), 1 << 16):
             chunk = values[start:start + (1 << 16)].tolist()
-            got = scan_io._csv_texts(chunk)
+            got = scan_io._texts(chunk, scan_io._CSV)
             want = ("%.17g," * len(chunk) % tuple(chunk)).split(",")[:-1]
             if got != want:
                 bad = [(x.hex(), g, w) for x, g, w in zip(chunk, got, want)
@@ -407,6 +410,150 @@ class TestCsvFloatKernel:
                      -sys.float_info.max, 1.0, -1.0, 0.1, 1e-11, 1e16])
 
 
+def _significant_digits(text):
+    digits = text.lstrip("-").partition("e")[0].replace(".", "")
+    return len(digits.strip("0"))
+
+
+def _neighbours_read_back(x, n):
+    """Whether the n-digit decimals either side of x read back as x."""
+    return [float(Context(prec=n, rounding=rounding).plus(Decimal(x))) == x
+            for rounding in (ROUND_FLOOR, ROUND_CEILING)]
+
+
+class TestJsonFloatKernel:
+    """The JSON writer's float text is the C encoder's for every double,
+    ``json.dumps([x])[1:-1]``: ``repr`` on the integer path, where exact
+    tests of x's 16-, 15- and 14-digit neighbours give its digits, and on
+    the padded template for every value the path leaves to ``repr``."""
+
+    @staticmethod
+    def _check(values):
+        """The kernel's JSON text of ``values``, checked against the
+        encoder's, and which of them took the integer path."""
+        values = np.asarray(values, np.float64)
+        got = scan_io._texts(values, scan_io._JSON)
+        # No float text holds ", ", so this is json.dumps([x])[1:-1] per x.
+        want = json.dumps(values.tolist())[1:-1].split(", ")
+        if got != want:
+            bad = [(x.hex(), g, w) for x, g, w in zip(values.tolist(), got,
+                                                       want) if g != w]
+            raise AssertionError(
+                f"numpy {np.__version__}: {len(bad)} of {len(got)} differ "
+                f"(hex, got, want): {bad[:5]}")
+        fast = np.concatenate([
+            scan_io._decimal(values[at:at + BLOCK_ROWS], True)[0]
+            for at in range(0, len(values), BLOCK_ROWS)])
+        return got, fast
+
+    @staticmethod
+    def _near(centres, ulps):
+        bits = (np.asarray(centres, np.float64).view(np.int64)[:, None]
+                + np.arange(-ulps, ulps + 1))
+        values = _doubles_from_bits(bits[bits >= 0].astype(np.uint64))
+        return np.concatenate([values, -values])
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261021)
+        self._check(_doubles_from_bits(
+            rng.integers(0, 1 << 64, 200_000, dtype=np.uint64)))
+
+    def test_doubles_of_the_fast_range(self):
+        rng = np.random.default_rng(32)
+        size = 200_000
+        sign = rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+        exponent = rng.integers(986, 1080, size, dtype=np.uint64)
+        mantissa = rng.integers(0, 1 << 52, size, dtype=np.uint64)
+        texts, fast = self._check(_doubles_from_bits(
+            sign | exponent << np.uint64(52) | mantissa))
+        assert fast.mean() > 0.95
+        counts = {n: 0 for n in range(1, 18)}
+        for text in itertools.compress(texts, fast):
+            counts[_significant_digits(text)] += 1
+        # 17 digits stand, or the 16- or the 15-digit neighbour is taken.
+        assert set(n for n, k in counts.items() if k) == {15, 16, 17}
+
+    def test_powers_of_ten_within_three_ulps(self):
+        self._check(self._near([float(f"1e{k}") for k in range(-323, 309)],
+                               3))
+
+    def test_powers_of_two_within_three_ulps(self):
+        """Below 2**k the interval reaches half as far as above it: some
+        16-digit neighbours below lie within half a gap of 2**k and still
+        do not read back as it."""
+        twos = [2.0 ** k for k in range(-1074, 1024)]
+        texts, fast = self._check(self._near(twos, 3))
+        asymmetric = []
+        for x in itertools.compress(twos, fast[3:len(twos) * 7:7]):
+            below = Context(prec=16, rounding=ROUND_FLOOR).plus(Decimal(x))
+            half = (Fraction(math.nextafter(x, math.inf)) - Fraction(x)) / 2
+            if Fraction(x) - Fraction(below) <= half and float(below) != x:
+                asymmetric.append(x)
+        assert asymmetric
+
+    def test_layout_switches(self):
+        """repr writes e-notation below 1e-4 and from 1e16; the path ends
+        at 1e-11 and 1e17."""
+        self._check(self._near([1e-11, 1e-4, 1e15, 1e16, 1e17, 2.0 ** -37,
+                                2.0 ** 57], 200))
+
+    def test_carries_to_the_next_power_of_ten(self):
+        """The double nearest 10**k lies below it for some k, and its
+        shortest text, ``1e-06`` and the like, has E one above D's. Its
+        14-digit neighbour above reads back, so ``repr`` writes it."""
+        values = self._near([float(f"1e{k}") for k in range(-11, 17)], 3)
+        texts, fast = self._check(values)
+        carried = [abs(Decimal(x)) < abs(Decimal(text))
+                   and _significant_digits(text) == 1
+                   for x, text in zip(values.tolist(), texts)]
+        assert any(carried) and not any(fast[carried])
+
+    def test_integral_values(self):
+        """Integral values in fixed-point form end in ``.0``."""
+        rng = np.random.default_rng(7)
+        values = np.concatenate([
+            rng.integers(10 ** 14, 2 ** 53, 50_000).astype(np.float64),
+            rng.integers(-10 ** 6, 10 ** 6, 10_000).astype(np.float64),
+            np.arange(2.0 ** 53 - 64, 2.0 ** 53 + 64, 2.0)])
+        texts, fast = self._check(values)
+        on_path = list(itertools.compress(texts, fast))
+        assert on_path and all(text.endswith(".0") for text in on_path)
+
+    def test_short_texts_leave_the_path(self):
+        """A double whose repr has 14 digits or fewer is written by
+        ``repr``; the path's tests would pick a 15-digit neighbour."""
+        rng = np.random.default_rng(14)
+        values = [float(f"{x:.{n}g}") for x, n in zip(
+            rng.uniform(-100, 100, 50_000).tolist(),
+            rng.integers(1, 15, 50_000).tolist())]
+        texts, fast = self._check(values)
+        short = [_significant_digits(text) <= 14 for text in texts]
+        assert sum(short) > 40_000
+        assert not any(fast[short])
+
+    def test_both_neighbours_inside(self):
+        """Where both 16-digit neighbours read back, the closer is
+        taken, and where they are equally close ``repr`` decides."""
+        rng = np.random.default_rng(16)
+        values = rng.uniform(8, 10, 4000)
+        ties = [562949953421312.25, 562949953421312.75, -562949953421313.25]
+        texts, fast = self._check(np.concatenate([values, ties]))
+        both = [x for x, text, on in zip(values.tolist(), texts, fast)
+                if on and _significant_digits(text) == 16
+                and all(_neighbours_read_back(x, 16))]
+        assert len(both) > 100
+        assert not fast[-3:].any()
+
+    def test_special_values(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                  5e-324, -5e-324, 2.2250738585072014e-308,
+                  2.225073858507201e-308, sys.float_info.max,
+                  -sys.float_info.max, 1.0, -1.0, 0.1, 1e-11, 1e16]
+        self._check(values)
+        assert scan_io._texts(values[2:6], scan_io._JSON_NULL) == [
+            "Infinity", "-Infinity", "null", "null"]
+
+
 def _assert_same_text(got, want):
     """``got == want``, failing with the first character that differs:
     pytest's own diff of two scan files' text runs for minutes."""
@@ -427,58 +574,73 @@ def _assert_read_back(table, path, fmt="csv"):
 
 
 class TestFastPathExit:
-    """Values the CSV kernel's integer path does not hold render through
-    the padded template, alone and mixed with the others in one block,
-    and read back bit for bit."""
+    """Values the kernel's integer path does not hold render through the
+    padded template, alone and mixed with the others in one block, and
+    read back bit for bit, in both formats."""
 
     @staticmethod
-    def _on_fast_path(column):
-        return scan_io._decimal(np.ascontiguousarray(column))[0]
+    def _on_fast_path(column, fmt):
+        return scan_io._decimal(np.ascontiguousarray(column),
+                                fmt == "json")[0]
 
+    @pytest.mark.parametrize("fmt, render, reference", FORMATS)
     @pytest.mark.parametrize("v", [1e-20, 1e20])  # k = 1e-40 and 1e40
-    def test_scales_with_no_value_on_the_fast_path(self, tmp_path, v):
+    def test_scales_with_no_value_on_the_fast_path(self, tmp_path, v, fmt,
+                                                   render, reference):
         table = grid_table(scan_grid(PowerModel(FlowKind.COMPLEX, v=v),
                                      n=33))
         for name in SCAN_COLUMNS[2:-1]:
-            assert not self._on_fast_path(table.rows.columns[name]).any()
-        _assert_same_text(text(render_csv, table), reference_csv(table))
-        _assert_read_back(table, tmp_path / "scan.csv")
+            assert not self._on_fast_path(table.rows.columns[name], fmt).any()
+        _assert_same_text(text(render, table), reference(table))
+        _assert_read_back(table, tmp_path / f"scan.{fmt}", fmt)
 
-    def test_real_diagonal(self, tmp_path):
+    @pytest.mark.parametrize("fmt, render, reference", FORMATS)
+    def test_real_diagonal(self, tmp_path, fmt, render, reference):
         table = diagonal_table(scan_diagonal(PowerModel(FlowKind.REAL), n=65))
         columns = table.rows.columns
         assert (columns["det"] == 0.0).all()
         assert np.isnan(columns["curvature"]).all()
-        _assert_same_text(text(render_csv, table), reference_csv(table))
-        _assert_read_back(table, tmp_path / "diag.csv")
+        got = text(render, table)
+        _assert_same_text(got, reference(table))
+        if fmt == "json":
+            assert (got.count('"det": 0.0,')
+                    == got.count('"curvature": null,') == 65)
+        _assert_read_back(table, tmp_path / f"diag.{fmt}", fmt)
 
-    def test_block_of_both_kinds(self, tmp_path):
+    @pytest.mark.parametrize("fmt, render, reference", FORMATS)
+    def test_block_of_both_kinds(self, tmp_path, fmt, render, reference):
         table = grid_table(scan_grid(IMAG, (-1.2, 0.9), n=32))
-        fast = np.concatenate([self._on_fast_path(table.rows.columns[name])
-                               for name in SCAN_COLUMNS[2:-1]])
+        fast = np.concatenate([
+            self._on_fast_path(table.rows.columns[name], fmt)
+            for name in SCAN_COLUMNS[2:-1]])
         assert fast.any() and not fast.all()
-        _assert_same_text(text(render_csv, table), reference_csv(table))
-        _assert_read_back(table, tmp_path / "scan.csv")
+        _assert_same_text(text(render, table), reference(table))
+        _assert_read_back(table, tmp_path / f"scan.{fmt}", fmt)
         values = [0.5, 0.0, math.nan, -1e-300, 2.5e20, -3.25, math.inf,
-                  1e-11, 5e-324, 123456789.125]
+                  1e-11, 5e-324, 123456789.125, -math.inf]
         columns = dict(table.rows.columns)
         for name in SCAN_COLUMNS[2:-1]:
             columns[name] = np.resize(values, len(columns[name]))
         mixed = grid_table(Scan(table.rows.spec, columns))
-        _assert_same_text(text(render_csv, mixed), reference_csv(mixed))
+        _assert_same_text(text(render, mixed), reference(mixed))
 
-    def test_last_block_of_a_4001_point_diagonal(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt, render, reference", FORMATS)
+    def test_last_block_of_a_4001_point_diagonal(self, tmp_path, capsys, fmt,
+                                                 render, reference):
         assert 4001 % BLOCK_ROWS == 929
-        path = tmp_path / "diag.csv"
+        path = tmp_path / f"diag.{fmt}"
         assert main(["diagonal", "--model", "complex", "--n", "4001",
-                     "--out", str(path)]) == 0
+                     "--format", fmt, "--out", str(path)]) == 0
         capsys.readouterr()
         scan = scan_diagonal(PowerModel(FlowKind.COMPLEX), n=4001)
         table = diagonal_table(scan)
-        pieces = list(render_csv(table))
-        assert pieces[-1].count("\n") == 929
-        want = reference_csv(table)
-        _assert_same_text(pieces[-1], want[-len(pieces[-1]):])
+        pieces = list(render(table))
+        # The last block's records, then the JSON tail.
+        last = "".join(pieces[-1 - (fmt == "json"):])
+        assert last.count("\n") == 929 * (1 if fmt == "csv" else 11) + (
+            fmt == "json") * 3
+        want = reference(table)
+        _assert_same_text(last, want[-len(last):])
         _assert_same_text(path.read_text(), want)
         back = read_scan(str(path))
         for name, column in scan.columns.items():
