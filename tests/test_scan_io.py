@@ -467,11 +467,9 @@ class TestJsonFloatKernel:
         texts, fast = self._check(_doubles_from_bits(
             sign | exponent << np.uint64(52) | mantissa))
         assert fast.mean() > 0.95
-        counts = {n: 0 for n in range(1, 18)}
-        for text in itertools.compress(texts, fast):
-            counts[_significant_digits(text)] += 1
         # 17 digits stand, or the 16- or the 15-digit neighbour is taken.
-        assert set(n for n, k in counts.items() if k) == {15, 16, 17}
+        assert set(map(_significant_digits, itertools.compress(
+            texts, fast))) == {15, 16, 17}
 
     def test_powers_of_ten_within_three_ulps(self):
         self._check(self._near([float(f"1e{k}") for k in range(-323, 309)],
@@ -482,7 +480,7 @@ class TestJsonFloatKernel:
         16-digit neighbours below lie within half a gap of 2**k and still
         do not read back as it."""
         twos = [2.0 ** k for k in range(-1074, 1024)]
-        texts, fast = self._check(self._near(twos, 3))
+        _, fast = self._check(self._near(twos, 3))
         asymmetric = []
         for x in itertools.compress(twos, fast[3:len(twos) * 7:7]):
             below = Context(prec=16, rounding=ROUND_FLOOR).plus(Decimal(x))
