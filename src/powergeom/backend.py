@@ -4,11 +4,13 @@ One straight-line kernel, :func:`_slots`, computes the third-order jet of
 a :class:`FlowKind` surface from ``tan a1`` and ``tan a2``: a
 :class:`Jet3`, the value and its ten raw partials up to third order in
 the two angles, each mixed one stored once. It is plain arithmetic on
-local variables. ``unit_slots`` runs it on floats for one point
-(single-point reports, and bisection steps with few live brackets);
-``batch_slots`` runs it elementwise on ndarray columns for the scans and
-the verification samples, in blocks of ``BLOCK`` points so that the
-temporaries stay small, and returns a :class:`Jet3` of owned columns.
+local variables. ``unit_slots`` runs it on floats for one point, for
+two callers: bisection steps with few live brackets
+(``stability._det_at``) and ``models.eval_power_jet``. ``batch_slots``
+runs it elementwise on ndarray columns for every geometry column, the
+scans', the verification samples' and single-point reports', in blocks
+of ``BLOCK`` points so that the temporaries stay small, and returns a
+:class:`Jet3` of owned columns.
 The kernel computes the metric slots f11, f12 and f22 first, and
 ``batch_metric`` returns their columns alone, for the bisection steps
 with many live brackets, which need only the determinant. All three take

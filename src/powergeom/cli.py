@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import __version__, scan_io
@@ -277,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="script path (default <scan>.plot_<field>.py)")
     p.set_defaults(handler=_cmd_plot_script)
 
+    # argparse's own pattern takes "-1e-5" for an option, not a value.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -12,9 +12,12 @@ determinant, closed-form curvature and class code, elementwise on the
 unit-scale (k = 1) jet columns ``backend.batch_slots`` returns, which it
 scales in place. The class is a sign pattern of a metric that goes as k,
 so it is read off the unit jet, degenerate where the unit determinant is
-exactly zero. :func:`geometry_report` runs it on one point's one-element
-columns, and the scans on whole columns; :func:`check_finite` refuses
-the columns of either where a scaled quantity is out of float range.
+exactly zero. :func:`evaluate_points` is the one route from angles to
+columns: it runs the kernel's ``batch_slots`` and this classifier on
+the points given. The scans and ``verify-paper`` call it on whole
+columns, and :func:`geometry_report` on one point's one-element
+columns; :func:`check_finite` refuses the columns of either where a
+scaled quantity is out of float range.
 
 :func:`scalar_curvature_oracle` is the independent check of the closed
 form. It assembles Christoffel symbols of the first kind (half the third
@@ -203,15 +206,24 @@ def check_finite(columns: dict[str, np.ndarray], k: float,
                 "is out of float range")
 
 
+def evaluate_points(model: models.PowerModel, a1: np.ndarray,
+                    a2: np.ndarray) -> dict[str, np.ndarray]:
+    """Geometry columns of the model at the points (a1, a2): the
+    :func:`geometry_columns` of the ``batch_slots`` jets at the model's k,
+    plus the ``a1`` and ``a2`` columns themselves. The scans,
+    ``verify-paper`` and :func:`geometry_report` evaluate their points
+    here."""
+    jets = backend.batch_slots(model.kind, a1, a2)
+    return {**geometry_columns(jets, model.k), "a1": a1, "a2": a2}
+
+
 def geometry_report(model: models.PowerModel,
                     point: tuple[float, float]) -> GeometryReport:
     """Metric, determinant, curvature (nan if degenerate) and class: the
-    :func:`geometry_columns` of the point's one-element columns, which
+    :func:`evaluate_points` columns of the one point, which
     :func:`check_finite` accepts (``ValueError`` otherwise)."""
     a1, a2 = models.check_angle(point[0]), models.check_angle(point[1])
-    unit = backend.unit_slots(model.kind, a1, a2)
-    cols = {**geometry_columns(Jet3(*map(np.atleast_1d, unit)), model.k),
-            "a1": np.array([a1]), "a2": np.array([a2])}
+    cols = evaluate_points(model, np.array([a1]), np.array([a2]))
     check_finite(cols, model.k)
     one = {key: col.item() for key, col in cols.items()}
     return GeometryReport(

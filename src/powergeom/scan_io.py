@@ -19,9 +19,10 @@ kernel writes each float column into fixed-width cells, ``%.17g`` for
 CSV and ``repr`` (the shortest text that reads back) for JSON, between
 the row's fixed text (see "Float text" below), and deleting the pad
 bytes leaves the block's text. Values off the kernel's integer path are
-written by ``%.17g`` or ``repr`` itself. The axis values are formatted
-once per axis. The JSON text is the ``json.dumps(..., indent=1)`` layout
-of ``{"metadata": ..., "records": [...]}``.
+written by ``%.17g`` or ``repr`` itself. A grid's axis values are
+formatted once per axis (at most 4,096 samples each), a diagonal's a
+block at a time. The JSON text is the ``json.dumps(..., indent=1)``
+layout of ``{"metadata": ..., "records": [...]}``.
 
 A scan file is a pure function of its metadata (flow, V, R0, bounds, n
 and command), so the reader parses nothing else: it re-runs the scan of
@@ -43,8 +44,7 @@ import re
 import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -398,40 +398,6 @@ def _write_cells(x: np.ndarray, out: np.ndarray, style: _Style) -> None:
                                    * (1 + np.signbit(odd)), axis=0)
 
 
-def _blocks(rows: _ScanRows, texts: Callable[[np.ndarray], np.ndarray]):
-    """Per block of :data:`BLOCK_ROWS` rows: its first row and the row
-    after its last, then the a1 and a2 text of its rows, taken from what
-    ``texts`` writes for each axis (a row of cells per sample). An axis is
-    written once, not per row."""
-    spec = rows.spec
-    n = spec.n
-    ax1 = texts(spec.a1_axis)
-    ax2 = None if spec.command == "diagonal" else texts(spec.a2_axis)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, len(rows))
-        if ax2 is None:
-            yield start, stop, ax1[start:stop], ax1[start:stop]
-        else:
-            at = np.arange(start, stop)  # a1 runs fastest
-            yield start, stop, ax1[at % n], ax2[at // n]
-
-
-def _cells(column: np.ndarray, style: _Style) -> np.ndarray:
-    """The cells of a float column in ``style``, a row of words per
-    float."""
-    cells = np.empty((len(column), _CELL_WORDS), "<u8")
-    for start in range(0, len(column), BLOCK_ROWS):
-        _write_cells(column[start:start + BLOCK_ROWS],
-                     cells[start:start + BLOCK_ROWS], style)
-    return cells
-
-
-def _texts(column: Sequence[float], style: _Style) -> list[str]:
-    """The text of each float of ``column`` in ``style``."""
-    return (_cells(np.asarray(column, np.float64), style).tobytes()
-            .translate(None, _PAD).decode("ascii").split(",")[:-1])
-
-
 class _Layout(NamedTuple):
     """A file's rows as words: ``row`` holds a row's fixed text, float
     column i has its cell at word ``cells[i]`` in ``styles[i]``, and the
@@ -472,19 +438,35 @@ _JSON_ROWS = _layout(
 
 
 def _rows(table: ScanTable, layout: _Layout) -> Iterator[str]:
-    """The text of ``table``'s rows in ``layout``, one piece per block."""
-    columns = table.rows.columns
+    """The text of ``table``'s rows in ``layout``, one piece per block of
+    :data:`BLOCK_ROWS` rows. Both axes are written in a1's style. A grid
+    writes each axis once, a block of samples at a time, and gathers each
+    block's a1 and a2 cells from them; a diagonal writes its block's slice
+    of the axis to the a1 cells and copies them to the a2 cells."""
+    spec, columns = table.rows.spec, table.rows.columns
     # Words over a bytearray, which translates without a copy to bytes.
     buffer = bytearray(8 * BLOCK_ROWS * len(layout.row))
     words = np.frombuffer(buffer, "<u8").reshape(BLOCK_ROWS, -1)
     words[:] = layout.row
     a1, a2, *spans = [slice(at, at + _CELL_WORDS) for at in layout.cells]
     labels = slice(-layout.labels.shape[1], None)
-    # Both axes are written in a1's style.
-    for start, stop, ax1, ax2 in _blocks(
-            table.rows, partial(_cells, style=layout.styles[0])):
+    axis_style, n = layout.styles[0], spec.n
+    grid = spec.command == "scan"
+    if grid:
+        axes = np.empty((2, n, _CELL_WORDS), "<u8")
+        for cells, axis in zip(axes, (spec.a1_axis, spec.a2_axis)):
+            for start in range(0, n, BLOCK_ROWS):
+                _write_cells(axis[start:start + BLOCK_ROWS],
+                             cells[start:start + BLOCK_ROWS], axis_style)
+    for start in range(0, len(table.rows), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(table.rows))
         rows = words[:stop - start]
-        rows[:, a1], rows[:, a2] = ax1, ax2
+        if grid:
+            at = np.arange(start, stop)  # a1 runs fastest
+            rows[:, a1], rows[:, a2] = axes[0, at % n], axes[1, at // n]
+        else:
+            _write_cells(spec.a1_axis[start:stop], rows[:, a1], axis_style)
+            rows[:, a2] = rows[:, a1]
         for span, name, style in zip(spans, SCAN_COLUMNS[2:-1],
                                      layout.styles[2:]):
             _write_cells(columns[name][start:stop], rows[:, span], style)

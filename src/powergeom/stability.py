@@ -8,13 +8,14 @@ columns of its points. Sample i of an axis sits at ``a_min + i*(a_max -
 a_min)/(n - 1)``, so a scan with ``2n - 1`` samples reproduces the
 n-sample points bit for bit. Records are row-major with a1 fastest.
 
-The jets of all points come from one column-wise kernel
-(:func:`powergeom.backend.batch_slots`) that works through fixed-size
-blocks of points. Each point's jet depends only on that point, so scan
-content never depends on where the blocks split. Metric, determinant,
-curvature and class come from :func:`powergeom.geometry.geometry_columns`,
-the classifier single-point reports use too, and a scan keeps only the
-columns it reports, 65 B a point. A point is DEGEN where its unit-scale
+A scan's points go through :func:`powergeom.geometry.evaluate_points`,
+the route single-point reports take too: the jets of all points come
+from one column-wise kernel (:func:`powergeom.backend.batch_slots`) that
+works through fixed-size blocks of points, and metric, determinant,
+curvature and class from :func:`powergeom.geometry.geometry_columns`.
+Each point's jet depends only on that point, so scan content never
+depends on where the blocks split. A scan keeps only the columns it
+reports, 65 B a point. A point is DEGEN where its unit-scale
 determinant is exactly zero, so a scan's classes do not depend on
 k = V^2/R0.
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import backend
 from .errors import BadDomain
-from .geometry import check_finite, determinant, geometry_columns
+from .geometry import check_finite, determinant, evaluate_points
 from .models import HALF_PI, FlowKind, PowerModel
 
 DEFAULT_BOUNDS = (-1.55, 1.55)
@@ -83,19 +84,6 @@ def axis_samples(bounds: Bounds, n: int) -> np.ndarray:
     axis = lo + np.arange(n) * ((hi - lo) / (n - 1))
     axis.flags.writeable = False
     return axis
-
-
-def evaluate_points(model: PowerModel, a1: np.ndarray,
-                    a2: np.ndarray) -> dict[str, np.ndarray]:
-    """Geometry columns of the model at the points (a1, a2): the
-    :func:`~powergeom.geometry.geometry_columns` of the ``batch_slots``
-    jets at the model's k, plus the ``a1`` and ``a2`` columns themselves.
-
-    Point i has the bits of ``geometry_report(model, (a1[i], a2[i]))``.
-    Scans and ``verify-paper`` evaluate their points here.
-    """
-    jets = backend.batch_slots(model.kind, a1, a2)
-    return {**geometry_columns(jets, model.k), "a1": a1, "a2": a2}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ walk reads it: the denominators at every draw, over shared power tables
 (:class:`~powergeom.expressions.Powers`); the jet value where the
 denominator passed, from the kernel's metric slots alone
 (``backend.batch_metric``) for a metric entry or the determinant and
-through :func:`~powergeom.stability.evaluate_points`, the evaluator the
+through :func:`~powergeom.geometry.evaluate_points`, the evaluator the
 scans use, for the curvature; the numerators and the prefactor where the
 jet value is also defined, on a subset of the power tables. Every value
 has the bits ``eval_power_jet`` and the float tables give its draw. The
@@ -51,9 +51,9 @@ import numpy as np
 from . import backend, geometry
 from .errors import DegenerateMetric
 from .expressions import PaperQuantity, Powers, poly_sum, quantities_for
-from .geometry import DEGEN_CODE
+from .geometry import DEGEN_CODE, evaluate_points
 from .models import FlowKind, PowerModel
-from .stability import axis_samples, evaluate_points
+from .stability import axis_samples
 
 #: VERIFIED when max relative deviation stays at or below this.
 VERIFY_TOL = 1e-6
@@ -206,7 +206,7 @@ def _autodiff_columns(target: str, kind: FlowKind, a1: np.ndarray,
     """``target`` of the flow's unit-scale geometry at the points (a1, a2),
     and where it is defined: all but degenerate points for ``curvature``.
 
-    The curvature comes from :func:`~powergeom.stability.evaluate_points`;
+    The curvature comes from :func:`~powergeom.geometry.evaluate_points`;
     a metric entry or the determinant from the metric slots alone,
     ``backend.batch_metric``. Either way point i has the bits of the jet
     ``eval_power_jet(PowerModel(kind), a1[i], a2[i])``."""

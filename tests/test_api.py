@@ -58,6 +58,48 @@ def test_second_paths_are_gone():
         assert not hasattr(powergeom, name), name
 
 
+def test_one_route_per_scan_step():
+    """Angles reach geometry columns only through
+    ``geometry.evaluate_points``, and columns reach text only through
+    ``scan_io._rows``."""
+    for name in ("_blocks", "_cells", "_texts"):
+        assert not hasattr(scan_io, name), name
+    found = [path.name for path in sorted(
+        Path(powergeom.__file__).parent.glob("*.py"))
+        if any(isinstance(node, ast.FunctionDef)
+               and node.name == "evaluate_points"
+               for node in ast.walk(ast.parse(path.read_text())))]
+    assert found == ["geometry.py"]
+    assert stability.evaluate_points is geometry.evaluate_points
+
+
+def _references(tree, name):
+    """The function around each use of ``name``, as a bare name or an
+    attribute, in ``tree``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_unit_slots_serves_two_callers():
+    """The single-point kernel serves the bisection tail and
+    ``eval_power_jet``; every geometry column comes from ``batch_slots``."""
+    found = set()
+    for path in sorted(Path(powergeom.__file__).parent.glob("*.py")):
+        found.update((path.stem, function) for function in _references(
+            ast.parse(path.read_text()), "unit_slots"))
+    assert found == {("stability", "_det_at"), ("models", "eval_power_jet")}
+
+
 def _write_opens(tree):
     """(function, line) of every ``open`` call in ``tree`` whose mode may
     write: a mode holding w, a, x or +, or one that is not a string

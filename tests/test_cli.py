@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files, determinism, units."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -820,6 +821,39 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         assert here[0] == code, argv
         assert here == (proc.returncode, proc.stdout, proc.stderr), argv
         assert written == (out.read_bytes() if out.exists() else None)
+
+
+#: The required arguments of each verb that has a float option.
+_REQUIRED = {"scan": ["--model", "real", "--out", "s.csv"],
+             "diagonal": ["--model", "real", "--out", "s.csv"],
+             "classify": ["--model", "real", "--a1", "0.1", "--a2", "0.2"],
+             "verify-paper": ["--model", "real"]}
+
+
+def _float_options():
+    """(verb, option, dest) of every float option of every verb."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [(verb, option, action.dest)
+            for verb, parser in sub.choices.items()
+            for action in parser._actions if action.type is float
+            for option in action.option_strings]
+
+
+@pytest.mark.parametrize("verb, option, dest", _float_options())
+def test_negative_e_notation_is_a_value(verb, option, dest):
+    """A negative number in e-notation after a float option is its value,
+    not an unknown option and a usage error."""
+    for value in ("-1e-5", "-1E-3", "-2.5e-1", "-.5e+2"):
+        args = cli.build_parser().parse_args(
+            [verb, *_REQUIRED[verb], option, value])
+        assert getattr(args, dest) == float(value), value
+
+
+def test_negative_e_notation_out_of_range_is_a_domain_error(capsys):
+    assert run(["classify", "--model", "real", "--v", "-1e-3", "--a1", "0.1",
+                "--a2", "0.2"], capsys) == (
+        1, "", "error: bus voltage must be positive, got -0.001\n")
 
 
 def _bits_to_double(bits):

@@ -51,6 +51,19 @@ def text(render, table):
     return "".join(render(table))
 
 
+def _texts(column, style):
+    """The text of each float of ``column`` in ``style``: the writers'
+    cells of it, :data:`BLOCK_ROWS` floats at a time, with the pads
+    deleted."""
+    column = np.asarray(column, np.float64)
+    cells = np.empty((len(column), scan_io._CELL_WORDS), "<u8")
+    for at in range(0, len(column), BLOCK_ROWS):
+        scan_io._write_cells(column[at:at + BLOCK_ROWS],
+                             cells[at:at + BLOCK_ROWS], style)
+    return (cells.tobytes().translate(None, scan_io._PAD).decode("ascii")
+            .split(",")[:-1])
+
+
 def rows_equal(a, b):
     for ra, rb in zip(a, b):
         ta, tb = tuple(ra), tuple(rb)
@@ -275,7 +288,7 @@ class TestByteIdentity:
         def bits(xs):
             return ["nan" if math.isnan(x) else float(x).hex() for x in xs]
         want = bits(column)
-        csv, floats, nulls = (scan_io._texts(column, style) for style in (
+        csv, floats, nulls = (_texts(column, style) for style in (
             scan_io._CSV, scan_io._JSON, scan_io._JSON_NULL))
         assert bits(map(float, csv)) == want
         assert bits(map(json.loads, floats)) == want
@@ -335,7 +348,7 @@ class TestCsvFloatKernel:
         values = np.asarray(values, np.float64)
         for start in range(0, len(values), 1 << 16):
             chunk = values[start:start + (1 << 16)].tolist()
-            got = scan_io._texts(chunk, scan_io._CSV)
+            got = _texts(chunk, scan_io._CSV)
             want = ("%.17g," * len(chunk) % tuple(chunk)).split(",")[:-1]
             if got != want:
                 bad = [(x.hex(), g, w) for x, g, w in zip(chunk, got, want)
@@ -432,7 +445,7 @@ class TestJsonFloatKernel:
         """The kernel's JSON text of ``values``, checked against the
         encoder's, and which of them took the integer path."""
         values = np.asarray(values, np.float64)
-        got = scan_io._texts(values, scan_io._JSON)
+        got = _texts(values, scan_io._JSON)
         # No float text holds ", ", so this is json.dumps([x])[1:-1] per x.
         want = json.dumps(values.tolist())[1:-1].split(", ")
         if got != want:
@@ -548,7 +561,7 @@ class TestJsonFloatKernel:
                   2.225073858507201e-308, sys.float_info.max,
                   -sys.float_info.max, 1.0, -1.0, 0.1, 1e-11, 1e16]
         self._check(values)
-        assert scan_io._texts(values[2:6], scan_io._JSON_NULL) == [
+        assert _texts(values[2:6], scan_io._JSON_NULL) == [
             "Infinity", "-Infinity", "null", "null"]
 
 
@@ -682,6 +695,15 @@ class TestBlockJoins:
         self._check(diagonal_table(scan_diagonal(model, (-1.2, 0.9), n=n)),
                     tmp_path)
 
+    def test_diagonal_over_three_blocks_and_a_part(self, tmp_path):
+        """A diagonal writes its axis text a block at a time, so every
+        join of its a1 and a2 cells is checked here."""
+        n = 3 * BLOCK_ROWS + 5
+        model = PowerModel(FlowKind.REAL, v=1.3, r0=0.7)  # nan curvature
+        table = diagonal_table(scan_diagonal(model, (-1.2, 0.9), n=n))
+        assert np.isnan(table.rows.columns["curvature"]).all()
+        self._check(table, tmp_path)
+
     @pytest.mark.parametrize("kind", list(FlowKind))
     def test_grid_over_three_blocks_and_a_part(self, tmp_path, kind):
         n = math.isqrt(3 * BLOCK_ROWS) + 1
@@ -689,6 +711,23 @@ class TestBlockJoins:
         scan = scan_grid(PowerModel(kind, v=1.3, r0=0.7), (-1.2, 0.9),
                          (-0.4, 1.4), n=n)
         self._check(grid_table(scan), tmp_path)
+
+
+def test_diagonal_renders_in_the_memory_of_one_block():
+    """A diagonal's axis text is written a block at a time: rendering the
+    200,001 points of one takes well under the 9.6 MB of its whole axis
+    in cells, in either format."""
+    table = diagonal_table(scan_diagonal(PowerModel(FlowKind.COMPLEX),
+                                         n=200_001))
+    for render in (render_csv, render_json):
+        tracemalloc.start()
+        try:
+            for _ in render(table):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, (render.__name__, peak)
 
 
 class TestScanBackedRows:
@@ -729,18 +768,24 @@ class TestScanBackedRows:
         self._check(rows, scan)
 
 
+def _fail_second_block(monkeypatch):
+    """Make the row writer raise a full disk's error after its first
+    block."""
+    rows = scan_io._rows
+
+    def second_block_fails(table, layout):
+        pieces = rows(table, layout)
+        yield next(pieces)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(scan_io, "_rows", second_block_fails)
+
+
 class TestFailedWrite:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_truncated_file_is_left(self, tmp_path, monkeypatch, capsys,
                                        fmt):
-        blocks = scan_io._blocks
-
-        def second_block_fails(rows, texts):
-            pieces = blocks(rows, texts)
-            yield next(pieces)
-            raise OSError("No space left on device")
-
-        monkeypatch.setattr(scan_io, "_blocks", second_block_fails)
+        _fail_second_block(monkeypatch)
         path = tmp_path / f"scan.{fmt}"
         assert main(["scan", "--model", "imaginary", "--n", "64",
                      "--format", fmt, "--out", str(path)]) == 1
@@ -750,14 +795,7 @@ class TestFailedWrite:
     def test_a_pipe_is_not_removed(self, tmp_path, monkeypatch):
         """Only a regular file is removed: a FIFO that ``--out`` names
         stays when the write fails after its first block."""
-        blocks = scan_io._blocks
-
-        def second_block_fails(rows, texts):
-            pieces = blocks(rows, texts)
-            yield next(pieces)
-            raise OSError("No space left on device")
-
-        monkeypatch.setattr(scan_io, "_blocks", second_block_fails)
+        _fail_second_block(monkeypatch)
         path = tmp_path / "pipe"
         os.mkfifo(path)
         read = []
@@ -781,14 +819,7 @@ class TestFailedWrite:
                                                  capsys, fmt):
         """Through a symlink to a regular file, a failed write removes the
         file it wrote, the link's target, and keeps the link."""
-        blocks = scan_io._blocks
-
-        def second_block_fails(rows, texts):
-            pieces = blocks(rows, texts)
-            yield next(pieces)
-            raise OSError("No space left on device")
-
-        monkeypatch.setattr(scan_io, "_blocks", second_block_fails)
+        _fail_second_block(monkeypatch)
         target, link = tmp_path / f"target.{fmt}", tmp_path / f"link.{fmt}"
         target.write_text("old\n")
         link.symlink_to(target)

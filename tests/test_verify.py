@@ -23,9 +23,10 @@ from powergeom.expressions import (
     TrigPolynomial,
     reconstruct_quantity,
 )
+from powergeom.geometry import evaluate_points
 from powergeom.models import FlowKind, PowerModel, eval_power
 from powergeom.selfcheck import run_self_checks
-from powergeom.stability import axis_samples, evaluate_points
+from powergeom.stability import axis_samples
 from powergeom.verify import _diagonal_identities, verify_against_autodiff
 
 REAL = PowerModel(FlowKind.REAL)
